@@ -16,7 +16,7 @@ from repro.examples_lib.rox08 import (
     build_system,
 )
 from repro.system import analyze_system
-from repro.system.propagation import _StreamResolver
+from repro.system.propagation import output_models
 from repro.viz import eta_plus_series, render_step_chart, render_table
 
 
@@ -37,11 +37,7 @@ def main() -> None:
     # Figure 4: eta+ of the frame output stream vs the unpacked signals.
     system = build_system("hem")
     result = analyze_system(system)
-    responses = {}
-    for rr in result.resource_results.values():
-        responses.update(rr.task_results)
-    resolver = _StreamResolver(system, responses, {})
-    frame_out = resolver.port("F1")
+    frame_out = output_models(system, result, ["F1"])["F1"]
 
     series = {"F1 frames": eta_plus_series(frame_out.outer, 2000.0, 25.0)}
     for label in frame_out.labels:

@@ -16,7 +16,7 @@ from repro.can import CanBus
 from repro.com import ComLayer, Frame, FrameType, Signal
 from repro.ethernet import EthernetLink, Flow, SwitchedNetwork
 from repro.system import JunctionKind, System, analyze_system, path_latency
-from repro.system.propagation import _StreamResolver
+from repro.system.propagation import output_models
 from repro.viz import render_table
 
 TRIG = TransferProperty.TRIGGERING
@@ -85,11 +85,8 @@ def main() -> None:
 
     # Compare against the flat receiver (every Ethernet sensor frame
     # activates every task).
-    responses = {}
-    for rr in result.resource_results.values():
-        responses.update(rr.task_results)
-    resolver = _StreamResolver(system, responses, {})
-    delivered = resolver.port(sinks["sensors"])
+    port = sinks["sensors"]
+    delivered = output_models(system, result, [port])[port]
     flat_rows = []
     horizon = 3000.0
     flat_rows.append(("all sensor frames", delivered.eta_plus(horizon)))

@@ -23,7 +23,7 @@ from repro.examples_lib.rox08 import (
 from repro.eventmodels import trace_within_bounds
 from repro.sim import GatewayScenario, arrivals_for_models, simulate_gateway
 from repro.system import analyze_system
-from repro.system.propagation import _StreamResolver
+from repro.system.propagation import output_models
 from repro.viz import render_table
 
 HORIZON = 100_000.0
@@ -56,11 +56,7 @@ def main() -> None:
     print()
 
     # Per-signal delivery streams vs unpacked inner models.
-    responses = {}
-    for rr in result.resource_results.values():
-        responses.update(rr.task_results)
-    resolver = _StreamResolver(system, responses, {})
-    frame_out = resolver.port("F1")
+    frame_out = output_models(system, result, ["F1"])["F1"]
     rows = []
     for label in frame_out.labels:
         delivered = run.delivered(label)

@@ -23,7 +23,7 @@ from .examples_lib.rox08 import (
 )
 from .sim import GatewayScenario, arrivals_for_models, simulate_gateway
 from .system import analyze_system
-from .system.propagation import _StreamResolver
+from .system.propagation import output_models
 from .viz import eta_plus_series, render_step_chart, render_table
 
 SIM_HORIZON = 100_000.0
@@ -53,12 +53,7 @@ def build_report(sim_horizon: float = SIM_HORIZON) -> str:
          for t, flat, hem, red in comparison.rows()]))
 
     # --- Figure 4 ------------------------------------------------------
-    system = build_system("hem")
-    responses = {}
-    for rr in hem_result.resource_results.values():
-        responses.update(rr.task_results)
-    resolver = _StreamResolver(system, responses, {})
-    frame_out = resolver.port("F1")
+    frame_out = output_models(build_system("hem"), hem_result, ["F1"])["F1"]
     series = {"F1 frames": eta_plus_series(frame_out.outer, 2000.0, 25.0)}
     for label in frame_out.labels:
         series[f"signal {label}"] = eta_plus_series(

@@ -1,10 +1,11 @@
-"""Graceful-degradation engine: the degraded global fixed point.
+"""Graceful degradation: the ``degrade`` failure policy of the global loop.
 
 Strict compositional analysis is all-or-nothing: one overloaded bus and
 :func:`~repro.system.propagation.analyze_system` raises, discarding every
-bound it had already computed for the healthy 95 % of the system.  The
-degraded engine (reached via ``analyze_system(..., on_failure="degrade")``)
-keeps going instead:
+bound it had already computed for the healthy 95 % of the system.  With
+``analyze_system(..., on_failure="degrade")`` the same fixed-point
+loop (:func:`~repro.system.propagation._global_fixed_point`) runs under
+the failure policy defined here, which keeps going instead:
 
 1. A resource whose local analysis fails is **quarantined**: it is
    excluded from further iterations and its health is recorded
@@ -42,7 +43,7 @@ keeps going instead:
    widened inputs, so their bounds are valid (conservative) WCRTs of the
    degraded system.
 
-The engine never raises for *analysis* failures; it always returns an
+Degraded runs never raise for *analysis* failures; they always return an
 :class:`~repro.resilience.outcome.AnalysisOutcome`.  Model-construction
 errors detected by :meth:`System.validate` (dangling ports, bad
 parameters) still raise — they are caller bugs, not properties of the
@@ -54,35 +55,28 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs as _obs
-from ..obs.bus import BUS as _BUS
 from .._errors import (
     AnalysisError,
     ModelError,
     NotSchedulableError,
     UnboundedStreamError,
 )
-from ..analysis.interface import TaskSpec
 from ..analysis.memo import AnalysisMemo
 from ..analysis.results import ResourceResult, SystemResult, TaskResult
 from ..core.update import BusyWindowOutput, apply_operation
-from ..eventmodels import compile as _compile
 from ..eventmodels.base import EventModel
-from ..eventmodels.curves import CachedModel
 from ..eventmodels.standard import sporadic
 from ..system.model import System, Task
 from ..system.propagation import (
     DEFAULT_MAX_ITERATIONS,
     _changed_ports,
-    _models_stable,
-    _response_residuals,
-    _responses_stable,
+    _global_fixed_point,
     _StreamResolver,
 )
 from ..timebase import EPS, INF
 from .guards import DivergenceGuard, GuardVerdict
 from .outcome import (
     HEALTH_DIVERGED,
-    HEALTH_OK,
     HEALTH_OVERLOADED,
     HEALTH_QUARANTINED,
     AnalysisOutcome,
@@ -134,22 +128,6 @@ class UnboundedEnvelope(EventModel):
 
     def __repr__(self) -> str:
         return f"<UnboundedEnvelope {self.origin or '?'}>"
-
-
-class _DegradedResolver(_StreamResolver):
-    """Stream resolver that serves fixed substitute models for the
-    output ports of quarantined resources."""
-
-    def __init__(self, system: System, responses, initial,
-                 substitutes: "Dict[str, EventModel]"):
-        super().__init__(system, responses, initial)
-        self._substitutes = substitutes
-
-    def port(self, port: str) -> EventModel:
-        substitute = self._substitutes.get(port)
-        if substitute is not None:
-            return substitute
-        return super().port(port)
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +201,7 @@ def widen_diverged(task: Task, resolver: _StreamResolver,
 
 
 # ----------------------------------------------------------------------
-# the degraded loop
+# the degrade failure policy
 # ----------------------------------------------------------------------
 def degraded_analyze(system: System,
                      max_iterations: int = DEFAULT_MAX_ITERATIONS,
@@ -246,43 +224,89 @@ def degraded_analyze(system: System,
     failures (overload, divergence, unbounded streams).  Structural
     model errors from :meth:`System.validate` still raise.
     """
-    if memo is not None and not memo.acquire():
-        memo = None
-    try:
-        return _degraded_analysis(system, max_iterations,
-                                  initial_outputs, guard, memo)
-    finally:
-        if memo is not None:
-            memo.runs += 1
-            memo.release()
+    return _global_fixed_point(system, _DegradePolicy(system),
+                               max_iterations, initial_outputs, guard, memo)
 
 
-def _degraded_analysis(system: System, max_iterations: int,
-                       initial_outputs:
-                       "Optional[Dict[str, EventModel]]",
-                       guard: "Optional[DivergenceGuard]",
-                       memo: "Optional[AnalysisMemo]",
-                       ) -> AnalysisOutcome:
-    system.validate()
-    if guard is None:
-        guard = DivergenceGuard()
+class _DegradePolicy:
+    """Failure policy of ``on_failure="degrade"`` for
+    :func:`~repro.system.propagation._global_fixed_point`: quarantine failed
+    resources, substitute widened outputs, and assemble the outcome."""
 
-    responses: "Dict[str, TaskResult]" = {}
-    prev_models: "Dict[str, EventModel]" = {}
-    cycle_seeds: "Dict[str, EventModel]" = dict(initial_outputs or {})
-    substitutes: "Dict[str, EventModel]" = {}
-    health: "Dict[str, ResourceHealth]" = {
-        name: ResourceHealth(name) for name in system.resources}
-    certificates: "List[ConservativenessCertificate]" = []
-    verdicts: "List[GuardVerdict]" = []
-    degraded_results: "Dict[str, ResourceResult]" = {}
-    history: "Dict[str, List[Tuple[float, float]]]" = {}
-    last_results: "Dict[str, ResourceResult]" = {}
+    mode = "degraded"
+    errors = _QUARANTINE_ERRORS
 
-    # --- helpers bound to the loop state ------------------------------
-    def quarantine(resource_name: str, kind: str, exc: Exception,
-                   utilization: "Optional[float]" = None) -> None:
-        record = health[resource_name]
+    def __init__(self, system: System):
+        self.system = system
+        self.substitutes: "Dict[str, EventModel]" = {}
+        self.health: "Dict[str, ResourceHealth]" = {
+            name: ResourceHealth(name) for name in system.resources}
+        self.certificates: "List[ConservativenessCertificate]" = []
+        self.verdicts: "List[GuardVerdict]" = []
+        #: Per-task ``(r_min, r_max)`` of every iteration, the evidence
+        #: a divergence widening freezes.
+        self.history: "Dict[str, List[Tuple[float, float]]]" = {}
+        self.degraded_results: "Dict[str, ResourceResult]" = {}
+
+    # --- loop hooks ---------------------------------------------------
+    def analysis_failed(self, resource_name: str, exc: Exception) -> None:
+        kind = (HEALTH_OVERLOADED if isinstance(exc, NotSchedulableError)
+                else HEALTH_QUARANTINED)
+        self.quarantine(resource_name, kind, exc)
+
+    def port_failed(self, task: Task, exc: Exception) -> EventModel:
+        if self.health[task.resource].ok:
+            self.quarantine(task.resource, HEALTH_QUARANTINED, exc)
+        return self.substitutes[task.name]
+
+    def diverged(self, verdict: GuardVerdict, residual_info: dict,
+                 prev_models: "Dict[str, EventModel]",
+                 new_models: "Dict[str, EventModel]",
+                 resolver: _StreamResolver,
+                 resource_results: "Dict[str, ResourceResult]") -> bool:
+        # The culprit is the resource of the task that moved most, else
+        # of the first healthy task whose output model still moves.
+        self.verdicts.append(verdict)
+        tasks = self.system.tasks
+        worst = residual_info.get("residual_argmax")
+        if worst not in tasks:
+            worst = next(
+                (port for port in _changed_ports(prev_models, new_models)
+                 if port in tasks and self.health[tasks[port].resource].ok),
+                None)
+        if worst is None:
+            return False
+        culprit = tasks[worst].resource
+        self.quarantine_diverged(culprit, verdict, resolver,
+                                 resource_results.get(culprit))
+        return True
+
+    def finish(self, iterations: int, converged: bool,
+               last_results: "Dict[str, ResourceResult]"
+               ) -> AnalysisOutcome:
+        # A quarantined resource reports its degraded result, a healthy
+        # one its last local analysis; idle resources report nothing.
+        resource_results: "Dict[str, ResourceResult]" = {}
+        for name in self.system.resources:
+            rr = self.degraded_results.get(name, last_results.get(name))
+            if rr is not None:
+                resource_results[name] = rr
+        result = SystemResult(iterations=iterations, converged=converged,
+                              resource_results=resource_results)
+        outcome = AnalysisOutcome(result=result, resources=self.health,
+                                  certificates=self.certificates,
+                                  verdicts=self.verdicts,
+                                  iterations=iterations,
+                                  converged=converged)
+        if _obs.enabled:
+            _obs.metrics().gauge("resilience.failed_resources").set(
+                len(outcome.failed_resources()))
+        return outcome
+
+    # --- quarantine ---------------------------------------------------
+    def quarantine(self, resource_name: str, kind: str,
+                   exc: Exception) -> None:
+        record = self.health[resource_name]
         record.health = kind
         record.error = str(exc)
         record.error_type = type(exc).__name__
@@ -293,24 +317,22 @@ def _degraded_analysis(system: System, max_iterations: int,
                 "resilience.quarantine", resource=resource_name,
                 health=kind, error_type=record.error_type)
         task_results = {}
-        for t in system.tasks_on(resource_name):
+        for t in self.system.tasks_on(resource_name):
             model, cert = widen_overload(t, kind)
-            substitutes[t.name] = model
-            certificates.append(cert)
-            if _obs.enabled:
-                _obs.metrics().counter("resilience.widenings").inc()
+            self._substitute(t, model, cert)
             task_results[t.name] = TaskResult(
                 name=t.name, r_min=t.c_min, r_max=INF, degraded=True)
-        if utilization is None:
-            utilization = getattr(exc, "utilization", None)
-        degraded_results[resource_name] = ResourceResult(
+        utilization = getattr(exc, "utilization", None)
+        self.degraded_results[resource_name] = ResourceResult(
             resource_name,
             utilization if utilization is not None else float("nan"),
             task_results, health=kind)
 
-    def quarantine_diverged(resource_name: str, verdict: GuardVerdict,
-                            resolver: _StreamResolver) -> None:
-        record = health[resource_name]
+    def quarantine_diverged(self, resource_name: str,
+                            verdict: GuardVerdict,
+                            resolver: _StreamResolver,
+                            prev_rr: "Optional[ResourceResult]") -> None:
+        record = self.health[resource_name]
         record.health = HEALTH_DIVERGED
         record.error = f"divergence guard: {verdict.verdict}"
         record.error_type = "ConvergenceError"
@@ -322,186 +344,22 @@ def _degraded_analysis(system: System, max_iterations: int,
             _obs.get_tracer().event(
                 "resilience.quarantine", resource=resource_name,
                 health=HEALTH_DIVERGED, verdict=verdict.verdict)
-        prev_rr = last_results.get(resource_name)
         task_results = {}
-        for t in system.tasks_on(resource_name):
+        for t in self.system.tasks_on(resource_name):
             model, cert, r_lo, r_hi = widen_diverged(
-                t, resolver, history.get(t.name, []))
-            substitutes[t.name] = model
-            certificates.append(cert)
-            if _obs.enabled:
-                _obs.metrics().counter("resilience.widenings").inc()
+                t, resolver, self.history.get(t.name, []))
+            self._substitute(t, model, cert)
             task_results[t.name] = TaskResult(
                 name=t.name, r_min=r_lo, r_max=r_hi, degraded=True,
                 details={"frozen": 1.0})
-        degraded_results[resource_name] = ResourceResult(
+        self.degraded_results[resource_name] = ResourceResult(
             resource_name,
             prev_rr.utilization if prev_rr is not None else float("nan"),
             task_results, health=HEALTH_DIVERGED)
 
-    def culprit_resource(residual_info: dict,
-                         new_models: "Dict[str, EventModel]") \
-            -> "Optional[str]":
-        worst_task = residual_info.get("residual_argmax")
-        if worst_task is not None and worst_task in system.tasks:
-            return system.tasks[worst_task].resource
-        for port in _changed_ports(prev_models, new_models):
-            if port in system.tasks:
-                name = system.tasks[port].resource
-                if health[name].ok:
-                    return name
-        return None
-
-    # --- global iteration ---------------------------------------------
-    iterations_done = 0
-    converged = False
-    for iteration in range(1, max_iterations + 1):
-        iterations_done = iteration
-        iter_span = (_obs.get_tracer().start(
-            "global_iteration", system=system.name, iteration=iteration,
-            mode="degraded") if _obs.enabled else None)
-        try:
-            resolver = _DegradedResolver(system, responses, cycle_seeds,
-                                         substitutes)
-
-            new_resource_results: "Dict[str, ResourceResult]" = {}
-            for resource in system.resources.values():
-                tasks = system.tasks_on(resource.name)
-                if not tasks or not health[resource.name].ok:
-                    continue
-                try:
-                    specs = [
-                        TaskSpec(name=t.name, c_min=t.c_min,
-                                 c_max=t.c_max,
-                                 event_model=resolver.activation_model(t),
-                                 priority=t.priority, slot=t.slot,
-                                 deadline=t.deadline,
-                                 blocking=t.blocking)
-                        for t in tasks
-                    ]
-                    if memo is None:
-                        rr = resource.scheduler.analyze(specs,
-                                                        resource.name)
-                    else:
-                        rr, _ = memo.resource_memo(
-                            resource.name).analyze(
-                                resource.scheduler, specs, resource.name)
-                except NotSchedulableError as exc:
-                    quarantine(resource.name, HEALTH_OVERLOADED, exc)
-                    continue
-                except _QUARANTINE_ERRORS as exc:
-                    quarantine(resource.name, HEALTH_QUARANTINED, exc)
-                    continue
-                new_resource_results[resource.name] = rr
-
-            new_responses: "Dict[str, TaskResult]" = {}
-            for rr in new_resource_results.values():
-                new_responses.update(rr.task_results)
-            for name, tr in new_responses.items():
-                history.setdefault(name, []).append((tr.r_min, tr.r_max))
-
-            stable = _responses_stable(responses, new_responses)
-            residual_info = _response_residuals(responses, new_responses)
-            if iter_span is not None:
-                iter_span.set(**residual_info)
-            responses = new_responses
-            last_results = new_resource_results
-
-            # Propagate with the same (possibly shrunken) health map.
-            resolver = _DegradedResolver(system, responses, cycle_seeds,
-                                         substitutes)
-            new_models: "Dict[str, EventModel]" = {}
-            for task_name in system.tasks:
-                try:
-                    out = resolver.port(task_name)
-                except _QUARANTINE_ERRORS as exc:
-                    owner = system.tasks[task_name].resource
-                    if health[owner].ok:
-                        quarantine(owner, HEALTH_QUARANTINED, exc)
-                    out = substitutes.get(task_name)
-                if out is not None and not _compile.enabled \
-                        and task_name not in substitutes:
-                    out = CachedModel(out, name=f"{task_name}.out")
-                if out is not None:
-                    new_models[task_name] = out
-                    cycle_seeds[task_name] = out
-
-            models_stable = _models_stable(prev_models, new_models)
-            converged = stable and models_stable
-            if iter_span is not None:
-                iter_span.set(responses_stable=stable,
-                              models_stable=models_stable,
-                              converged=converged,
-                              quarantined=len(
-                                  [h for h in health.values()
-                                   if not h.ok]),
-                              widened_ports=sorted(substitutes))
-                _obs.metrics().counter("propagation.iterations").inc()
-                if _BUS.active:
-                    _BUS.publish({
-                        "type": "iteration", "system": system.name,
-                        "iteration": iteration, "converged": converged,
-                        "mode": "degraded",
-                        **residual_info,
-                    })
-            if converged:
-                break
-
-            if guard:
-                verdict = guard.observe(
-                    iteration, residual_info["residual_r_max"], stable,
-                    models_stable)
-                if verdict is not None:
-                    verdicts.append(verdict)
-                    if _obs.enabled:
-                        _obs.metrics().counter(
-                            "propagation.divergence_detected").inc()
-                        _obs.get_tracer().event(
-                            "divergence_detected",
-                            verdict=verdict.verdict,
-                            iteration=iteration, detail=verdict.detail,
-                            mode="degraded")
-                        if _BUS.active:
-                            _BUS.publish({
-                                "type": "guard",
-                                "system": system.name,
-                                "verdict": verdict.verdict,
-                                "iteration": iteration,
-                                "detail": verdict.detail,
-                                "mode": "degraded",
-                            })
-                    culprit = culprit_resource(residual_info, new_models)
-                    if culprit is not None:
-                        quarantine_diverged(culprit, verdict, resolver)
-                        guard.reset()
-            prev_models = new_models
-        finally:
-            if iter_span is not None:
-                iter_span.finish()
-
-    # --- assemble the outcome -----------------------------------------
-    resource_results: "Dict[str, ResourceResult]" = {}
-    for name in system.resources:
-        if not system.tasks_on(name):
-            continue
-        if health[name].ok:
-            rr = last_results.get(name)
-            if rr is not None:
-                resource_results[name] = rr
-        else:
-            resource_results[name] = degraded_results[name]
-
-    result = SystemResult(iterations=iterations_done,
-                          converged=converged,
-                          resource_results=resource_results)
-    outcome = AnalysisOutcome(result=result, resources=health,
-                              certificates=certificates,
-                              verdicts=verdicts,
-                              iterations=iterations_done,
-                              converged=converged)
-    if _obs.enabled:
-        _obs.metrics().gauge("resilience.failed_resources").set(
-            len(outcome.failed_resources()))
-        if not converged:
-            _obs.metrics().counter("propagation.divergences").inc()
-    return outcome
+    def _substitute(self, task: Task, model: EventModel,
+                    cert: ConservativenessCertificate) -> None:
+        self.substitutes[task.name] = model
+        self.certificates.append(cert)
+        if _obs.enabled:
+            _obs.metrics().counter("resilience.widenings").inc()

@@ -84,13 +84,9 @@ def path_latency(system: System, result: SystemResult,
 def _pack_outer_delta_plus2(system: System, result: SystemResult,
                             junction) -> float:
     """δ⁺(2) of the pack junction's outer stream in the converged state."""
-    from .propagation import _StreamResolver  # local import: avoid cycle
+    from .propagation import output_models  # local import: avoid cycle
 
-    responses = {}
-    for rr in result.resource_results.values():
-        responses.update(rr.task_results)
-    resolver = _StreamResolver(system, responses, {})
-    model = resolver.port(junction.name)
+    model = output_models(system, result, [junction.name])[junction.name]
     if is_hierarchical(model):
         return model.outer.delta_plus(2)
     return model.delta_plus(2)

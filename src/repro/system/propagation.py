@@ -58,20 +58,31 @@ CONVERGENCE_CHECK_N = 32
 
 class _StreamResolver:
     """Resolves the event model present at any output port of the graph
-    for one global iteration, with memoisation and cycle detection."""
+    for one global iteration, with memoisation and cycle detection.
+
+    ``substitutes`` maps ports to fixed models served before anything
+    is resolved (the widened outputs of quarantined resources in a
+    degraded run).  The mapping is read live, so a quarantine decided
+    mid-iteration takes effect for every later lookup.
+    """
 
     def __init__(self, system: System,
                  responses: "Dict[str, TaskResult]",
-                 initial_outputs: "Dict[str, EventModel]"):
+                 initial_outputs: "Dict[str, EventModel]",
+                 substitutes: "Optional[Dict[str, EventModel]]" = None):
         self._system = system
         self._responses = responses
         self._initial = initial_outputs
+        self._substitutes = {} if substitutes is None else substitutes
         self._cache: "Dict[str, EventModel]" = {}
         self._visiting: Set[str] = set()
 
     # ------------------------------------------------------------------
     def port(self, port: str) -> EventModel:
         """Event model observable at *port* this iteration."""
+        substitute = self._substitutes.get(port)
+        if substitute is not None:
+            return substitute
         cached = self._cache.get(port)
         if cached is not None:
             return cached
@@ -299,11 +310,12 @@ def analyze_system(system: System,
         iteration all task outputs serve as their own seeds.
     on_failure:
         ``"raise"`` (default): analysis failures propagate as
-        exceptions.  ``"degrade"``: delegate to
-        :func:`repro.resilience.degrade.degraded_analyze` — failed
-        resources are quarantined, their outputs conservatively widened,
-        and an :class:`~repro.resilience.outcome.AnalysisOutcome` is
-        returned instead of raising.
+        exceptions.  ``"degrade"``: the same loop runs under
+        :func:`repro.resilience.degrade.degraded_analyze`'s failure
+        policy — failed resources are quarantined, their outputs
+        conservatively widened, and an
+        :class:`~repro.resilience.outcome.AnalysisOutcome` is returned
+        instead of raising.
     guard:
         Divergence guard
         (:class:`~repro.resilience.guards.DivergenceGuard`).  ``None``
@@ -337,6 +349,70 @@ def analyze_system(system: System,
         return degraded_analyze(system, max_iterations=max_iterations,
                                 initial_outputs=initial_outputs,
                                 guard=guard, memo=memo)
+    return _global_fixed_point(system, _StrictPolicy(system),
+                               max_iterations, initial_outputs, guard, memo)
+
+
+class _StrictPolicy:
+    """Failure policy of ``on_failure="raise"``.
+
+    ``errors`` is empty, so the loop catches nothing: every analysis
+    failure propagates with its own type and context.  A guard verdict
+    or an exhausted budget raises
+    :class:`~repro._errors.ConvergenceError`.
+    """
+
+    mode = "strict"
+    errors: tuple = ()
+    #: Per-task response history; only the degraded policy keeps one.
+    history = None
+
+    def __init__(self, system: System):
+        self.system = system
+        self.substitutes: "Dict[str, EventModel]" = {}
+
+    def diverged(self, verdict, *_loop_state) -> bool:
+        raise ConvergenceError(
+            f"divergence guard aborted the global analysis after "
+            f"{verdict.iteration} iterations: {verdict.verdict} "
+            f"({verdict.detail})", iterations=verdict.iteration,
+            verdict=verdict.verdict, residuals=verdict.residuals)
+
+    def finish(self, iterations: int, converged: bool,
+               resource_results: "Dict[str, ResourceResult]"
+               ) -> SystemResult:
+        if not converged:
+            raise ConvergenceError(
+                f"global analysis did not converge within {iterations} "
+                f"iterations", iterations=iterations,
+                context={"system": self.system.name})
+        return SystemResult(iterations=iterations, converged=True,
+                            resource_results=resource_results)
+
+
+def _global_fixed_point(system: System, policy, max_iterations: int,
+                        initial_outputs: "Optional[Dict[str, EventModel]]",
+                        guard, memo: "Optional[AnalysisMemo]"):
+    """The global fixed-point iteration behind both failure modes.
+
+    *policy* decides what a failure means (:class:`_StrictPolicy`
+    raises, the degraded policy in :mod:`repro.resilience.degrade`
+    quarantines and widens).  The loop consults it where the modes
+    differ:
+
+    * ``analysis_failed(resource_name, exc)`` — a local analysis raised
+      one of ``policy.errors``;
+    * ``port_failed(task, exc)`` — resolving an output port did; returns
+      the model to propagate instead;
+    * ``diverged(verdict, residual_info, prev_models, new_models,
+      resolver, resource_results)`` — the guard issued a verdict;
+      returns whether the guard's trend should be reset;
+    * ``finish(iterations, converged, resource_results)`` — builds the
+      return value once the run converged or the budget ran out.
+
+    Ports in ``policy.substitutes`` resolve to their fixed models, and
+    resources whose outputs are substituted are not analysed again.
+    """
     if guard is None:
         from ..resilience.guards import DivergenceGuard
 
@@ -344,8 +420,9 @@ def analyze_system(system: System,
     if memo is not None and not memo.acquire():
         memo = None
     try:
-        return _strict_analysis(system, max_iterations, initial_outputs,
-                                guard, memo)
+        system.validate()
+        return policy.finish(*_iterate(system, policy, max_iterations,
+                                       initial_outputs, guard, memo))
     finally:
         if memo is not None:
             memo.runs += 1
@@ -364,14 +441,33 @@ def _local_analysis(resource, specs, memo: "Optional[AnalysisMemo]"):
         resource.scheduler, specs, resource.name)
 
 
-def _strict_analysis(system: System, max_iterations: int,
-                     initial_outputs: "Optional[Dict[str, EventModel]]",
-                     guard, memo: "Optional[AnalysisMemo]"):
-    system.validate()
+def _traced_local_analysis(resource, specs,
+                           memo: "Optional[AnalysisMemo]"):
+    """:func:`_local_analysis` inside a ``local_analysis`` span."""
+    with _obs.get_tracer().span(
+            "local_analysis", resource=resource.name,
+            policy=resource.scheduler.policy, tasks=len(specs)) as span:
+        rr, info = _local_analysis(resource, specs, memo)
+        span.set(utilization=rr.utilization)
+        if info is not None:
+            span.set(**info)
+    _obs.metrics().histogram(
+        "propagation.local_analysis_seconds").observe(span.duration)
+    return rr, info
+
+
+def _iterate(system: System, policy, max_iterations: int,
+             initial_outputs: "Optional[Dict[str, EventModel]]",
+             guard, memo: "Optional[AnalysisMemo]"):
+    """Run the loop; returns ``(iterations, converged,
+    resource_results)`` for ``policy.finish``."""
     responses: "Dict[str, TaskResult]" = {}
     prev_models: "Dict[str, EventModel]" = {}
     cycle_seeds: "Dict[str, EventModel]" = dict(initial_outputs or {})
     resource_results: "Dict[str, ResourceResult]" = {}
+    substitutes = policy.substitutes
+    iteration = 0
+    converged = False
 
     for iteration in range(1, max_iterations + 1):
         iter_span = (_obs.get_tracer().start("global_iteration",
@@ -379,170 +475,143 @@ def _strict_analysis(system: System, max_iterations: int,
                                              iteration=iteration)
                      if _obs.enabled else None)
         try:
-            resolver = _StreamResolver(system, responses, cycle_seeds)
+            resolver = _StreamResolver(system, responses, cycle_seeds,
+                                       substitutes)
 
             # Local analysis per resource (through the incremental memo
-            # when one is attached — same inputs, reused outputs).
+            # when one is attached — same inputs, reused outputs).  A
+            # quarantined resource keeps its substituted outputs.
+            analyze = (_local_analysis if iter_span is None
+                       else _traced_local_analysis)
             new_resource_results: "Dict[str, ResourceResult]" = {}
-            dirty_resources = []
-            reused_tasks = 0
+            dirty_resources = reused_tasks = 0
             for resource in system.resources.values():
                 tasks = system.tasks_on(resource.name)
-                if not tasks:
+                if not tasks or tasks[0].name in substitutes:
                     continue
-                specs = [
-                    TaskSpec(name=t.name, c_min=t.c_min, c_max=t.c_max,
-                             event_model=resolver.activation_model(t),
-                             priority=t.priority, slot=t.slot,
-                             deadline=t.deadline, blocking=t.blocking)
-                    for t in tasks
-                ]
-                if _obs.enabled:
-                    with _obs.get_tracer().span(
-                            "local_analysis", resource=resource.name,
-                            policy=resource.scheduler.policy,
-                            tasks=len(specs)) as span:
-                        rr, info = _local_analysis(resource, specs, memo)
-                        span.set(utilization=rr.utilization)
-                        if info is not None:
-                            span.set(**info)
-                    _obs.metrics().histogram(
-                        "propagation.local_analysis_seconds").observe(
-                            span.duration)
-                else:
-                    rr, info = _local_analysis(resource, specs, memo)
+                try:
+                    specs = [
+                        TaskSpec(name=t.name, c_min=t.c_min,
+                                 c_max=t.c_max,
+                                 event_model=resolver.activation_model(t),
+                                 priority=t.priority, slot=t.slot,
+                                 deadline=t.deadline, blocking=t.blocking)
+                        for t in tasks
+                    ]
+                    rr, info = analyze(resource, specs, memo)
+                except policy.errors as exc:
+                    policy.analysis_failed(resource.name, exc)
+                    continue
                 if info is not None:
                     reused_tasks += info["reused_tasks"]
-                    if not info["resource_hit"]:
-                        dirty_resources.append(resource.name)
+                    dirty_resources += not info["resource_hit"]
                 new_resource_results[resource.name] = rr
-            if memo is not None and _obs.enabled:
-                metrics = _obs.metrics()
-                metrics.gauge("incremental.dirty_resources").set(
-                    len(dirty_resources))
-                metrics.counter("incremental.reused_tasks").inc(
-                    reused_tasks)
-                metrics.counter("incremental.analyzed_resources").inc(
-                    len(new_resource_results))
 
             # Gather new responses and check convergence.
             new_responses: "Dict[str, TaskResult]" = {}
             for rr in new_resource_results.values():
                 new_responses.update(rr.task_results)
+            if policy.history is not None:
+                for name, tr in new_responses.items():
+                    policy.history.setdefault(name, []).append(
+                        (tr.r_min, tr.r_max))
 
             stable = _responses_stable(responses, new_responses)
-            residual_info = None
-            if iter_span is not None or guard:
-                residual_info = _response_residuals(responses,
-                                                    new_responses)
-                if iter_span is not None:
-                    iter_span.set(**residual_info)
+            residual_info = (_response_residuals(responses, new_responses)
+                             if iter_span is not None or guard else None)
             responses = new_responses
             resource_results = new_resource_results
 
             # Propagate: compute every task's output model with the *new*
             # responses and compare with the previous iteration's models.
-            resolver = _StreamResolver(system, responses, cycle_seeds)
+            resolver = _StreamResolver(system, responses, cycle_seeds,
+                                       substitutes)
             new_models: "Dict[str, EventModel]" = {}
-            for task_name in system.tasks:
-                out = resolver.port(task_name)
-                if not _compile.enabled:
+            for task_name, task in system.tasks.items():
+                try:
+                    out = resolver.port(task_name)
+                except policy.errors as exc:
+                    out = policy.port_failed(task, exc)
+                if not _compile.enabled and task_name not in substitutes:
                     # Lazy mode: memoise the chain for the convergence
                     # check; compiled curves are already array-backed.
                     out = CachedModel(out, name=f"{task_name}.out")
                 new_models[task_name] = out
                 # Cycle seeds advance with the iteration.
-                cycle_seeds[task_name] = new_models[task_name]
+                cycle_seeds[task_name] = out
 
-            models_stable = _models_stable(prev_models, new_models)
+            if iter_span is None:
+                models_stable = _models_stable(prev_models, new_models)
+            else:
+                changed = _changed_ports(prev_models, new_models)
+                models_stable = (not changed
+                                 and set(prev_models) == set(new_models))
             converged = stable and models_stable
             if iter_span is not None:
-                changed = _changed_ports(prev_models, new_models)
-                iter_span.set(responses_stable=stable,
-                              models_stable=models_stable,
-                              unstable_models=len(changed),
-                              changed_ports=changed,
-                              converged=converged)
+                # One record per iteration, fanned out to the span, the
+                # iteration counter and the event bus.
+                record = {
+                    "mode": policy.mode, **residual_info,
+                    "responses_stable": stable,
+                    "models_stable": models_stable,
+                    "converged": converged,
+                    "unstable_models": len(changed),
+                    "changed_ports": changed,
+                    "widened_ports": sorted(substitutes),
+                }
+                if memo is not None:
+                    record["dirty_resources"] = dirty_resources
+                    record["reused_tasks"] = reused_tasks
+                iter_span.set(**record)
                 _obs.metrics().counter("propagation.iterations").inc()
-                if _BUS.active and residual_info is not None:
-                    event = {
-                        "type": "iteration", "system": system.name,
-                        "iteration": iteration, "converged": converged,
-                        "unstable_models": len(changed),
-                        **residual_info,
-                    }
-                    if memo is not None:
-                        event["dirty_resources"] = len(dirty_resources)
-                        event["reused_tasks"] = reused_tasks
-                    _BUS.publish(event)
+                if _BUS.active:
+                    _BUS.publish({"type": "iteration", "system": system.name,
+                                  "iteration": iteration, **record})
             if converged:
-                if _obs.enabled:
-                    _obs.metrics().gauge(
-                        "propagation.iterations_to_convergence").set(
-                            iteration)
-                    cache_stats = _compile.cache().stats()
-                    cache_total = (cache_stats["hits"]
-                                   + cache_stats["misses"])
-                    if cache_total:
-                        _obs.metrics().gauge(
-                            "compile.cache_hit_rate").set(
-                                cache_stats["hits"] / cache_total)
-                    if memo is not None:
-                        memo_stats = memo.stats()
-                        _obs.metrics().gauge(
-                            "incremental.reuse_rate").set(
-                                memo_stats["reuse_rate"])
-                        _obs.metrics().gauge(
-                            "memo.reuse_rate").set(
-                                memo_stats["reuse_rate"])
-                        if _BUS.active:
-                            _BUS.publish({
-                                "type": "incremental",
-                                "system": system.name,
-                                "iterations": iteration,
-                                **memo_stats,
-                            })
-                return SystemResult(iterations=iteration, converged=True,
-                                    resource_results=resource_results)
+                break
+
             if guard:
                 verdict = guard.observe(
                     iteration, residual_info["residual_r_max"], stable,
                     models_stable)
                 if verdict is not None:
-                    if _obs.enabled:
+                    if iter_span is not None:
+                        record = {"verdict": verdict.verdict,
+                                  "iteration": iteration,
+                                  "detail": verdict.detail,
+                                  "mode": policy.mode}
                         _obs.metrics().counter(
                             "propagation.divergence_detected").inc()
-                        _obs.metrics().counter(
-                            "propagation.divergences").inc()
-                        _obs.get_tracer().event(
-                            "divergence_detected",
-                            verdict=verdict.verdict,
-                            iteration=iteration, detail=verdict.detail)
+                        _obs.get_tracer().event("divergence_detected",
+                                                **record)
                         if _BUS.active:
-                            _BUS.publish({
-                                "type": "guard",
-                                "system": system.name,
-                                "verdict": verdict.verdict,
-                                "iteration": iteration,
-                                "detail": verdict.detail,
-                            })
-                    raise ConvergenceError(
-                        f"divergence guard aborted the global analysis "
-                        f"after {iteration} iterations: "
-                        f"{verdict.verdict} ({verdict.detail})",
-                        iterations=iteration, verdict=verdict.verdict,
-                        residuals=verdict.residuals)
+                            _BUS.publish({"type": "guard",
+                                          "system": system.name, **record})
+                    if policy.diverged(verdict, residual_info, prev_models,
+                                       new_models, resolver,
+                                       resource_results):
+                        guard.reset()
             prev_models = new_models
         finally:
             if iter_span is not None:
                 iter_span.finish()
 
-    if _obs.enabled:
-        _obs.metrics().counter("propagation.divergences").inc()
-    raise ConvergenceError(
-        f"global analysis did not converge within {max_iterations} "
-        f"iterations", iterations=max_iterations,
-        context={"system": system.name})
+    if converged and _obs.enabled:
+        metrics = _obs.metrics()
+        metrics.gauge("propagation.iterations_to_convergence").set(
+            iteration)
+        cache_stats = _compile.cache().stats()
+        cache_total = cache_stats["hits"] + cache_stats["misses"]
+        if cache_total:
+            metrics.gauge("compile.cache_hit_rate").set(
+                cache_stats["hits"] / cache_total)
+        if memo is not None:
+            memo_stats = memo.stats()
+            metrics.gauge("memo.reuse_rate").set(memo_stats["reuse_rate"])
+            if _BUS.active:
+                _BUS.publish({"type": "incremental", "system": system.name,
+                              "iterations": iteration, **memo_stats})
+    return iteration, converged, resource_results
 
 
 def _responses_stable(old: "Dict[str, TaskResult]",

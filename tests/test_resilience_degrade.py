@@ -12,6 +12,7 @@ from repro._errors import (
     NotSchedulableError,
     UnboundedStreamError,
 )
+from repro.analysis.memo import AnalysisMemo
 from repro.examples_lib.rox08 import build_system
 from repro.examples_lib.stress import (
     OSCILLATING_RESOURCE,
@@ -20,6 +21,7 @@ from repro.examples_lib.stress import (
     build_oscillating,
     build_overloaded,
 )
+from repro.examples_lib.synth import synth_system
 from repro.resilience import (
     HEALTH_DIVERGED,
     HEALTH_OK,
@@ -27,6 +29,23 @@ from repro.resilience import (
     UnboundedEnvelope,
 )
 from repro.timebase import EPS
+
+#: Healthy corpus systems on which degraded analysis must reproduce
+#: strict analysis exactly.
+HEALTHY_CORPUS = {
+    "rox08-hem": lambda: build_system("hem"),
+    "rox08-flat": lambda: build_system("flat"),
+    "synth-16x2": lambda: synth_system(16, 2),
+    "synth-24x3": lambda: synth_system(24, 3, base_period=1400.0),
+}
+
+
+def _bounds(result):
+    """Iteration count, convergence flag and every task's bounds."""
+    tasks = {name: (tr.r_min, tr.r_max)
+             for rr in result.resource_results.values()
+             for name, tr in rr.task_results.items()}
+    return result.iterations, result.converged, tasks
 
 
 class TestOnFailureArgument:
@@ -127,15 +146,23 @@ class TestDivergenceDegradation:
 class TestConservativenessContract:
     """Degraded WCRTs dominate strict WCRTs where strict completes."""
 
-    def test_degraded_matches_strict_on_healthy_system(self):
-        for variant in ("hem", "flat"):
-            system = build_system(variant)
-            strict = analyze_system(system)
-            outcome = analyze_system(build_system(variant),
-                                     on_failure="degrade")
-            for rr in strict.resource_results.values():
-                for name, tr in rr.task_results.items():
-                    assert outcome.wcrt(name) >= tr.r_max - EPS
+    @pytest.mark.parametrize("memo", [False, True], ids=["cold", "memo"])
+    @pytest.mark.parametrize("case", sorted(HEALTHY_CORPUS))
+    def test_degraded_matches_strict_on_healthy_system(self, case, memo):
+        # Both modes run the same loop: on a healthy system the degraded
+        # outcome is bit-identical to a cold strict run, and so are runs
+        # through an incremental memo (the second one reuses the first's
+        # local analyses).
+        build = HEALTHY_CORPUS[case]
+        reference = _bounds(analyze_system(build()))
+        shared = AnalysisMemo() if memo else None
+        strict = analyze_system(build(), memo=shared)
+        outcome = analyze_system(build(), on_failure="degrade",
+                                 memo=shared)
+        assert outcome.ok() and not outcome.degraded
+        assert _bounds(strict) == reference
+        assert _bounds(outcome.result) == reference
+        assert outcome.iterations == reference[0]
 
     def test_degraded_dominates_partial_strict(self):
         # Strict analysis of the overloaded example dies, but its
@@ -204,6 +231,32 @@ class TestObsSurface:
             assert "resilience.quarantines=1" in rendered
         finally:
             obs.disable(reset=True)
+
+    def test_degraded_iteration_spans_match_strict(self):
+        # Degraded spans used to lack the model-stability attributes,
+        # so the report showed "?" under "unstable" on every row.
+        from repro import obs
+        from repro.viz import ConvergenceReport
+
+        obs.configure(enabled=True, reset=True)
+        try:
+            analyze_system(build_overloaded(), on_failure="degrade")
+            degraded = obs.get_tracer().spans("global_iteration")
+            report = ConvergenceReport.from_tracer(obs.get_tracer())
+            obs.configure(enabled=True, reset=True)
+            analyze_system(build_system("hem"))
+            strict = obs.get_tracer().spans("global_iteration")
+        finally:
+            obs.disable(reset=True)
+        assert degraded and strict
+        assert {frozenset(s.attributes) for s in degraded + strict} \
+            == {frozenset(strict[0].attributes)}
+        assert {s.attributes["mode"] for s in strict} == {"strict"}
+        assert {s.attributes["mode"] for s in degraded} == {"degraded"}
+        rows = report.render().splitlines()[3:3 + len(degraded)]
+        unstable = [row.split("|")[4].strip() for row in rows]
+        assert all(cell.isdigit() for cell in unstable), unstable
+        assert int(unstable[0]) > 0  # models moved in iteration 1
 
     def test_divergence_counter_in_degrade(self):
         from repro import obs
