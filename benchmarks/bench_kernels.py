@@ -4,8 +4,8 @@ Three case families, each verifying **bit-identical** results before
 reporting a speedup:
 
 * **local** — whole-resource ``scheduler.analyze`` on synthetic
-  high-utilization SPP and EDF task sets, scalar loops vs the batched
-  kernels (numpy backend when importable, pure-python fallback always);
+  high-utilization SPP and EDF task sets, scalar loops vs the numpy
+  kernels (reported as unavailable when numpy is not installed);
 * **e2e** — ``analyze_system`` end-to-end on the RoX08 gateway (flat and
   hierarchical) and the synthetic COM-layer space, scalar vs vectorized;
 * **incremental** — a single-axis WCET sweep over a two-resource system
@@ -21,11 +21,10 @@ Usage::
 
 Emits ``BENCH_kernels.json`` into the repository root (override with
 ``BENCH_OUT_DIR``).  Exit status is non-zero when any case diverges
-from the scalar reference, when the *active* vectorized backend is
-slower than scalar on the gate cases, or when the incremental sweep
-fails to beat from-scratch.  The pure-python fallback is additionally
-gated on the EDF case (its SPP numbers hover at parity and are
-reported, not gated — CI noise would make a hard ``>= 1`` gate flaky).
+from the scalar reference, when the numpy kernels are slower than
+scalar on the EDF gate case, or when the incremental sweep fails to
+beat from-scratch.  The scalar reference is reached by hiding numpy
+from :mod:`repro.analysis.kernels` for the timed call.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -115,6 +115,17 @@ def best_of(fn, repeats: int):
     return best, out
 
 
+@contextmanager
+def scalar_only():
+    """Run every analysis on the scalar loops, as without numpy."""
+    saved = kernels._np
+    kernels._np = None
+    try:
+        yield
+    finally:
+        kernels._np = saved
+
+
 def time_local_case(policy: str, n: int, repeats: int) -> dict:
     scheduler = SPPScheduler() if policy == "spp" else EDFScheduler()
     tasks = make_local_tasks(n, policy)
@@ -122,35 +133,23 @@ def time_local_case(policy: str, n: int, repeats: int) -> dict:
     def run():
         return resource_digest(scheduler.analyze(tasks, "bench"))
 
-    kernels.configure(vectorized=False)
-    t_scalar, d_scalar = best_of(run, repeats)
-    row = {"policy": policy, "tasks": n, "scalar_seconds": t_scalar,
-           "identical": True}
-    kernels.configure(vectorized=True, numpy=True)
-    if kernels.use_numpy():
-        t_np, d_np = best_of(run, repeats)
-        row["numpy_seconds"] = t_np
-        row["numpy_speedup"] = t_scalar / t_np
-        row["identical"] &= d_np == d_scalar
-    kernels.configure(vectorized=True, numpy=False)
-    t_py, d_py = best_of(run, repeats)
-    row["python_seconds"] = t_py
-    row["python_speedup"] = t_scalar / t_py
-    row["identical"] &= d_py == d_scalar
-    kernels.configure(vectorized=True, numpy=True)
-    return row
+    with scalar_only():
+        t_scalar, d_scalar = best_of(run, repeats)
+    t_np, d_np = best_of(run, repeats)
+    return {"policy": policy, "tasks": n, "scalar_seconds": t_scalar,
+            "numpy_seconds": t_np, "numpy_speedup": t_scalar / t_np,
+            "identical": d_np == d_scalar}
 
 
 def time_e2e_case(build, repeats: int) -> dict:
     def run():
         return system_digest(analyze_system(build()))
 
-    kernels.configure(vectorized=False)
-    t_scalar, d_scalar = best_of(run, repeats)
-    kernels.configure(vectorized=True, numpy=True)
+    with scalar_only():
+        t_scalar, d_scalar = best_of(run, repeats)
     t_vec, d_vec = best_of(run, repeats)
     return {"scalar_seconds": t_scalar, "vectorized_seconds": t_vec,
-            "backend": kernels.backend(),
+            "backend": "numpy" if kernels._np is not None else "scalar",
             "speedup": t_scalar / t_vec,
             "identical": d_vec == d_scalar}
 
@@ -233,19 +232,25 @@ def main(argv=None) -> int:
     factors = SWEEP_FACTORS_QUICK if args.quick else SWEEP_FACTORS
 
     obs.configure(enabled=True, reset=True)
+    numpy_available = kernels._np is not None
     report = {"quick": args.quick, "repeats": repeats,
-              "numpy_available": kernels.use_numpy(),
+              "numpy_available": numpy_available,
               "local": {}, "e2e": {}, "incremental": None}
     failures = []
 
+    if not numpy_available:
+        # The batched kernels need numpy; without it every analysis runs
+        # the scalar loops and there is nothing to compare them with.
+        report["local"] = "unavailable: numpy is not installed"
+        print("local: unavailable (numpy is not installed, so nothing "
+              "batches; install the [fast] extra)")
+        local_cases = []
     for case, policy, n in local_cases:
         row = time_local_case(policy, n, repeats)
         report["local"][case] = row
-        np_part = (f"numpy {row['numpy_speedup']:5.2f}x   "
-                   if "numpy_speedup" in row else "")
         flag = "" if row["identical"] else "  RESULTS DIVERGE"
         print(f"local {case:>8}: scalar {row['scalar_seconds']:7.3f}s   "
-              f"{np_part}python {row['python_speedup']:5.2f}x{flag}")
+              f"numpy {row['numpy_speedup']:5.2f}x{flag}")
         if not row["identical"]:
             failures.append(f"local {case}: vectorized diverges from scalar")
 
@@ -280,34 +285,25 @@ def main(argv=None) -> int:
     # ------------------------------------------------------------------
     # regression gates
     # ------------------------------------------------------------------
-    # The active backend must not lose to scalar on the gate cases (the
-    # large EDF case is the most numpy-friendly and noise-robust; with
-    # numpy absent the EDF python fallback still clears 1x comfortably).
-    gate_case = next(c for c, _, _ in reversed(local_cases)
-                     if c.startswith("edf"))
-    row = report["local"][gate_case]
-    active_speedup = row.get("numpy_speedup", row["python_speedup"])
-    if active_speedup < 1.0:
-        failures.append(
-            f"local {gate_case}: active vectorized backend slower than "
-            f"scalar ({active_speedup:.2f}x)")
-    if row["python_speedup"] < 0.9:
-        failures.append(
-            f"local {gate_case}: python fallback slower than scalar "
-            f"({row['python_speedup']:.2f}x)")
+    # The numpy kernels must not lose to scalar on the gate case (the
+    # large EDF case is the most numpy-friendly and noise-robust).
+    speedups = []
+    if numpy_available:
+        gate_case = next(c for c, _, _ in reversed(local_cases)
+                         if c.startswith("edf"))
+        gate_speedup = report["local"][gate_case]["numpy_speedup"]
+        if gate_speedup < 1.0:
+            failures.append(
+                f"local {gate_case}: numpy kernels slower than scalar "
+                f"({gate_speedup:.2f}x)")
+        speedups = [r["numpy_speedup"] for r in report["local"].values()]
     if inc["speedup"] < (1.5 if args.quick else 2.0):
         failures.append(
             f"incremental sweep speedup {inc['speedup']:.2f}x below gate")
 
     report["summary"] = {
-        "best_local_speedup": max(
-            r.get("numpy_speedup", r["python_speedup"])
-            for r in report["local"].values()),
-        "min_local_numpy_speedup": min(
-            (r["numpy_speedup"] for r in report["local"].values()
-             if "numpy_speedup" in r), default=None),
-        "min_local_python_speedup": min(
-            r["python_speedup"] for r in report["local"].values()),
+        "best_local_speedup": max(speedups, default=None),
+        "min_local_numpy_speedup": min(speedups, default=None),
         "incremental_speedup": inc["speedup"],
         "incremental_reuse_rate": inc["reuse_rate"],
     }

@@ -32,6 +32,10 @@ MAX_ACTIVATIONS = 50_000
 #: indicate an overload that the utilisation pre-check missed.
 _WINDOW_BLOWUP = 1e12
 
+#: Honour warm-start hints (see :func:`fixed_point`).  Results are
+#: identical either way; tests turn it off to compare against cold starts.
+WARM_START = True
+
 
 def fixed_point(workload: Callable[[float], float], start: float,
                 limit: float = _WINDOW_BLOWUP,
@@ -62,7 +66,7 @@ def fixed_point(workload: Callable[[float], float], start: float,
     """
     w = start
     guarded = False
-    if hint is not None and hint > start:
+    if WARM_START and hint is not None and hint > start:
         w = hint
         guarded = True
     for step in range(1, MAX_FIXED_POINT_ITER + 1):

@@ -258,8 +258,7 @@ class EDFScheduler(Scheduler):
                                 context=f"{resource_name}/{task.name} "
                                         f"EDF a={_a} q={q}",
                                 resource=resource_name, task=task.name,
-                                hint=(last_w[0] if kernels.warm_start
-                                      else None))
+                                hint=last_w[0])
                 last_w[0] = w
                 return w
 

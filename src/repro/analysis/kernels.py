@@ -1,20 +1,26 @@
-"""Batched busy-window kernels: vectorized fixed-point evaluation.
+"""Batched busy-window kernels: numpy joint fixed points for SPP and EDF.
 
-The scalar solvers (:mod:`spp`, :mod:`spnp`, :mod:`edf`,
-:mod:`round_robin`, :mod:`tdma`) iterate one ``fixed_point`` per task
-per activation count q, re-walking every interferer's ``eta_plus(w) *
-c_max`` one python call at a time.  This module batches that work:
+The scalar solvers iterate one ``fixed_point`` per task per activation
+count q, re-walking every interferer's ``eta_plus(w) * c_max`` one
+python call at a time.  For the two policies where that pays
+(:mod:`spp` and :mod:`edf`), this module batches the work:
 
 * **one joint vector iteration per resource** — every open busy-window
-  chain (a task, or an EDF (task, candidate-offset) pair) contributes
-  one lane to a shared window vector ``w``; each iteration evaluates
-  every interferer's η⁺ over the whole vector at once
-  (:class:`EtaTable`), applies per-lane coefficients/caps, and advances
-  all lanes in lockstep, freezing lanes as they converge;
+  chain (an SPP task, or an EDF (task, candidate-offset) pair)
+  contributes one lane to a shared window vector ``w``; each iteration
+  evaluates every interferer's η⁺ over the whole vector at once
+  (:class:`_TermPlan`), applies per-lane coefficients and deadline caps,
+  and advances all lanes in lockstep, freezing lanes as they converge;
 * **warm starts within a q-chain** — the converged q-window seeds the
-  (q+1)-window iteration (``B(q) <= lfp(W_{q+1})`` because the workload
-  is pointwise non-decreasing in q), guarded by a first-step overshoot
-  check that falls back to the cold start.
+  (q+1)-window iteration, exactly as the scalar loops do (see
+  :data:`repro.analysis.busy_window.WARM_START`).
+
+The batched path needs numpy (``pip install repro[fast]``).  A solver
+takes it only when :func:`batch_worthwhile` says so: numpy importable,
+at least :data:`MIN_BATCH_LANES` lanes and at least
+:data:`MIN_BATCH_LOAD` utilization.  Everything else — and every SPNP,
+round-robin and TDMA resource — runs the scalar loops, which stay the
+reference the tests compare against.
 
 Bit-identity contract
 ---------------------
@@ -26,23 +32,14 @@ dispatches per model type:
 
 * :class:`~repro.eventmodels.standard.StandardEventModel` — elementwise
   replica of the closed form (same IEEE-754 ops);
-* compiled / generic-η⁺ models — ``bisect``/``searchsorted`` over the
-  exact δ⁻ sample table, which *is* the generic pseudo-inverse;
+* compiled / generic-η⁺ models — ``searchsorted`` over the exact δ⁻
+  sample table, which *is* the generic pseudo-inverse;
 * models that override ``eta_plus`` (superposition OR-join, hierarchical
   outer models, degraded envelopes) — per-lane scalar calls.
-
-numpy is an *optional* accelerator (``pip install repro[fast]``); the
-pure-python fallback is bit-identical and always available.  Kill
-switches mirror ``REPRO_COMPILE``: ``REPRO_VECTOR=0`` (or
-``configure(vectorized=False)``) routes the solvers back to their
-scalar loops, ``REPRO_VECTOR_NUMPY=0`` forces the python backend,
-``REPRO_WARM_START=0`` disables q-chain warm starts.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs as _obs
@@ -51,6 +48,7 @@ from ..eventmodels.base import MAX_EVENTS, EventModel, NullEventModel
 from ..eventmodels.compile import CompiledEventModel
 from ..eventmodels.standard import StandardEventModel
 from ..timebase import EPS, time_eq
+from . import busy_window as _busy_window
 from .busy_window import (
     MAX_ACTIVATIONS,
     MAX_FIXED_POINT_ITER,
@@ -59,102 +57,36 @@ from .busy_window import (
 
 try:  # optional accelerator (the [fast] extra); absence is fully supported
     import numpy as _np
-except Exception:  # pragma: no cover - exercised via REPRO_VECTOR_NUMPY=0
+except Exception:  # pragma: no cover - then every analysis runs scalar
     _np = None
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-#: Master kill switch: route solvers through the batched kernels.
-enabled = _env_flag("REPRO_VECTOR", True)
-
-#: Use numpy for the vector lanes when importable.
-numpy_enabled = _env_flag("REPRO_VECTOR_NUMPY", True)
-
-#: Seed B(q+1) iterations from the converged B(q) window.
-warm_start = _env_flag("REPRO_WARM_START", True)
 
 #: Below this estimated lane count a resource's batched run loses to the
 #: scalar loops on pure bookkeeping (table/plan/chain setup dominates a
-#: handful of short fixed points); solvers fall back to their scalar
-#: path — bit-identical either way, so this is purely a speed knob.
-min_batch_lanes = 16
+#: handful of short fixed points).
+MIN_BATCH_LANES = 16
 
 #: Below this resource utilization busy windows close after one or two
 #: activations (length ~ C/(1-U)), so per-round vector setup can never
-#: amortize no matter how many lanes there are; solvers stay scalar.
-min_batch_load = 0.5
+#: amortize no matter how many lanes there are.
+MIN_BATCH_LOAD = 0.5
 
 #: Rolling counters surfaced by ``stats()`` (and /healthz).
 _STATS = {"batches": 0, "lanes": 0, "iterations": 0}
 
 
-def configure(vectorized: Optional[bool] = None,
-              numpy: Optional[bool] = None,
-              warm_starts: Optional[bool] = None,
-              min_batch: Optional[int] = None,
-              min_load: Optional[float] = None) -> None:
-    """Runtime switches, mirroring :func:`repro.eventmodels.compile.configure`."""
-    global enabled, numpy_enabled, warm_start, min_batch_lanes, min_batch_load
-    if vectorized is not None:
-        enabled = bool(vectorized)
-    if numpy is not None:
-        numpy_enabled = bool(numpy)
-    if warm_starts is not None:
-        warm_start = bool(warm_starts)
-    if min_batch is not None:
-        min_batch_lanes = int(min_batch)
-    if min_load is not None:
-        min_batch_load = float(min_load)
-
-
-def active() -> bool:
-    """True when solvers should route through the batched kernels."""
-    return enabled
-
-
-def batch_worthwhile(estimated_lanes: int,
-                     load: Optional[float] = None) -> bool:
+def batch_worthwhile(estimated_lanes: int, load: float) -> bool:
     """True when a resource with ~this many busy-window chains at ~this
     utilization should take the batched path.
 
-    Both thresholds (:data:`min_batch_lanes`, :data:`min_batch_load`)
-    are pure speed heuristics — either path is bit-identical.  Setting
-    ``min_batch_lanes`` to 0 (``configure(min_batch=0)``) forces the
-    batched path regardless of size or load, which is how the tests
-    exercise the kernels on deliberately tiny systems.
+    A pure speed decision — either path is bit-identical.
     """
-    if not enabled:
-        return False
-    if min_batch_lanes <= 0:
-        return True
-    if estimated_lanes < min_batch_lanes:
-        return False
-    return load is None or load >= min_batch_load
-
-
-def use_numpy() -> bool:
-    return _np is not None and numpy_enabled
-
-
-def backend() -> str:
-    return "numpy" if use_numpy() else "python"
+    return (_np is not None and estimated_lanes >= MIN_BATCH_LANES
+            and load >= MIN_BATCH_LOAD)
 
 
 def stats() -> Dict[str, Any]:
     """Snapshot of kernel activity for /healthz and ``repro top``."""
-    snap: Dict[str, Any] = dict(_STATS)
-    snap["enabled"] = enabled
-    snap["backend"] = backend()
-    snap["warm_start"] = warm_start
-    snap["min_batch_lanes"] = min_batch_lanes
-    snap["min_batch_load"] = min_batch_load
-    return snap
+    return dict(_STATS)
 
 
 # ----------------------------------------------------------------------
@@ -174,10 +106,11 @@ class EtaTable:
 
     ``table``-kind models (compiled curves and any model using the
     generic search in :meth:`EventModel.eta_plus`) are evaluated by
-    bisection over the exact δ⁻ sample prefix: the generic η⁺ *is*
-    "largest n with δ⁻(n) < dt" (min 1 for dt > 0), which is
-    ``bisect_left(δ⁻ samples, dt) - 1`` — no approximation involved.
-    Models that override ``eta_plus`` fall back to per-lane calls.
+    searching the exact δ⁻ sample prefix: the generic η⁺ *is* "largest n
+    with δ⁻(n) < dt" (min 1 for dt > 0), which is
+    ``searchsorted(δ⁻ samples, dt) - 1`` — no approximation involved.
+    Standard models are evaluated in closed form by :class:`_TermPlan`;
+    models that override ``eta_plus`` fall back to per-lane calls.
     """
 
     __slots__ = ("model", "kind", "_dmin", "_arr", "_p", "_j", "_d")
@@ -200,7 +133,6 @@ class EtaTable:
         else:
             self.kind = _KIND_SCALAR
 
-    # -- table growth ---------------------------------------------------
     def _ensure(self, hi: float) -> None:
         dmin = self._dmin
         while dmin[-1] < hi:
@@ -213,63 +145,9 @@ class EtaTable:
             self._dmin = dmin
             self._arr = None
 
-    # -- evaluation -----------------------------------------------------
-    def eta_many(self, xs: Sequence[float]) -> Sequence:
-        """η⁺ of every element of *xs* (python backend: exact ints)."""
-        kind = self.kind
-        if kind == _KIND_NULL:
-            return [0] * len(xs)
-        if kind == _KIND_SCALAR or kind == _KIND_SEM:
-            # SEM closed form is already a handful of float ops; calling
-            # the model is both exact-by-definition and fast.
-            ep = self.model.eta_plus
-            return [ep(x) for x in xs]
-        self._ensure(max(xs))
-        dmin = self._dmin
-        out = []
-        for x in xs:
-            if x <= 0:
-                out.append(0)
-            else:
-                n = bisect_left(dmin, x) - 1
-                out.append(n if n > 1 else 1)
-        return out
-
-    def eta_one(self, x: float):
-        """Scalar η⁺ — the python backend's per-lane evaluation."""
-        kind = self.kind
-        if kind == _KIND_NULL:
-            return 0
-        if kind == _KIND_SCALAR or kind == _KIND_SEM:
-            return self.model.eta_plus(x)
-        if x <= 0:
-            return 0
-        if self._dmin[-1] < x:
-            self._ensure(x)
-        n = bisect_left(self._dmin, x) - 1
-        return n if n > 1 else 1
-
-    def eta_many_np(self, xs):  # xs: float64 ndarray
-        """numpy twin of :meth:`eta_many`; returns float64 exact counts."""
-        kind = self.kind
-        if kind == _KIND_NULL:
-            return _np.zeros(len(xs))
-        if kind == _KIND_SCALAR:
-            ep = self.model.eta_plus
-            return _np.array([float(ep(float(x))) for x in xs])
-        if kind == _KIND_SEM:
-            # Elementwise replica of StandardEventModel.eta_plus: the
-            # same IEEE-754 divisions/floors, so counts match bit-wise.
-            r1 = (xs + self._j) / self._p
-            f1 = _np.floor(r1)
-            bound = _np.where(f1 == r1, f1 - 1.0, f1)
-            if self._d > 0:
-                r2 = xs / self._d
-                f2 = _np.floor(r2)
-                b2 = _np.where(f2 == r2, f2 - 1.0, f2)
-                bound = _np.minimum(bound, b2)
-            res = _np.maximum(1.0, bound + 1.0)
-            return _np.where(xs <= 0.0, 0.0, res)
+    def eta_many(self, xs):  # xs: float64 ndarray
+        """η⁺ of a ``table``-kind model at every element of *xs*, as
+        float64 exact counts."""
         mx = float(xs.max()) if len(xs) else 0.0
         self._ensure(mx)
         if self._arr is None:
@@ -293,37 +171,18 @@ class Element:
     ``coeffs[j]`` is interferer j's C⁺ for this lane (``0.0`` = not an
     interferer: the lane then accumulates an exact ``+0.0``, preserving
     the scalar's per-interferer float addition order).  ``count_caps``
-    (EDF deadline caps) bound the activation count; ``product_caps``
-    (round-robin ``rounds * slot_j``) bound the product.
+    (EDF deadline caps) bound the activation count.
     """
 
-    __slots__ = ("start", "base", "coeffs", "count_caps", "product_caps",
-                 "cmax")
+    __slots__ = ("start", "base", "coeffs", "count_caps")
 
     def __init__(self, start: float, base: float,
                  coeffs: Sequence[float],
-                 count_caps: Optional[Sequence[Optional[float]]] = None,
-                 product_caps: Optional[Sequence[Optional[float]]] = None,
-                 cmax: float = 0.0):
+                 count_caps: Optional[Sequence[Optional[float]]] = None):
         self.start = start
         self.base = base
         self.coeffs = coeffs
         self.count_caps = count_caps
-        self.product_caps = product_caps
-        self.cmax = cmax
-
-
-class TailSpec:
-    """CAN error-model tail: ``overhead(w + c_max_lane)`` appended after
-    the interferer sum (SPNP)."""
-
-    __slots__ = ("error_model", "burst", "rate", "recovery")
-
-    def __init__(self, error_model):
-        self.error_model = error_model
-        self.burst = error_model.burst_errors
-        self.rate = error_model.error_rate
-        self.recovery = error_model.recovery_time
 
 
 class _TermPlan:
@@ -340,7 +199,7 @@ class _TermPlan:
     """
 
     __slots__ = ("tables", "sem_cols", "table_cols", "scalar_cols",
-                 "sem_p", "sem_j", "sem_d", "sem_has_d", "_rows", "_py")
+                 "sem_p", "sem_j", "sem_d", "sem_has_d", "_rows")
 
     def __init__(self, tables: Sequence[EtaTable]):
         self.tables = tables
@@ -350,7 +209,7 @@ class _TermPlan:
                            if t.kind == _KIND_TABLE]
         self.scalar_cols = [j for j, t in enumerate(tables)
                             if t.kind == _KIND_SCALAR]
-        if self.sem_cols and _np is not None:
+        if self.sem_cols:
             self.sem_p = _np.asarray([tables[j]._p for j in self.sem_cols])
             self.sem_j = _np.asarray([tables[j]._j for j in self.sem_cols])
             d = _np.asarray([tables[j]._d for j in self.sem_cols])
@@ -359,7 +218,6 @@ class _TermPlan:
             # quotient is discarded by the mask below.
             self.sem_d = _np.where(self.sem_has_d, d, 1.0)
         self._rows: Dict[int, Tuple[Any, Any]] = {}
-        self._py: Dict[int, Tuple[Any, Any]] = {}
 
     def coeff_row(self, coeffs: Sequence[float]):
         key = id(coeffs)
@@ -372,31 +230,6 @@ class _TermPlan:
         row = _np.asarray(coeffs, dtype=float)
         self._rows[key] = (coeffs, row)
         return row
-
-    def py_terms(self, coeffs: Sequence[float]):
-        """Cached python-backend term list for a *capless* lane.
-
-        One ``(bound η⁺, coefficient, None, None)`` tuple per nonzero
-        non-null term; cache keyed like :meth:`coeff_row`.  Lanes with
-        per-round caps (EDF deadline caps, RR product caps) cannot share
-        and are built fresh by the caller.
-        """
-        key = id(coeffs)
-        hit = self._py.get(key)
-        if hit is not None and hit[0] is coeffs:
-            return hit[1]
-        terms = []
-        for j, cj in enumerate(coeffs):
-            if cj == 0.0:
-                continue
-            tab = self.tables[j]
-            if tab.kind == _KIND_NULL:
-                continue
-            fn = (tab.eta_one if tab.kind == _KIND_TABLE
-                  else tab.model.eta_plus)
-            terms.append((fn, cj))
-        self._py[key] = (coeffs, terms)
-        return terms
 
     def counts_matrix(self, xs, out, sem_pos, sem_out, table_cols,
                       scalar_cols):
@@ -426,154 +259,60 @@ class _TermPlan:
             res = _np.maximum(1.0, bound + 1.0)
             out[:, sem_out] = _np.where(dt <= 0.0, 0.0, res)
         for j in table_cols:
-            out[:, j] = self.tables[j].eta_many_np(xs)
+            out[:, j] = self.tables[j].eta_many(xs)
         for j in scalar_cols:
             ep = self.tables[j].model.eta_plus
             out[:, j] = [float(ep(float(x))) for x in xs]
 
 
-#: Below this lane count the per-iteration numpy dispatch overhead beats
-#: its vector win; such rounds run the (equally exact) python backend.
-_NP_MIN_LANES = 4
-
-
-def _make_workload(elements: Sequence[Element], tables: Sequence[EtaTable],
-                   shift: float, tail: Optional[TailSpec],
-                   plan: "Optional[_TermPlan]" = None):
+def _make_workload(elements: Sequence[Element], plan: _TermPlan):
     """Build ``eval_fn(ws_active, active_idx) -> next windows``.
 
     Caps/coefficients are constant across the iterations of one round,
-    so the numpy path bakes them into matrices once here (coefficient
-    rows come from the per-batch *plan* cache).  Narrow rounds (fewer
-    than ``_NP_MIN_LANES`` lanes — e.g. the last open chain of a
-    resource grinding through its tail activations) always use the
-    python backend: both backends are bit-identical to the scalar
-    solvers, so the choice is purely a speed knob.
+    so they are baked into matrices once here (coefficient rows come
+    from the per-batch *plan* cache).
     """
-    nt = len(tables)
-    if use_numpy() and nt and len(elements) >= _NP_MIN_LANES:
-        if plan is None:
-            plan = _TermPlan(tables)
-        bases_a = _np.asarray([el.base for el in elements])
-        coeff_m = _np.stack([plan.coeff_row(el.coeffs) for el in elements])
-        ccaps_m = None
-        if any(el.count_caps is not None for el in elements):
-            ccaps_m = _np.asarray(
-                [[_np.inf if el.count_caps is None
-                  or el.count_caps[j] is None else float(el.count_caps[j])
-                  for j in range(nt)] for el in elements])
-        pcaps_m = None
-        if any(el.product_caps is not None for el in elements):
-            pcaps_m = _np.asarray(
-                [[_np.inf if el.product_caps is None
-                  or el.product_caps[j] is None
-                  else float(el.product_caps[j])
-                  for j in range(nt)] for el in elements])
-        cmax_a = _np.asarray([el.cmax for el in elements]) if tail else None
-        # A column whose coefficient is zero in every lane contributes
-        # an exact +0.0 everywhere — skip its η⁺ evaluation entirely,
-        # matching the python backend (and the scalar solvers, which
-        # never evaluate a non-interferer's model).
-        used = coeff_m.any(axis=0)
-        sem_pos = [k for k, j in enumerate(plan.sem_cols) if used[j]]
-        sem_out = [plan.sem_cols[k] for k in sem_pos]
-        table_cols = [j for j in plan.table_cols if used[j]]
-        scalar_cols = [j for j in plan.scalar_cols if used[j]]
-        live = set(sem_out) | set(table_cols) | set(scalar_cols)
-        dead_cols = [j for j in range(nt) if j not in live]
+    nt = len(plan.tables)
+    bases_a = _np.asarray([el.base for el in elements])
+    coeff_m = _np.stack([plan.coeff_row(el.coeffs) for el in elements])
+    ccaps_m = None
+    if any(el.count_caps is not None for el in elements):
+        ccaps_m = _np.asarray(
+            [[_np.inf if el.count_caps is None
+              or el.count_caps[j] is None else float(el.count_caps[j])
+              for j in range(nt)] for el in elements])
+    # A column whose coefficient is zero in every lane contributes an
+    # exact +0.0 everywhere — skip its η⁺ evaluation entirely, matching
+    # the scalar solvers, which never evaluate a non-interferer's model.
+    used = coeff_m.any(axis=0)
+    sem_pos = [k for k, j in enumerate(plan.sem_cols) if used[j]]
+    sem_out = [plan.sem_cols[k] for k in sem_pos]
+    table_cols = [j for j in plan.table_cols if used[j]]
+    scalar_cols = [j for j in plan.scalar_cols if used[j]]
+    live = set(sem_out) | set(table_cols) | set(scalar_cols)
+    dead_cols = [j for j in range(nt) if j not in live]
 
-        def eval_np(ws: Sequence[float], idxs: Sequence[int]) -> List[float]:
-            w = _np.asarray(ws)
-            sel = _np.asarray(idxs, dtype=_np.intp)
-            a = len(idxs)
-            xs = w if shift == 0.0 else w + shift
-            # One (lane x term) counts matrix per iteration, then one
-            # sequential row-cumsum: column 0 carries the base, so the
-            # running sum associates exactly like the scalar loop's
-            # ``acc = base; acc += v_j`` (zero-coeff terms add an exact
-            # +0.0, which is identity for the positive partial sums).
-            full = _np.empty((a, nt + 1))
-            full[:, 0] = bases_a[sel]
-            counts = full[:, 1:]
-            plan.counts_matrix(xs, counts, sem_pos, sem_out, table_cols,
-                               scalar_cols)
-            if dead_cols:
-                counts[:, dead_cols] = 0.0
-            if ccaps_m is not None:
-                _np.minimum(counts, ccaps_m[sel], out=counts)
-            counts *= coeff_m[sel]
-            if pcaps_m is not None:
-                _np.minimum(counts, pcaps_m[sel], out=counts)
-            acc = _np.cumsum(full, axis=1)[:, -1]
-            if tail is not None:
-                win = w + cmax_a[sel]
-                over = (tail.burst + _np.ceil(win * tail.rate)) \
-                    * tail.recovery
-                acc += _np.where(win <= 0.0, tail.burst * tail.recovery,
-                                 over)
-            return acc.tolist()
+    def eval_np(ws: Sequence[float], idxs: Sequence[int]) -> List[float]:
+        xs = _np.asarray(ws)
+        sel = _np.asarray(idxs, dtype=_np.intp)
+        # One (lane x term) counts matrix per iteration, then one
+        # sequential row-cumsum: column 0 carries the base, so the
+        # running sum associates exactly like the scalar loop's
+        # ``acc = base; acc += v_j`` (zero-coeff terms add an exact
+        # +0.0, which is identity for the positive partial sums).
+        full = _np.empty((len(idxs), nt + 1))
+        full[:, 0] = bases_a[sel]
+        counts = full[:, 1:]
+        plan.counts_matrix(xs, counts, sem_pos, sem_out, table_cols,
+                           scalar_cols)
+        if dead_cols:
+            counts[:, dead_cols] = 0.0
+        if ccaps_m is not None:
+            _np.minimum(counts, ccaps_m[sel], out=counts)
+        counts *= coeff_m[sel]
+        return _np.cumsum(full, axis=1)[:, -1].tolist()
 
-        return eval_np
-
-    # Python backend: per-lane nonzero-term lists built once per round
-    # (bound η⁺ methods, caps inlined), so each iteration is a tight
-    # loop over actual interferers — the scalar solvers' own shape.
-    # Skipping a zero-coefficient (or null-model) term matches the
-    # scalar sum exactly: non-interferers are never visited, and a null
-    # model's contribution is an exact +0.0.
-    if plan is None:
-        plan = _TermPlan(tables)
-    per_lane = []
-    for el in elements:
-        ccaps = el.count_caps
-        pcaps = el.product_caps
-        if ccaps is None and pcaps is None:
-            # Capless lanes (SPP/SPNP) share a cached 2-tuple term list;
-            # their inner loop is a bare ``η⁺(x) * C`` accumulation.
-            per_lane.append((el.base, plan.py_terms(el.coeffs), el.cmax,
-                             True))
-        else:
-            terms = []
-            for j, cj in enumerate(el.coeffs):
-                if cj == 0.0:
-                    continue
-                tab = tables[j]
-                if tab.kind == _KIND_NULL:
-                    continue
-                # Table-kind models need the growth-guarded wrapper; the
-                # others dispatch straight to the model (as scalar does).
-                fn = (tab.eta_one if tab.kind == _KIND_TABLE
-                      else tab.model.eta_plus)
-                terms.append((fn, cj,
-                              None if ccaps is None else ccaps[j],
-                              None if pcaps is None else pcaps[j]))
-            per_lane.append((el.base, terms, el.cmax, False))
-    overhead = tail.error_model.overhead if tail is not None else None
-
-    def eval_py(ws: Sequence[float], idxs: Sequence[int]) -> List[float]:
-        out = []
-        for k, i in enumerate(idxs):
-            base, terms, cmax, capless = per_lane[i]
-            x = ws[k] + shift if shift != 0.0 else ws[k]
-            acc = base
-            if capless:
-                for fn, cj in terms:
-                    acc += fn(x) * cj
-            else:
-                for fn, cj, cap, pcap in terms:
-                    cnt = fn(x)
-                    if cap is not None and cap < cnt:
-                        cnt = cap
-                    v = cnt * cj
-                    if pcap is not None and pcap < v:
-                        v = pcap
-                    acc += v
-            if overhead is not None:
-                acc += overhead(ws[k] + cmax)
-            out.append(acc)
-        return out
-
-    return eval_py
+    return eval_np
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +339,7 @@ def solve_round(starts: Sequence[float], hints: Sequence[Optional[float]],
     ws = list(starts)
     guard = [False] * n
     for i, h in enumerate(hints):
-        if h is not None and h > ws[i]:
+        if _busy_window.WARM_START and h is not None and h > ws[i]:
             ws[i] = h
             guard[i] = True
     results: List[Optional[float]] = [None] * n
@@ -671,33 +410,26 @@ def solve_round(starts: Sequence[float], hints: Sequence[Optional[float]],
 # chain driver (the batched multi_activation_loop)
 # ----------------------------------------------------------------------
 class Chain:
-    """One busy-window q-sequence: a task, or an EDF (task, offset) pair.
+    """One busy-window q-sequence: an SPP task, or an EDF (task, offset)
+    pair.
 
-    Parameters mirror the pieces the scalar loop composes per task:
-    *element(q)* supplies the workload lane, *busy(q, w)* maps the
-    fixed-point value to the busy time (SPNP adds ``c_max``),
-    *closes(q, bq)* is the window-closing predicate (default: next
-    activation arrives after the window drains), *direct(q)* bypasses
-    the fixed point entirely (TDMA's closed-form supply inverse).
+    *element(q)* supplies the workload lane; *closes(q, bq)* is the
+    window-closing predicate (default: next activation arrives after
+    the window drains).
     """
 
-    __slots__ = ("name", "em", "context", "element", "busy", "closes",
-                 "direct", "r_max", "busy_times", "q_max", "error", "hint",
-                 "done")
+    __slots__ = ("name", "em", "context", "element", "closes", "r_max",
+                 "busy_times", "q_max", "error", "hint", "done")
 
     def __init__(self, name: str, em: EventModel,
                  context: Callable[[int], str],
-                 element: Optional[Callable[[int], Element]] = None,
-                 busy: Optional[Callable[[int, float], float]] = None,
-                 closes: Optional[Callable[[int, float], bool]] = None,
-                 direct: Optional[Callable[[int], float]] = None):
+                 element: Callable[[int], Element],
+                 closes: Optional[Callable[[int, float], bool]] = None):
         self.name = name
         self.em = em
         self.context = context
         self.element = element
-        self.busy = busy
         self.closes = closes
-        self.direct = direct
         self.r_max = 0.0
         self.busy_times: List[float] = []
         self.q_max = 0
@@ -707,8 +439,7 @@ class Chain:
 
 
 def run_chains(chains: Sequence[Chain], tables: Sequence[EtaTable],
-               resource_name: str, shift: float = 0.0,
-               tail: Optional[TailSpec] = None) -> None:
+               resource_name: str) -> None:
     """Drive every chain's q-loop jointly, one round per activation count.
 
     Round q advances all still-open chains' q-th windows in one vector
@@ -719,39 +450,23 @@ def run_chains(chains: Sequence[Chain], tables: Sequence[EtaTable],
     (it, too, finishes every earlier chain before touching a later one).
     """
     open_chains = [c for c in chains if not c.done]
-    plan = _TermPlan(tables) if tables else None
+    plan = _TermPlan(tables)
     q = 0
     while open_chains:
         q += 1
-        round_chains = []
-        elems: List[Element] = []
-        for c in open_chains:
-            if c.direct is not None:
-                try:
-                    w = c.direct(q)
-                except NotSchedulableError as exc:
-                    c.error = exc
-                    c.done = True
-                    continue
-                _finish_window(c, q, w, resource_name)
+        elems = [c.element(q) for c in open_chains]
+        values, errors, _steps = solve_round(
+            [el.start for el in elems], [c.hint for c in open_chains],
+            _make_workload(elems, plan),
+            [c.context(q) for c in open_chains],
+            [c.name for c in open_chains], resource_name)
+        for c, w, err in zip(open_chains, values, errors):
+            if err is not None:
+                c.error = err
+                c.done = True
                 continue
-            round_chains.append(c)
-            elems.append(c.element(q))
-        if round_chains:
-            eval_fn = _make_workload(elems, tables, shift, tail, plan)
-            hints = ([c.hint for c in round_chains] if warm_start
-                     else [None] * len(round_chains))
-            values, errors, _steps = solve_round(
-                [el.start for el in elems], hints, eval_fn,
-                [c.context(q) for c in round_chains],
-                [c.name for c in round_chains], resource_name)
-            for c, w, err in zip(round_chains, values, errors):
-                if err is not None:
-                    c.error = err
-                    c.done = True
-                    continue
-                c.hint = w
-                _finish_window(c, q, w, resource_name)
+            c.hint = w
+            _finish_window(c, q, w, resource_name)
         open_chains = [c for c in open_chains if not c.done]
     if _obs.enabled:
         registry = _obs.metrics()
@@ -766,9 +481,8 @@ def run_chains(chains: Sequence[Chain], tables: Sequence[EtaTable],
             raise c.error
 
 
-def _finish_window(c: Chain, q: int, w: float,
+def _finish_window(c: Chain, q: int, bq: float,
                    resource_name: Optional[str] = None) -> None:
-    bq = c.busy(q, w) if c.busy is not None else w
     c.busy_times.append(bq)
     response = bq - c.em.delta_min(q)
     if response > c.r_max:
@@ -793,15 +507,11 @@ __all__ = [
     "Chain",
     "Element",
     "EtaTable",
-    "TailSpec",
-    "active",
-    "backend",
+    "MIN_BATCH_LANES",
+    "MIN_BATCH_LOAD",
     "batch_worthwhile",
-    "configure",
-    "enabled",
     "run_chains",
     "solve_round",
     "stats",
     "tables_for",
-    "use_numpy",
 ]

@@ -27,7 +27,6 @@ from ..explain.blame import (
     BlameTerm,
     critical_activation,
 )
-from . import kernels
 from .busy_window import fixed_point, multi_activation_loop
 from .interface import Scheduler, TaskSpec
 from .results import ResourceResult, TaskResult
@@ -56,52 +55,11 @@ class RoundRobinScheduler(Scheduler):
                 f"{self.utilization_limit}", resource=resource_name,
                 utilization=util)
         reuse = reuse or {}
-        todo = [t for t in tasks if t.name not in reuse]
-        if kernels.batch_worthwhile(len(todo), util) and todo:
-            computed = self._analyze_batched(todo, tasks, resource_name)
-        else:
-            computed = {t.name: self._analyze_task(t, tasks, resource_name)
-                        for t in todo}
+        computed = {t.name: self._analyze_task(t, tasks, resource_name)
+                    for t in tasks if t.name not in reuse}
         results = {t.name: computed.get(t.name, reuse.get(t.name))
                    for t in tasks}
         return ResourceResult(resource_name, util, results)
-
-    def _analyze_batched(self, todo: Sequence[TaskSpec],
-                         tasks: Sequence[TaskSpec],
-                         resource_name: str) -> dict:
-        tables = kernels.tables_for(tasks)
-        chains, meta = [], []
-        for task in todo:
-            others = [t for t in tasks if t is not task]
-            coeffs = [0.0 if t is task else t.c_max for t in tasks]
-
-            def element(q, task=task, coeffs=coeffs):
-                rounds = math.ceil(q * task.c_max / task.slot)
-                pcaps = [None if t is task else rounds * t.slot
-                         for t in tasks]
-                return kernels.Element(start=q * task.c_max,
-                                       base=q * task.c_max,
-                                       coeffs=coeffs,
-                                       product_caps=pcaps)
-
-            def context(q, task=task):
-                return f"{resource_name}/{task.name} RR q={q}"
-
-            chains.append(kernels.Chain(task.name, task.event_model,
-                                        context, element=element))
-            meta.append((task, others))
-        kernels.run_chains(chains, tables, resource_name)
-        out = {}
-        for chain, (task, others) in zip(chains, meta):
-            blame = None
-            if _obs.enabled:
-                blame = self._blame(task, others, resource_name,
-                                    chain.r_max, chain.busy_times)
-            out[task.name] = TaskResult(
-                name=task.name, r_min=task.c_min, r_max=chain.r_max,
-                busy_times=chain.busy_times, q_max=chain.q_max,
-                blame=blame)
-        return out
 
     def _analyze_task(self, task: TaskSpec, tasks: Sequence[TaskSpec],
                       resource_name: str) -> TaskResult:
@@ -123,7 +81,7 @@ class RoundRobinScheduler(Scheduler):
                             context=f"{resource_name}/{task.name} "
                                     f"RR q={q}",
                             resource=resource_name, task=task.name,
-                            hint=last_w[0] if kernels.warm_start else None)
+                            hint=last_w[0])
             last_w[0] = w
             return w
 

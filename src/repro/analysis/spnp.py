@@ -36,7 +36,6 @@ from ..explain.blame import (
     critical_activation,
 )
 from ..timebase import EPS
-from . import kernels
 from .busy_window import fixed_point, multi_activation_loop
 from .interface import Scheduler, TaskSpec
 from .results import ResourceResult, TaskResult
@@ -115,12 +114,8 @@ class SPNPScheduler(Scheduler):
                 f"{self.utilization_limit}", resource=resource_name,
                 utilization=util)
         reuse = reuse or {}
-        todo = [t for t in tasks if t.name not in reuse]
-        if kernels.batch_worthwhile(len(todo), util) and todo:
-            computed = self._analyze_batched(todo, tasks, resource_name)
-        else:
-            computed = {t.name: self._analyze_task(t, tasks, resource_name)
-                        for t in todo}
+        computed = {t.name: self._analyze_task(t, tasks, resource_name)
+                    for t in tasks if t.name not in reuse}
         results = {t.name: computed.get(t.name, reuse.get(t.name))
                    for t in tasks}
         return ResourceResult(resource_name, util, results)
@@ -154,52 +149,6 @@ class SPNPScheduler(Scheduler):
         lower = [t for t in tasks if t.priority > task.priority]
         return max((t.c_max for t in lower), default=0.0) + task.blocking
 
-    def _analyze_batched(self, todo: Sequence[TaskSpec],
-                         tasks: Sequence[TaskSpec],
-                         resource_name: str) -> dict:
-        tables = kernels.tables_for(tasks)
-        tail = (kernels.TailSpec(self.error_model)
-                if self.error_model is not None else None)
-        chains, meta = [], []
-        for task in todo:
-            higher = [t for t in tasks
-                      if t is not task and t.priority <= task.priority]
-            blocking = self._blocking(task, tasks)
-            coeffs = [t.c_max if (t is not task
-                                  and t.priority <= task.priority) else 0.0
-                      for t in tasks]
-            sum_c = sum(j.c_max for j in higher)
-
-            def element(q, task=task, coeffs=coeffs, sum_c=sum_c,
-                        blocking=blocking):
-                base = blocking + (q - 1) * task.c_max
-                return kernels.Element(start=base + sum_c, base=base,
-                                       coeffs=coeffs, cmax=task.c_max)
-
-            def context(q, task=task):
-                return f"{resource_name}/{task.name} SPNP q={q}"
-
-            def busy(q, w, task=task):
-                return w + task.c_max
-
-            chains.append(kernels.Chain(task.name, task.event_model,
-                                        context, element=element,
-                                        busy=busy))
-            meta.append((task, higher, blocking))
-        kernels.run_chains(chains, tables, resource_name,
-                           shift=self.arbitration_eps, tail=tail)
-        out = {}
-        for chain, (task, higher, blocking) in zip(chains, meta):
-            blame = None
-            if _obs.enabled:
-                blame = self._blame(task, higher, resource_name, blocking,
-                                    chain.r_max, chain.busy_times)
-            out[task.name] = TaskResult(
-                name=task.name, r_min=task.c_min, r_max=chain.r_max,
-                busy_times=chain.busy_times, q_max=chain.q_max,
-                details={"blocking": blocking}, blame=blame)
-        return out
-
     def _analyze_task(self, task: TaskSpec, tasks: Sequence[TaskSpec],
                       resource_name: str) -> TaskResult:
         higher = [t for t in tasks
@@ -225,7 +174,7 @@ class SPNPScheduler(Scheduler):
                             context=f"{resource_name}/{task.name} "
                                     f"SPNP q={q}",
                             resource=resource_name, task=task.name,
-                            hint=last_w[0] if kernels.warm_start else None)
+                            hint=last_w[0])
             last_w[0] = w
             return w + task.c_max
 

@@ -19,10 +19,11 @@ strict ``<`` the analysis would certify response times that a real
 tie-losing execution can exceed.  This is pinned by a regression test
 (``test_spp_ties.py``), not just this comment.
 
-When :func:`repro.analysis.kernels.active`, the per-task q-loops run
-through the batched kernel driver (one joint vector fixed point per
-activation round across all tasks of the resource) — bit-identical to
-the scalar loop kept below as the ``REPRO_VECTOR=0`` fallback.
+A resource with many tasks at high load (:func:`kernels.batch_worthwhile`)
+runs its per-task q-loops through the numpy kernel driver: one joint
+vector fixed point per activation round across all tasks of the
+resource, bit-identical to the scalar loop.  The scalar loop is the test
+reference and the only path when numpy is not installed.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class SPPScheduler(Scheduler):
                             context=f"{resource_name}/{task.name} "
                                     f"SPP q={q}",
                             resource=resource_name, task=task.name,
-                            hint=last_w[0] if kernels.warm_start else None)
+                            hint=last_w[0])
             last_w[0] = w
             return w
 

@@ -29,7 +29,6 @@ from ..explain.blame import (
     critical_activation,
 )
 from ..timebase import EPS
-from . import kernels
 from .busy_window import multi_activation_loop
 from .interface import Scheduler, TaskSpec
 from .results import ResourceResult, TaskResult
@@ -70,7 +69,6 @@ class TDMAScheduler(Scheduler):
         cycle = sum(t.slot for t in tasks)
         util = self.total_load(tasks)
         reuse = reuse or {}
-        todo = []
         for task in tasks:
             # Per-task capacity check: the own slot share must cover the
             # own long-run demand.
@@ -81,13 +79,8 @@ class TDMAScheduler(Scheduler):
                     f"{resource_name}/{task.name}: demand {load:.4f} "
                     f"exceeds TDMA share {share:.4f}",
                     resource=resource_name, utilization=load / share)
-            if task.name not in reuse:
-                todo.append(task)
-        if kernels.batch_worthwhile(len(todo), util) and todo:
-            computed = self._analyze_batched(todo, cycle, resource_name)
-        else:
-            computed = {t.name: self._analyze_task(t, cycle, resource_name)
-                        for t in todo}
+        computed = {t.name: self._analyze_task(t, cycle, resource_name)
+                    for t in tasks if t.name not in reuse}
         results = {t.name: computed.get(t.name, reuse.get(t.name))
                    for t in tasks}
         return ResourceResult(resource_name, util, results)
@@ -101,29 +94,6 @@ class TDMAScheduler(Scheduler):
             return None
         return ("tdma", sum(t.slot for t in tasks), own)
 
-    def _analyze_batched(self, todo: Sequence[TaskSpec], cycle: float,
-                         resource_name: str) -> dict:
-        chains, meta = [], []
-        for task in todo:
-            def direct(q, task=task):
-                return tdma_supply_inverse(q * task.c_max, task.slot,
-                                           cycle)
-
-            def context(q, task=task):
-                return f"{resource_name}/{task.name} TDMA q={q}"
-
-            chains.append(kernels.Chain(task.name, task.event_model,
-                                        context, direct=direct))
-            meta.append(task)
-        kernels.run_chains(chains, [], resource_name)
-        out = {}
-        for chain, task in zip(chains, meta):
-            out[task.name] = self._task_result(task, cycle, resource_name,
-                                               chain.r_max,
-                                               chain.busy_times,
-                                               chain.q_max)
-        return out
-
     def _analyze_task(self, task: TaskSpec, cycle: float,
                       resource_name: str) -> TaskResult:
         def busy_time(q: int) -> float:
@@ -132,12 +102,6 @@ class TDMAScheduler(Scheduler):
         r_max, busy_times, q_max = multi_activation_loop(
             task.event_model, busy_time,
             resource=resource_name, task=task.name)
-        return self._task_result(task, cycle, resource_name, r_max,
-                                 busy_times, q_max)
-
-    def _task_result(self, task: TaskSpec, cycle: float,
-                     resource_name: str, r_max: float,
-                     busy_times: "list[float]", q_max: int) -> TaskResult:
         blame = None
         if _obs.enabled:
             blame = self._blame(task, cycle, resource_name, r_max,

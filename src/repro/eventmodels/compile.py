@@ -82,15 +82,15 @@ enabled = _env_flag("REPRO_COMPILE", True)
 #: convergence-check range (``CONVERGENCE_CHECK_N = 32``), which is
 #: evaluated for every propagated model anyway, so the eager sampling is
 #: effectively free; deeper queries grow the prefix on demand.
-n_hint = int(os.environ.get("REPRO_COMPILE_N_HINT", "33"))
+N_HINT = 33
 
 #: Minimum derived-chain depth for :func:`maybe_compile` to bother:
 #: depth 1 is a leaf model (standard/curve — already O(1) to evaluate),
 #: depth 2 is one operation over a leaf.
-min_depth = int(os.environ.get("REPRO_COMPILE_MIN_DEPTH", "2"))
+MIN_DEPTH = 2
 
 #: Capacity of the global fingerprint cache (compiled curves).
-cache_size = int(os.environ.get("REPRO_COMPILE_CACHE_SIZE", "4096"))
+CACHE_SIZE = 4096
 
 
 class CompilationCache:
@@ -138,7 +138,7 @@ class CompilationCache:
 
 
 #: Process-global cache; cleared via :func:`configure`.
-_cache = CompilationCache(cache_size)
+_cache = CompilationCache(CACHE_SIZE)
 
 
 def cache() -> CompilationCache:
@@ -147,26 +147,16 @@ def cache() -> CompilationCache:
 
 
 def configure(*, enabled: Optional[bool] = None,
-              n_hint: Optional[int] = None,
-              min_depth: Optional[int] = None,
-              cache_size: Optional[int] = None,
               reset_cache: bool = False) -> None:
     """Adjust curve compilation for the whole process.
 
     ``configure(enabled=False)`` is the single switch that restores the
     fully lazy evaluation path (equivalently set ``REPRO_COMPILE=0``
-    before the process starts).
+    before the process starts); ``reset_cache=True`` empties the
+    fingerprint cache for cold-start timing.
     """
-    module = globals()
     if enabled is not None:
-        module["enabled"] = enabled
-    if n_hint is not None:
-        module["n_hint"] = max(3, n_hint)
-    if min_depth is not None:
-        module["min_depth"] = min_depth
-    if cache_size is not None:
-        module["cache_size"] = cache_size
-        _cache.maxsize = cache_size
+        globals()["enabled"] = enabled
     if reset_cache:
         _cache.clear()
 
@@ -392,7 +382,7 @@ def compile_model(model: EventModel, n_hint: Optional[int] = None,
         Any (flat) event model; typically a derived chain.
     n_hint:
         Prefix length sampled eagerly (defaults to the module-level
-        :data:`n_hint`).  Queries beyond it grow the prefix from the
+        :data:`N_HINT`).  Queries beyond it grow the prefix from the
         source, so the hint is a performance knob, not a correctness one.
     keep_source:
         Retain the source model for exact beyond-prefix growth (default).
@@ -404,7 +394,7 @@ def compile_model(model: EventModel, n_hint: Optional[int] = None,
         Attempt tail-period detection before detaching (ignored while the
         source is kept, where growth is exact anyway).
     """
-    top = n_hint if n_hint is not None else globals()["n_hint"]
+    top = n_hint if n_hint is not None else N_HINT
     top = max(top, 2)
     dmin = model.delta_min_block(top)
     dplus = model.delta_plus_block(top)
@@ -543,7 +533,7 @@ def maybe_compile(model: EventModel,
 
     Returns the model unchanged when compilation is disabled, when the
     model is already array-backed or closed-form, or when its chain depth
-    is below :data:`min_depth`.  Compiled results are shared through the
+    is below :data:`MIN_DEPTH`.  Compiled results are shared through the
     process-global fingerprint cache, which is what carries curves across
     global fixed-point iterations.
     """
@@ -557,7 +547,7 @@ def maybe_compile(model: EventModel,
     if isinstance(model, _NO_COMPILE):
         return model
     fp = fingerprint(model)
-    if fp is not None and chain_depth(fp) < min_depth:
+    if fp is not None and chain_depth(fp) < MIN_DEPTH:
         return model
     if fp is not None:
         hit = _cache.get(fp)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator
 
 from .._errors import ModelError
 from ..analysis.edf import EDFScheduler
@@ -194,25 +195,71 @@ def system_to_dict(system: System) -> "Dict[str, Any]":
     }
 
 
+def _section(data: "Dict[str, Any]", key: str):
+    """The ``(name, node)`` pairs of one node map of a system dict."""
+    nodes = data.get(key, {})
+    if not isinstance(nodes, dict):
+        raise ModelError(
+            f"{key}: expected a mapping of node name to node, got "
+            f"{type(nodes).__name__}", context={"section": key})
+    return nodes.items()
+
+
+@contextmanager
+def _node(kind: str, name: Any) -> Iterator[None]:
+    """Re-raise any error met while rebuilding one node as a
+    :class:`ModelError` naming that node.
+
+    Malformed input (a missing key, a value of the wrong type, an
+    unknown enum value) otherwise escapes as a bare ``KeyError`` or
+    ``TypeError`` that names no node, and which the batch retry policy
+    takes for a transient failure.
+    """
+    try:
+        yield
+    except ModelError as exc:
+        if kind in exc.context:
+            raise
+        raise ModelError(f"{kind} {name!r}: {exc}",
+                         context={**exc.context, kind: name}) from exc
+    except KeyError as exc:
+        raise ModelError(f"{kind} {name!r}: missing key {exc}",
+                         context={kind: name}) from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"{kind} {name!r}: {exc}",
+                         context={kind: name}) from exc
+
+
 def system_from_dict(data: "Dict[str, Any]") -> System:
-    """Rebuild a system graph from :func:`system_to_dict` output."""
+    """Rebuild a system graph from :func:`system_to_dict` output.
+
+    Malformed input raises :class:`ModelError` naming the offending
+    section or node.
+    """
+    if not isinstance(data, dict):
+        raise ModelError(f"system: expected a mapping, got "
+                         f"{type(data).__name__}")
     system = System(data.get("name", "system"))
-    for name, model_data in data.get("sources", {}).items():
-        system.add_source(name, model_from_dict(model_data))
-    for name, sched_data in data.get("resources", {}).items():
-        system.add_resource(name, scheduler_from_dict(sched_data))
-    for name, t in data.get("tasks", {}).items():
-        system.add_task(name, t["resource"], (t["c_min"], t["c_max"]),
-                        t["inputs"], priority=t.get("priority", 0),
-                        slot=t.get("slot"), deadline=t.get("deadline"),
-                        activation=t.get("activation", "or"),
-                        blocking=t.get("blocking", 0.0))
-    for name, j in data.get("junctions", {}).items():
-        system.add_junction(
-            name, JunctionKind(j["kind"]), j["inputs"],
-            properties={k: TransferProperty(v)
-                        for k, v in j.get("properties", {}).items()},
-            timer=j.get("timer"))
+    for name, model_data in _section(data, "sources"):
+        with _node("source", name):
+            system.add_source(name, model_from_dict(model_data))
+    for name, sched_data in _section(data, "resources"):
+        with _node("resource", name):
+            system.add_resource(name, scheduler_from_dict(sched_data))
+    for name, t in _section(data, "tasks"):
+        with _node("task", name):
+            system.add_task(name, t["resource"], (t["c_min"], t["c_max"]),
+                            t["inputs"], priority=t.get("priority", 0),
+                            slot=t.get("slot"), deadline=t.get("deadline"),
+                            activation=t.get("activation", "or"),
+                            blocking=t.get("blocking", 0.0))
+    for name, j in _section(data, "junctions"):
+        with _node("junction", name):
+            system.add_junction(
+                name, JunctionKind(j["kind"]), j["inputs"],
+                properties={k: TransferProperty(v)
+                            for k, v in j.get("properties", {}).items()},
+                timer=j.get("timer"))
     system.validate()
     return system
 

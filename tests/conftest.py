@@ -41,6 +41,17 @@ def spor500():
     return sporadic(500.0, name="spor")
 
 
+@pytest.fixture
+def force_batching(monkeypatch):
+    """Send every SPP/EDF resource through the numpy kernels, however
+    small or lightly loaded; skips when numpy is not installed."""
+    pytest.importorskip("numpy")
+    from repro.analysis import kernels
+
+    monkeypatch.setattr(kernels, "MIN_BATCH_LANES", 0)
+    monkeypatch.setattr(kernels, "MIN_BATCH_LOAD", 0.0)
+
+
 def assert_delta_consistent(model, n_max: int = 32):
     """Structural invariants every δ pair must satisfy."""
     assert model.delta_min(0) == 0.0

@@ -109,6 +109,20 @@ class TestRetryLoop:
         # the probe really ran exactly once
         assert (tmp_path / "chaos-m1.count").read_text() == "1"
 
+    def test_malformed_system_poisoned_first_attempt(self, tmp_path):
+        payload = system_to_dict(build_overloaded())
+        name = sorted(payload["tasks"])[0]
+        del payload["tasks"][name]["resource"]
+        sleeps = []
+        job = Job("analyze", {"system": payload})
+        report = runner(tmp_path, retry=RetryPolicy(
+            sleep=sleeps.append)).run([job])
+        result = report[job.key]
+        assert result.status == STATUS_POISONED
+        assert result.attempts == 1 and sleeps == []
+        assert result.error.startswith(
+            f"ModelError: task {name!r}: missing key 'resource'")
+
     def test_persistent_transient_poisoned_with_history(self, tmp_path):
         job = probe(tmp_path, "t3", fail_times=99)
         report = runner(tmp_path).run([job])

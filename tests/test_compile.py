@@ -56,9 +56,9 @@ INF = math.inf
 def _reset_compile_config():
     """Each test starts from the default configuration and a cold cache;
     module-level knobs never leak between tests."""
-    emc.configure(enabled=True, n_hint=33, min_depth=2, reset_cache=True)
+    emc.configure(enabled=True, reset_cache=True)
     yield
-    emc.configure(enabled=True, n_hint=33, min_depth=2, reset_cache=True)
+    emc.configure(enabled=True, reset_cache=True)
 
 
 def make_chains():
@@ -215,19 +215,16 @@ def test_cache_shares_equal_chains():
     assert stats["hits"] == 1 and stats["misses"] == 1
 
 
-def test_cache_lru_eviction():
-    emc.configure(cache_size=2, reset_cache=True)
-    try:
-        ms = [maybe_compile(TaskOutputModel(periodic(100.0 + i), 1.0, 2.0))
-              for i in range(3)]
-        assert all(isinstance(m, CompiledEventModel) for m in ms)
-        assert len(emc.cache()) == 2
-    finally:
-        emc.configure(cache_size=4096, reset_cache=True)
+def test_cache_lru_eviction(monkeypatch):
+    monkeypatch.setattr(emc, "_cache", emc.CompilationCache(2))
+    ms = [maybe_compile(TaskOutputModel(periodic(100.0 + i), 1.0, 2.0))
+          for i in range(3)]
+    assert all(isinstance(m, CompiledEventModel) for m in ms)
+    assert len(emc.cache()) == 2
 
 
-def test_min_depth_threshold_skips_shallow_chains():
-    emc.configure(min_depth=3)
+def test_min_depth_threshold_skips_shallow_chains(monkeypatch):
+    monkeypatch.setattr(emc, "MIN_DEPTH", 3)
     shallow = TaskOutputModel(periodic(100.0), 1.0, 2.0)  # depth 2
     assert maybe_compile(shallow) is shallow
     deep = TaskOutputModel(shallow, 1.0, 2.0)  # depth 3
@@ -309,11 +306,11 @@ def test_obs_counters_emitted():
 
 
 def test_env_flag_controls_default(monkeypatch):
-    assert emc._env_flag("REPRO_COMPILE_TESTPROBE", True) is True
-    monkeypatch.setenv("REPRO_COMPILE_TESTPROBE", "0")
-    assert emc._env_flag("REPRO_COMPILE_TESTPROBE", True) is False
-    monkeypatch.setenv("REPRO_COMPILE_TESTPROBE", "1")
-    assert emc._env_flag("REPRO_COMPILE_TESTPROBE", False) is True
+    assert emc._env_flag("REPRO_TESTPROBE", True) is True
+    monkeypatch.setenv("REPRO_TESTPROBE", "0")
+    assert emc._env_flag("REPRO_TESTPROBE", True) is False
+    monkeypatch.setenv("REPRO_TESTPROBE", "1")
+    assert emc._env_flag("REPRO_TESTPROBE", False) is True
 
 
 # ----------------------------------------------------------------------

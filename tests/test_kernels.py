@@ -1,9 +1,10 @@
 """Unit tests for the batched busy-window kernels.
 
-Covers the :class:`~repro.analysis.kernels.EtaTable` dispatch kinds, the
-runtime switches (``configure`` / env-flag mirrors), the batch-worthwhile
-heuristic, the joint vector fixed point (including the warm-start
-overshoot guard), and scalar-vs-batched equality on a small resource.
+Covers the η⁺ dispatch kinds of the numpy workload evaluation, the
+lane/load gate that picks the batched path, the joint vector fixed point
+(including the warm-start overshoot guard), and scalar-vs-batched
+equality on small resources.  The batched path needs numpy; tests that
+run it skip when numpy is not installed.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 
 from repro._errors import NotSchedulableError
 from repro.analysis import SPPScheduler, TaskSpec
-from repro.analysis import kernels
+from repro.analysis import busy_window, kernels
 from repro.eventmodels import (
     StandardEventModel,
     freeze,
@@ -20,15 +21,6 @@ from repro.eventmodels import (
     periodic_with_jitter,
 )
 from repro.eventmodels.base import EventModel, NullEventModel
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_config():
-    snap = (kernels.enabled, kernels.numpy_enabled, kernels.warm_start,
-            kernels.min_batch_lanes, kernels.min_batch_load)
-    yield
-    (kernels.enabled, kernels.numpy_enabled, kernels.warm_start,
-     kernels.min_batch_lanes, kernels.min_batch_load) = snap
 
 
 def spp_tasks(n=6, util=0.8):
@@ -71,14 +63,15 @@ class TestEtaTable:
     XS = [0.0, 0.5, 1.0, 7.0, 49.999, 50.0, 123.4, 9999.0]
 
     def check_matches_model(self, model):
-        tab = kernels.EtaTable(model)
-        expect = [model.eta_plus(x) for x in self.XS]
-        assert list(tab.eta_many(self.XS)) == expect
-        assert [tab.eta_one(x) for x in self.XS] == expect
-        if kernels._np is not None:
-            xs = kernels._np.asarray(self.XS, dtype=float)
-            got = tab.eta_many_np(xs)
-            assert [float(v) for v in got] == [float(e) for e in expect]
+        """One lane per x with base 0 and coefficient 1 evaluates to
+        exactly η⁺(x)."""
+        pytest.importorskip("numpy")
+        plan = kernels._TermPlan([kernels.EtaTable(model)])
+        lanes = [kernels.Element(start=0.0, base=0.0, coeffs=[1.0])
+                 for _ in self.XS]
+        eval_fn = kernels._make_workload(lanes, plan)
+        got = eval_fn(self.XS, list(range(len(self.XS))))
+        assert got == [float(model.eta_plus(x)) for x in self.XS]
 
     def test_null_kind(self):
         tab = kernels.EtaTable(NullEventModel())
@@ -105,54 +98,41 @@ class TestEtaTable:
         self.check_matches_model(model)
 
     def test_table_grows_beyond_seed(self):
+        np = pytest.importorskip("numpy")
         model = freeze(periodic(10.0), n_max=4096)
         tab = kernels.EtaTable(model)
         # Far beyond the initial _TABLE_SEED samples.
         big = 10.0 * (kernels._TABLE_SEED * 8) + 5.0
-        assert tab.eta_one(big) == model.eta_plus(big)
+        assert tab.eta_many(np.asarray([big])).tolist() == \
+            [float(model.eta_plus(big))]
 
 
 # ----------------------------------------------------------------------
-# switches & heuristics
+# the batching gate
 # ----------------------------------------------------------------------
 class TestSwitches:
-    def test_configure_round_trip(self):
-        kernels.configure(vectorized=False, numpy=False,
-                          warm_starts=False, min_batch=3, min_load=0.25)
-        assert not kernels.active()
-        assert not kernels.use_numpy()
-        assert not kernels.warm_start
-        snap = kernels.stats()
-        assert snap["enabled"] is False
-        assert snap["backend"] == "python"
-        assert snap["min_batch_lanes"] == 3
-        assert snap["min_batch_load"] == 0.25
-        kernels.configure(vectorized=True)
-        assert kernels.active()
+    """The lane/load gate that switches a resource between its scalar
+    loop and the batched kernels."""
 
     def test_stats_counters_present(self):
-        snap = kernels.stats()
-        for key in ("batches", "lanes", "iterations", "warm_start"):
-            assert key in snap
+        assert set(kernels.stats()) == {"batches", "lanes", "iterations"}
 
     def test_batch_worthwhile_lane_gate(self):
-        kernels.configure(vectorized=True, min_batch=8, min_load=0.5)
-        assert not kernels.batch_worthwhile(7, 0.9)
-        assert kernels.batch_worthwhile(8, 0.9)
+        pytest.importorskip("numpy")
+        assert not kernels.batch_worthwhile(kernels.MIN_BATCH_LANES - 1, 0.9)
+        assert kernels.batch_worthwhile(kernels.MIN_BATCH_LANES, 0.9)
 
     def test_batch_worthwhile_load_gate(self):
-        kernels.configure(vectorized=True, min_batch=8, min_load=0.5)
+        pytest.importorskip("numpy")
         assert not kernels.batch_worthwhile(100, 0.1)
-        assert kernels.batch_worthwhile(100, 0.5)
-        # Unknown load: the lane gate alone decides.
-        assert kernels.batch_worthwhile(100)
+        assert kernels.batch_worthwhile(100, kernels.MIN_BATCH_LOAD)
 
-    def test_batch_worthwhile_disabled(self):
-        kernels.configure(vectorized=False, min_batch=0)
+    def test_batch_worthwhile_disabled(self, monkeypatch):
+        # Without numpy nothing batches, however large or loaded.
+        monkeypatch.setattr(kernels, "_np", None)
         assert not kernels.batch_worthwhile(10 ** 6, 1.0)
 
-    def test_min_batch_zero_forces_batching(self):
-        kernels.configure(vectorized=True, min_batch=0)
+    def test_min_batch_zero_forces_batching(self, force_batching):
         assert kernels.batch_worthwhile(1, 0.0)
 
 
@@ -207,38 +187,48 @@ class TestSolveRound:
 # batched vs scalar equality
 # ----------------------------------------------------------------------
 class TestBatchedEqualsScalar:
-    def analyze_modes(self, tasks):
-        sched = SPPScheduler()
-        kernels.configure(vectorized=False)
-        scalar = result_digest(sched.analyze(tasks, "res"))
-        digests = {"scalar": scalar}
-        kernels.configure(vectorized=True, numpy=False, min_batch=0)
-        digests["python"] = result_digest(sched.analyze(tasks, "res"))
-        if kernels._np is not None:
-            kernels.configure(numpy=True)
-            digests["numpy"] = result_digest(sched.analyze(tasks, "res"))
-        return digests
+    @pytest.fixture(autouse=True)
+    def _needs_numpy(self):
+        pytest.importorskip("numpy")
 
-    def test_small_spp_resource_bit_identical(self):
-        digests = self.analyze_modes(spp_tasks())
-        for name, digest in digests.items():
-            assert digest == digests["scalar"], name
+    @staticmethod
+    def scalar_digest(tasks):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_np", None)
+            return result_digest(SPPScheduler().analyze(tasks, "res"))
 
-    def test_warm_start_off_bit_identical(self):
+    def test_small_spp_resource_bit_identical(self, force_batching):
+        scalar = self.scalar_digest(spp_tasks())
+        assert result_digest(SPPScheduler().analyze(spp_tasks(), "res")) \
+            == scalar
+
+    def test_warm_start_off_bit_identical(self, monkeypatch,
+                                          force_batching):
         tasks = spp_tasks(util=0.9)
-        kernels.configure(vectorized=False)
-        scalar = result_digest(SPPScheduler().analyze(tasks, "res"))
-        kernels.configure(vectorized=True, min_batch=0, warm_starts=False)
-        assert result_digest(SPPScheduler().analyze(tasks, "res")) == scalar
+        warm = self.scalar_digest(tasks)
+        monkeypatch.setattr(busy_window, "WARM_START", False)
+        assert self.scalar_digest(tasks) == warm
+        assert result_digest(SPPScheduler().analyze(tasks, "res")) == warm
 
-    def test_stats_count_batches(self):
-        kernels.configure(vectorized=True, min_batch=0)
+    def test_stats_count_batches(self, force_batching):
         before = kernels.stats()["batches"]
         SPPScheduler().analyze(spp_tasks(), "res")
         assert kernels.stats()["batches"] > before
 
     def test_gate_keeps_tiny_resources_scalar(self):
-        kernels.configure(vectorized=True, min_batch=16)
         before = kernels.stats()["batches"]
         SPPScheduler().analyze(spp_tasks(n=3), "res")
+        assert kernels.stats()["batches"] == before
+
+    def test_without_numpy_runs_scalar(self, monkeypatch):
+        # 40 tasks at 0.95 load clear the gate, so only numpy's absence
+        # keeps this resource on the scalar loop.
+        tasks = spp_tasks(n=40, util=0.95)
+        assert kernels.batch_worthwhile(len(tasks), 0.95)
+        before = kernels.stats()["batches"]
+        batched = result_digest(SPPScheduler().analyze(tasks, "res"))
+        assert kernels.stats()["batches"] > before
+        monkeypatch.setattr(kernels, "_np", None)
+        before = kernels.stats()["batches"]
+        assert result_digest(SPPScheduler().analyze(tasks, "res")) == batched
         assert kernels.stats()["batches"] == before

@@ -2,12 +2,11 @@
 dirty-set incremental re-analysis.
 
 The contract under test is exact equality, not approximation: for any
-task set and any policy, the scalar loops, the pure-python batched
-backend, and (when importable) the numpy backend must produce the same
-floats bit-for-bit — including busy-window sequences, q_max, global
-iteration counts, degraded-mode health maps, and fault-injected
-variants.  Likewise an incremental (memoised) sweep must reproduce the
-from-scratch results exactly after single-axis edits.
+SPP or EDF task set, the scalar loops and the numpy kernels must
+produce the same floats bit-for-bit — including busy-window sequences,
+q_max, global iteration counts, degraded-mode health maps, and
+fault-injected variants.  Likewise an incremental (memoised) sweep must
+reproduce the from-scratch results exactly after single-axis edits.
 """
 
 import json
@@ -18,28 +17,12 @@ from hypothesis import strategies as st
 
 from repro import Fault, FaultPlan, analyze_system, inject_faults
 from repro._errors import NotSchedulableError
-from repro.analysis import (
-    EDFScheduler,
-    RoundRobinScheduler,
-    SPNPScheduler,
-    SPPScheduler,
-    TaskSpec,
-    TDMAScheduler,
-)
+from repro.analysis import EDFScheduler, SPPScheduler, TaskSpec
 from repro.analysis import kernels
 from repro.analysis.memo import AnalysisMemo
 from repro.eventmodels import StandardEventModel
 from repro.examples_lib.rox08 import build_system as build_rox08
 from repro.system import System
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_config():
-    snap = (kernels.enabled, kernels.numpy_enabled, kernels.warm_start,
-            kernels.min_batch_lanes, kernels.min_batch_load)
-    yield
-    (kernels.enabled, kernels.numpy_enabled, kernels.warm_start,
-     kernels.min_batch_lanes, kernels.min_batch_load) = snap
 
 
 # ----------------------------------------------------------------------
@@ -57,36 +40,31 @@ def system_digest(result):
             tuple(sorted(result.path_latencies.items())))
 
 
-def modes():
-    """(name, configure-kwargs) for every kernel mode to compare.
-
-    ``min_batch=0`` forces the batched path even on the deliberately
-    tiny randomized systems; the lane/load gate is a pure speed
-    heuristic, so forcing it must not change any result.
-    """
-    out = [("scalar", dict(vectorized=False)),
-           ("python", dict(vectorized=True, numpy=False, min_batch=0))]
-    if kernels._np is not None:
-        out.append(("numpy", dict(vectorized=True, numpy=True,
-                                  min_batch=0)))
-    return out
-
-
 def run_modes(fn):
-    """Run *fn* under every mode; all outcomes (value or error) must
-    match the scalar outcome exactly."""
+    """Run *fn* on the scalar loops, then with every SPP/EDF resource
+    forced through the numpy kernels; both outcomes (value or error)
+    must match exactly.
+
+    Forcing ignores the lane/load gate even on the deliberately tiny
+    randomized systems; the gate is a pure speed heuristic, so that must
+    not change any result.
+    """
+    pytest.importorskip("numpy")
     outcomes = {}
-    for name, cfg in modes():
-        kernels.configure(**cfg)
-        try:
-            outcomes[name] = ("ok", fn())
-        except NotSchedulableError as exc:
-            outcomes[name] = ("notsched", exc.resource, exc.task)
-    kernels.configure(vectorized=True, numpy=True)
-    baseline = outcomes["scalar"]
-    for name, outcome in outcomes.items():
-        assert outcome == baseline, f"{name} diverges from scalar"
-    return baseline
+    for mode in ("scalar", "numpy"):
+        with pytest.MonkeyPatch.context() as mp:
+            if mode == "scalar":
+                mp.setattr(kernels, "_np", None)
+            else:
+                mp.setattr(kernels, "MIN_BATCH_LANES", 0)
+                mp.setattr(kernels, "MIN_BATCH_LOAD", 0.0)
+            try:
+                outcomes[mode] = ("ok", fn())
+            except NotSchedulableError as exc:
+                outcomes[mode] = ("notsched", exc.resource, exc.task)
+    assert outcomes["numpy"] == outcomes["scalar"], \
+        "numpy diverges from scalar"
+    return outcomes["scalar"]
 
 
 # ----------------------------------------------------------------------
@@ -109,17 +87,11 @@ def task_sets(draw, policy):
         em = StandardEventModel(period=period, jitter=jitter,
                                 d_min=d_min)
         cmax = max(1e-3, share * period)
-        kw = {}
-        if policy in ("spp", "spnp"):
-            kw["priority"] = i + 1
-            if policy == "spnp":
-                kw["blocking"] = draw(st.floats(min_value=0.0,
-                                                max_value=3.0))
-        elif policy in ("rr", "tdma"):
-            kw["slot"] = draw(st.floats(min_value=1.0, max_value=5.0))
-        elif policy == "edf":
-            kw["deadline"] = period * draw(st.floats(min_value=1.0,
-                                                     max_value=3.0))
+        if policy == "spp":
+            kw = {"priority": i + 1}
+        else:
+            kw = {"deadline": period * draw(st.floats(min_value=1.0,
+                                                      max_value=3.0))}
         tasks.append(TaskSpec(name=f"t{i}", event_model=em,
                               c_min=0.5 * cmax, c_max=cmax, **kw))
     return tasks
@@ -127,14 +99,12 @@ def task_sets(draw, policy):
 
 SCHEDULERS = {
     "spp": SPPScheduler,
-    "spnp": SPNPScheduler,
-    "rr": RoundRobinScheduler,
     "edf": EDFScheduler,
 }
 
 
 # ----------------------------------------------------------------------
-# whole-resource bit-identity, all policies
+# whole-resource bit-identity of the batched policies
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
 @settings(max_examples=20, deadline=None)
@@ -143,21 +113,6 @@ def test_resource_bit_identity(policy, data):
     tasks = data.draw(task_sets(policy))
     scheduler = SCHEDULERS[policy]()
     run_modes(lambda: resource_digest(scheduler.analyze(tasks, "res")))
-
-
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_tdma_bit_identity(data):
-    # TDMA needs per-task demand below its slot share; equal slots and
-    # bounded total utilization guarantee it.
-    tasks = data.draw(task_sets("tdma"))
-    share = 1.0 / len(tasks)
-    tasks = [TaskSpec(name=t.name, event_model=t.event_model,
-                      c_min=t.c_min * share, c_max=t.c_max * share,
-                      slot=2.0)
-             for t in tasks]
-    scheduler = TDMAScheduler()
-    run_modes(lambda: resource_digest(scheduler.analyze(tasks, "bus")))
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +148,8 @@ def test_degraded_overload_bit_identity():
 
 
 def test_can_error_burst_bit_identity():
-    # The SPNP tail path (CAN error model) through the kernels.
+    # A CAN error burst on the (always scalar) SPNP bus must leave the
+    # batched CPU resources it feeds bit-identical.
     base = build_rox08("hem")
     plan = FaultPlan((Fault("can_error_burst", "CAN", 3),))
 

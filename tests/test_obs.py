@@ -393,14 +393,8 @@ class TestEngineIntegration:
     def test_empty_report_is_explicit(self):
         assert "no convergence data" in ConvergenceReport([]).render()
 
-    def test_engine_metrics_footer(self, obs_on):
-        from repro.analysis import kernels
-
-        kernels.configure(min_batch=0, min_load=0.0)
-        try:
-            analyze_system(build_system("hem"))
-        finally:
-            kernels.configure(min_batch=16, min_load=0.5)
+    def test_engine_metrics_footer(self, obs_on, force_batching):
+        analyze_system(build_system("hem"))
         report = ConvergenceReport.from_tracer(get_tracer(),
                                                registry=metrics())
         snap = metrics().snapshot()

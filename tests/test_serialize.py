@@ -117,6 +117,29 @@ class TestSystemRoundTrip:
         with pytest.raises(ModelError):
             system_from_dict(payload)
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["tasks"]["T1"].pop("resource"),
+         "task 'T1': missing key 'resource'"),
+        (lambda d: d["junctions"]["F1_pack"].update(kind="bogus"),
+         "junction 'F1_pack': "),
+        (lambda d: d.update(tasks=list(d["tasks"].values())),
+         "tasks: expected a mapping"),
+        (lambda d: d["resources"].update(
+            CPU1={"policy": "hspp", "server_period": 10.0}),
+         "resource 'CPU1': missing key 'server_budget'"),
+        (lambda d: d["sources"]["F1_timer"].update(period="100"),
+         "source 'F1_timer': "),
+        (lambda d: d["sources"].update(F1_timer={"type": "quantum"}),
+         "source 'F1_timer': unknown event-model type"),
+    ], ids=["task-without-resource", "bogus-junction-kind", "tasks-as-list",
+            "hspp-without-budget", "string-period", "unknown-model-type"])
+    def test_malformed_input_names_the_node(self, mutate, message):
+        payload = system_to_dict(build_system("hem"))
+        mutate(payload)
+        with pytest.raises(ModelError) as info:
+            system_from_dict(payload)
+        assert str(info.value).startswith(message)
+
 
 class TestDeterminism:
     """Canonical serialisation: the contract behind batch cache keys."""

@@ -8,20 +8,9 @@ assume it loses every race; a strict ``<`` would certify response
 times a tie-losing execution can exceed.
 """
 
-import pytest
-
 from repro.analysis import SPPScheduler, TaskSpec
 from repro.analysis import kernels
 from repro.eventmodels import periodic
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_config():
-    snap = (kernels.enabled, kernels.numpy_enabled, kernels.warm_start,
-            kernels.min_batch_lanes, kernels.min_batch_load)
-    yield
-    (kernels.enabled, kernels.numpy_enabled, kernels.warm_start,
-     kernels.min_batch_lanes, kernels.min_batch_load) = snap
 
 
 def tied_pair():
@@ -63,11 +52,11 @@ class TestEqualPriorityTies:
         assert rr.task_results["a"].details["interferers"] == 1.0
         assert rr.task_results["b"].details["interferers"] == 1.0
 
-    def test_batched_path_applies_same_tie_rule(self):
-        kernels.configure(vectorized=False)
-        scalar = SPPScheduler().analyze(tied_pair(), "cpu")
-        kernels.configure(vectorized=True, min_batch=0)
+    def test_batched_path_applies_same_tie_rule(self, monkeypatch,
+                                                force_batching):
         batched = SPPScheduler().analyze(tied_pair(), "cpu")
+        monkeypatch.setattr(kernels, "_np", None)
+        scalar = SPPScheduler().analyze(tied_pair(), "cpu")
         for name in ("a", "b"):
             assert batched.task_results[name].r_max == \
                 scalar.task_results[name].r_max == 25.0
