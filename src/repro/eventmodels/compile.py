@@ -13,8 +13,10 @@ This module compiles such chains into **array-backed curves**:
 * :func:`compile_model` snapshots any event model into a
   :class:`CompiledEventModel` — a :class:`CurveEventModel` subclass whose
   δ⁻/δ⁺ prefixes are plain lists.  While the source model is retained
-  (the default), queries beyond the stored prefix grow the arrays by
-  evaluating the source in geometric blocks, so every returned value is
+  (the default), queries beyond the stored prefix are answered by the
+  source: walks, η searches and block reads grow one prefix at a time
+  in geometric blocks, and a single point query far past the prefix
+  asks the source at that point only.  Every returned value is
   **exactly** the lazy model's value — analysis results are bit-identical
   with compilation on or off.  A *detached* compiled curve (``keep_source
   =False``) falls back to the conservative additive extension of
@@ -173,9 +175,12 @@ class CompiledEventModel(CurveEventModel):
     responsibility.
 
     With the source attached (the default), values beyond the stored
-    prefix are obtained by growing the arrays from the source in
-    geometric blocks — *exact*, never approximated.  Detached, the
-    inherited conservative extension of :class:`CurveEventModel` applies.
+    prefix come from the source — *exact*, never approximated: a query
+    within twice the prefix grows that side's array in a geometric
+    block, one further out is a single source evaluation.  The δ⁻ and
+    δ⁺ prefixes grow independently, so their lengths may differ.
+    Detached, the inherited conservative extension of
+    :class:`CurveEventModel` applies.
     """
 
     __slots__ = ("_source", "_fp")
@@ -214,27 +219,41 @@ class CompiledEventModel(CurveEventModel):
         self._source = None
 
     # ------------------------------------------------------------------
-    def _grow_to(self, n: int) -> None:
-        """Extend the prefix so it covers δ(n), sampling the source.
+    def _grow_to(self, n: int, plus: bool = False) -> list:
+        """The δ⁻ prefix (δ⁺ with ``plus``), grown from the source so it
+        covers δ(n).
 
         Grows geometrically (at least doubling) so repeated deep queries
-        amortise to O(1) source evaluations per index.
+        amortise to O(1) source evaluations per index.  The other side
+        is left alone: a δ⁻ walk never pays for δ⁺ samples.  The grown
+        prefix is a new list that replaces the old one instead of
+        extending it: the fingerprint cache shares curves between
+        threads, and a thread still reading the old list must never see
+        it change under it.  Callers index the returned list.
         """
+        prefix = self._dplus if plus else self._dmin
         src = self._source
-        dmin, dplus = self._dmin, self._dplus
-        top = len(dmin) - 1
+        top = len(prefix) - 1
         if src is None or n <= top:
-            return
+            return prefix
         target = max(n, 2 * top)
         if _obs.enabled:
             _obs.metrics().counter("compile.extensions").inc()
         # Block sampling lets chain nodes compute the whole prefix in one
-        # DP sweep (O(n) per node) instead of per-point recursion (O(n²)
-        # for the contribution-vector joins).
-        dmin.extend(src.delta_min_block(target)[top + 1:])
-        dplus.extend(src.delta_plus_block(target)[top + 1:])
+        # DP sweep (O(n) per node) instead of per-point recursion; its
+        # first entries equal the old prefix, sampled the same way.
+        if plus:
+            prefix = self._dplus = src.delta_plus_block(target)
+        else:
+            prefix = self._dmin = src.delta_min_block(target)
+        return prefix
 
     # ------------------------------------------------------------------
+    # Point queries within twice the prefix grow it, so walks over n stay
+    # amortised O(1); a query further out (the utilisation check's
+    # δ⁻(1000)) asks the source at that one point and leaves the prefix
+    # as it is.  Every model's point value equals its block entry, so
+    # both routes return the same float.
     def delta_min(self, n: int) -> float:
         self._check_n(n)
         if n < 2:
@@ -242,10 +261,12 @@ class CompiledEventModel(CurveEventModel):
         dmin = self._dmin
         if n < len(dmin):
             return dmin[n]
-        if self._source is not None:
-            self._grow_to(n)
-            return self._dmin[n]
-        return CurveEventModel.delta_min(self, n)
+        src = self._source
+        if src is None:
+            return CurveEventModel.delta_min(self, n)
+        if n > 2 * (len(dmin) - 1):
+            return src.delta_min(n)
+        return self._grow_to(n)[n]
 
     def delta_plus(self, n: int) -> float:
         self._check_n(n)
@@ -254,10 +275,12 @@ class CompiledEventModel(CurveEventModel):
         dplus = self._dplus
         if n < len(dplus):
             return dplus[n]
-        if self._source is not None:
-            self._grow_to(n)
-            return self._dplus[n]
-        return CurveEventModel.delta_plus(self, n)
+        src = self._source
+        if src is None:
+            return CurveEventModel.delta_plus(self, n)
+        if n > 2 * (len(dplus) - 1):
+            return src.delta_plus(n)
+        return self._grow_to(n, plus=True)[n]
 
     # ------------------------------------------------------------------
     # bisect-based characteristic functions over the prefix
@@ -271,15 +294,14 @@ class CompiledEventModel(CurveEventModel):
                 # Detached: defer to the generic pseudo-inverse over the
                 # extension rule.
                 return EventModel.eta_plus(self, dt)
-            while self._dmin[-1] < dt:
-                top = len(self._dmin) - 1
+            while dmin[-1] < dt:
+                top = len(dmin) - 1
                 if top > MAX_EVENTS:
                     raise UnboundedStreamError(
                         f"eta_plus({dt!r}) exceeds {MAX_EVENTS} events "
                         f"for {self!r}; the stream has no effective rate "
                         f"limit")
-                self._grow_to(2 * top)
-            dmin = self._dmin
+                dmin = self._grow_to(2 * top)
         # Largest n with δ⁻(n) < dt; entries 0/1 are 0 < dt, so the
         # insertion point is >= 2 and the result >= 1 — identical to the
         # generic exponential+binary search, in one bisect.
@@ -292,14 +314,13 @@ class CompiledEventModel(CurveEventModel):
         if dplus[-1] <= dt:
             if self._source is None:
                 return EventModel.eta_min(self, dt)
-            while self._dplus[-1] <= dt:
-                top = len(self._dplus) - 1
+            while dplus[-1] <= dt:
+                top = len(dplus) - 1
                 if top > MAX_EVENTS:
                     raise UnboundedStreamError(
                         f"eta_min({dt!r}) exceeds {MAX_EVENTS} events "
                         f"for {self!r}")
-                self._grow_to(2 * top)
-            dplus = self._dplus
+                dplus = self._grow_to(2 * top, plus=True)
         # Smallest n >= 0 with δ⁺(n + 2) > dt.
         return bisect_right(dplus, dt) - 2
 
@@ -307,24 +328,24 @@ class CompiledEventModel(CurveEventModel):
     # block evaluation — array slices instead of per-n virtual calls
     # ------------------------------------------------------------------
     def delta_min_block(self, n_max: int) -> list:
-        if n_max >= len(self._dmin):
-            if self._source is not None:
-                self._grow_to(n_max)
-            else:
-                return self._dmin[:] + [
+        dmin = self._dmin
+        if n_max >= len(dmin):
+            if self._source is None:
+                return dmin[:] + [
                     CurveEventModel.delta_min(self, n)
-                    for n in range(len(self._dmin), n_max + 1)]
-        return self._dmin[:n_max + 1]
+                    for n in range(len(dmin), n_max + 1)]
+            dmin = self._grow_to(n_max)
+        return dmin[:n_max + 1]
 
     def delta_plus_block(self, n_max: int) -> list:
-        if n_max >= len(self._dplus):
-            if self._source is not None:
-                self._grow_to(n_max)
-            else:
-                return self._dplus[:] + [
+        dplus = self._dplus
+        if n_max >= len(dplus):
+            if self._source is None:
+                return dplus[:] + [
                     CurveEventModel.delta_plus(self, n)
-                    for n in range(len(self._dplus), n_max + 1)]
-        return self._dplus[:n_max + 1]
+                    for n in range(len(dplus), n_max + 1)]
+            dplus = self._grow_to(n_max, plus=True)
+        return dplus[:n_max + 1]
 
     def __repr__(self) -> str:
         state = "attached" if self._source is not None else "detached"

@@ -55,11 +55,12 @@ from .curves import CachedModel
 class TaskOutputModel(EventModel):
     """Output event model of an analysed task (operation Θ_τ).
 
-    The recursion for δ'⁻ is memoised internally; instances are cheap to
-    evaluate repeatedly inside busy windows of downstream resources.
+    The recursion for δ'⁻ is memoised internally as a prefix list; a
+    point query past the memo fills it through the block recursion,
+    geometrically, so a walk over n costs amortised O(1) per point.
     """
 
-    __slots__ = ("_in", "r_min", "r_max", "_dmin_cache", "name")
+    __slots__ = ("_in", "r_min", "r_max", "_dmin_memo", "name")
 
     def __init__(self, input_model: EventModel, r_min: float, r_max: float,
                  name: str = "out"):
@@ -69,7 +70,7 @@ class TaskOutputModel(EventModel):
         self._in = input_model
         self.r_min = float(r_min)
         self.r_max = float(r_max)
-        self._dmin_cache = {0: 0.0, 1: 0.0}
+        self._dmin_memo = [0.0, 0.0]
         self.name = name
 
     @property
@@ -83,20 +84,26 @@ class TaskOutputModel(EventModel):
 
     def delta_min(self, n: int) -> float:
         self._check_n(n)
-        if n < 2:
-            return 0.0
-        cached = self._dmin_cache.get(n)
-        if cached is not None:
-            return cached
-        # Fill the memo iteratively to keep deep recursions off the stack.
-        start = max(k for k in self._dmin_cache) + 1
+        memo = self._dmin_memo
+        if n >= len(memo):
+            memo = self._fill(max(n, 2 * (len(memo) - 1)))
+        return memo[n]
+
+    def _fill(self, n_max: int) -> list:
+        """The δ'⁻ memo continued to n_max by one block recursion, as a
+        new list that replaces the memo (never extended in place: a
+        thread still reading the old list must not see it change)."""
+        memo = self._dmin_memo
+        src = self._in.delta_min_block(n_max)
         span = self.response_span
-        prev = self._dmin_cache[start - 1]
-        for k in range(start, n + 1):
-            val = max(self._in.delta_min(k) - span, prev + self.r_min)
-            self._dmin_cache[k] = val
-            prev = val
-        return self._dmin_cache[n]
+        r_min = self.r_min
+        out = memo[:]
+        prev = out[-1]
+        for k in range(len(memo), n_max + 1):
+            prev = max(src[k] - span, prev + r_min)
+            out.append(prev)
+        self._dmin_memo = out
+        return out
 
     def delta_plus(self, n: int) -> float:
         self._check_n(n)
@@ -106,16 +113,10 @@ class TaskOutputModel(EventModel):
 
     def delta_min_block(self, n_max: int) -> list:
         self._check_n(n_max)
-        top = max(self._dmin_cache)
-        if n_max > top:
-            src = self._in.delta_min_block(n_max)
-            span = self.response_span
-            r_min = self.r_min
-            cache = self._dmin_cache
-            prev = cache[top]
-            for k in range(top + 1, n_max + 1):
-                prev = cache[k] = max(src[k] - span, prev + r_min)
-        return [self._dmin_cache[k] for k in range(n_max + 1)]
+        memo = self._dmin_memo
+        if n_max >= len(memo):
+            memo = self._fill(n_max)
+        return memo[:n_max + 1]
 
     def delta_plus_block(self, n_max: int) -> list:
         self._check_n(n_max)
@@ -130,24 +131,48 @@ class TaskOutputModel(EventModel):
 # OR-join — paper eqs. (3) and (4)
 # ----------------------------------------------------------------------
 class _PairwiseOrJoin(EventModel):
-    """Exact OR-combination of exactly two event models."""
+    """Exact OR-combination of exactly two event models.
 
-    __slots__ = ("_a", "_b", "_dmin_cache", "_dplus_cache", "name")
+    Both δ functions are memoised as prefix lists filled by the block
+    merge below; a point query past the memo fills it geometrically, so
+    a cold δ(n) costs O(n) per fold level and a walk over n amortised
+    O(1) per point.  A fill builds a new list that replaces the memo,
+    as :meth:`TaskOutputModel._fill` does.
+    """
+
+    __slots__ = ("_a", "_b", "_dmin_memo", "_dplus_memo", "name")
 
     def __init__(self, a: EventModel, b: EventModel, name: str = "or2"):
         self._a = a
         self._b = b
-        self._dmin_cache: dict = {}
-        self._dplus_cache: dict = {}
+        self._dmin_memo = [0.0, 0.0]
+        self._dplus_memo = [0.0, 0.0]
         self.name = name
 
     def delta_min(self, n: int) -> float:
         self._check_n(n)
+        memo = self._dmin_memo
+        if n >= len(memo):
+            memo = self._merge_min(max(n, 2 * (len(memo) - 1)))
+        return memo[n]
+
+    def delta_plus(self, n: int) -> float:
+        self._check_n(n)
+        memo = self._dplus_memo
+        if n >= len(memo):
+            memo = self._merge_plus(max(n, 2 * (len(memo) - 1)))
+        return memo[n]
+
+    # ------------------------------------------------------------------
+    # reference: the per-point contribution-vector optimisation
+    # ------------------------------------------------------------------
+    def delta_min_eq3(self, n: int) -> float:
+        """δ⁻(n) by eq. (3) directly, without the memo: O(n) point
+        queries of the inputs.  The reference the tests hold the block
+        merge to."""
+        self._check_n(n)
         if n < 2:
             return 0.0
-        cached = self._dmin_cache.get(n)
-        if cached is not None:
-            return cached
         # eq. (3): min over k of max(δ⁻_a(k), δ⁻_b(n - k)).
         best = INF
         for k in range(0, n + 1):
@@ -156,16 +181,13 @@ class _PairwiseOrJoin(EventModel):
                 best = cand
             if best == 0.0:
                 break
-        self._dmin_cache[n] = best
         return best
 
-    def delta_plus(self, n: int) -> float:
+    def delta_plus_eq4(self, n: int) -> float:
+        """δ⁺(n) by eq. (4) directly (see :meth:`delta_min_eq3`)."""
         self._check_n(n)
         if n < 2:
             return 0.0
-        cached = self._dplus_cache.get(n)
-        if cached is not None:
-            return cached
         # eq. (4): max over j_a + j_b = n - 2 of
         #          min(δ⁺_a(j_a + 2), δ⁺_b(j_b + 2)).
         m = n - 2
@@ -177,7 +199,6 @@ class _PairwiseOrJoin(EventModel):
                 best = cand
             if math.isinf(best):
                 break
-        self._dplus_cache[n] = best
         return best
 
     # ------------------------------------------------------------------
@@ -195,39 +216,51 @@ class _PairwiseOrJoin(EventModel):
     # vector optimisation — at O(n) per join level instead of O(n²).
     def delta_min_block(self, n_max: int) -> list:
         self._check_n(n_max)
+        memo = self._dmin_memo
+        if n_max >= len(memo):
+            memo = self._merge_min(n_max)
+        return memo[:n_max + 1]
+
+    def delta_plus_block(self, n_max: int) -> list:
+        self._check_n(n_max)
+        memo = self._dplus_memo
+        if n_max >= len(memo):
+            memo = self._merge_plus(n_max)
+        return memo[:n_max + 1]
+
+    def _merge_min(self, n_max: int) -> list:
+        """Merge the input δ⁻ blocks up to n_max into a new memo."""
         da = self._a.delta_min_block(n_max)
         db = self._b.delta_min_block(n_max)
         out = [0.0] * (n_max + 1)
-        cache = self._dmin_cache
         # The merged multiset leads with da[1] = db[1] = 0; out[n] is its
         # n-th smallest element, so consume da[1] up front and take one
         # further element per n.
         i, j = 2, 1
         for n in range(2, n_max + 1):
             if da[i] <= db[j]:
-                val = da[i]
+                out[n] = da[i]
                 i += 1
             else:
-                val = db[j]
+                out[n] = db[j]
                 j += 1
-            out[n] = cache[n] = val
+        self._dmin_memo = out
         return out
 
-    def delta_plus_block(self, n_max: int) -> list:
-        self._check_n(n_max)
+    def _merge_plus(self, n_max: int) -> list:
+        """Merge the input δ⁺ blocks up to n_max into a new memo."""
         pa = self._a.delta_plus_block(n_max)
         pb = self._b.delta_plus_block(n_max)
         out = [0.0] * (n_max + 1)
-        cache = self._dplus_cache
         i = j = 2
         for n in range(2, n_max + 1):
             if pa[i] <= pb[j]:
-                val = pa[i]
+                out[n] = pa[i]
                 i += 1
             else:
-                val = pb[j]
+                out[n] = pb[j]
                 j += 1
-            out[n] = cache[n] = val
+        self._dplus_memo = out
         return out
 
 

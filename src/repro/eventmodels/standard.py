@@ -84,6 +84,26 @@ class StandardEventModel(EventModel):
             return INF
         return (n - 1) * self.period + self.jitter
 
+    # The blocks evaluate the closed forms above with the same float
+    # expressions, so every entry equals the per-n value bit for bit.
+    def delta_min_block(self, n_max: int) -> list:
+        self._check_n(n_max)
+        p, j, d = self.period, self.jitter, self.d_min
+        out = [0.0] * min(n_max + 1, 2)
+        out.extend(max((n - 1) * p - j, (n - 1) * d)
+                   for n in range(2, n_max + 1))
+        return out
+
+    def delta_plus_block(self, n_max: int) -> list:
+        self._check_n(n_max)
+        out = [0.0] * min(n_max + 1, 2)
+        if self.sporadic:
+            out.extend([INF] * (n_max - 1))
+        else:
+            p, j = self.period, self.jitter
+            out.extend((n - 1) * p + j for n in range(2, n_max + 1))
+        return out
+
     # ------------------------------------------------------------------
     # closed-form characteristic functions
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
+from numbers import Real
 from typing import Any, Dict, Iterator
 
 from .._errors import ModelError
@@ -39,6 +40,7 @@ from ..analysis.spp import SPPScheduler
 from ..analysis.tdma import TDMAScheduler
 from ..core.constructors import TransferProperty
 from ..eventmodels.base import EventModel
+from ..eventmodels.compile import CompiledEventModel
 from ..eventmodels.curves import CurveEventModel, freeze
 from ..eventmodels.standard import StandardEventModel
 from .model import JunctionKind, System
@@ -60,7 +62,11 @@ def model_to_dict(model: EventModel) -> "Dict[str, Any]":
             "sporadic": model.sporadic,
             "name": model.name,
         }
-    if not isinstance(model, CurveEventModel):
+    # A compiled curve's prefix is as long as its queries have grown it,
+    # so it is sampled at the fixed depth like any other derived model:
+    # one curve, one encoding, one content hash.
+    if (not isinstance(model, CurveEventModel)
+            or isinstance(model, CompiledEventModel)):
         model = freeze(model, n_max=FREEZE_N)
     return {
         "type": "curve",
@@ -122,10 +128,38 @@ def scheduler_to_dict(scheduler: Scheduler) -> "Dict[str, Any]":
         f"scheduler {type(scheduler).__name__} has no serialisation")
 
 
+def _number(value: Any, key: str, optional: bool = False):
+    """*value* if it is a real number (or None when *optional*).
+
+    Anything else would pass loading and fail only inside the analysis,
+    as a ``TypeError`` naming no node.
+    """
+    # The JSON number types pass an exact type test first: the ABC test
+    # below costs about 0.6 µs a call, which every task of every sweep
+    # point would pay.
+    if type(value) in (float, int) or (value is None and optional):
+        return value
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ModelError(f"{key}: expected a number, got {value!r}")
+    return value
+
+
+def _port(value: Any, key: str) -> str:
+    """*value* if it is a port name: a string."""
+    if not isinstance(value, str):
+        raise ModelError(f"{key}: expected a port name, got {value!r}")
+    return value
+
+
 def scheduler_from_dict(data: "Dict[str, Any]") -> Scheduler:
     policy = data.get("policy")
+
+    def limit():
+        return _number(data.get("utilization_limit", 1.0),
+                       "utilization_limit")
+
     if policy == "spp":
-        return SPPScheduler(data.get("utilization_limit", 1.0))
+        return SPPScheduler(limit())
     if policy == "spnp":
         error_model = None
         if data.get("error_model"):
@@ -134,14 +168,13 @@ def scheduler_from_dict(data: "Dict[str, Any]") -> Scheduler:
                 burst_errors=em.get("burst_errors", 0),
                 error_rate=em.get("error_rate", 0.0),
                 recovery_time=em.get("recovery_time", 0.0))
-        return SPNPScheduler(data.get("utilization_limit", 1.0),
-                             error_model=error_model)
+        return SPNPScheduler(limit(), error_model=error_model)
     if policy == "round_robin":
-        return RoundRobinScheduler(data.get("utilization_limit", 1.0))
+        return RoundRobinScheduler(limit())
     if policy == "tdma":
         return TDMAScheduler()
     if policy == "edf":
-        return EDFScheduler(data.get("utilization_limit", 1.0))
+        return EDFScheduler(limit())
     if policy == "hspp":
         return HierarchicalSPPScheduler(PeriodicResource(
             data["server_period"], data["server_budget"]))
@@ -248,18 +281,24 @@ def system_from_dict(data: "Dict[str, Any]") -> System:
             system.add_resource(name, scheduler_from_dict(sched_data))
     for name, t in _section(data, "tasks"):
         with _node("task", name):
-            system.add_task(name, t["resource"], (t["c_min"], t["c_max"]),
-                            t["inputs"], priority=t.get("priority", 0),
-                            slot=t.get("slot"), deadline=t.get("deadline"),
-                            activation=t.get("activation", "or"),
-                            blocking=t.get("blocking", 0.0))
+            system.add_task(
+                name, t["resource"], (t["c_min"], t["c_max"]),
+                [_port(p, "inputs") for p in t["inputs"]],
+                priority=_number(t.get("priority", 0), "priority"),
+                slot=_number(t.get("slot"), "slot", optional=True),
+                deadline=_number(t.get("deadline"), "deadline",
+                                 optional=True),
+                activation=t.get("activation", "or"),
+                blocking=_number(t.get("blocking", 0.0), "blocking"))
     for name, j in _section(data, "junctions"):
         with _node("junction", name):
+            timer = j.get("timer")
             system.add_junction(
-                name, JunctionKind(j["kind"]), j["inputs"],
+                name, JunctionKind(j["kind"]),
+                [_port(p, "inputs") for p in j["inputs"]],
                 properties={k: TransferProperty(v)
                             for k, v in j.get("properties", {}).items()},
-                timer=j.get("timer"))
+                timer=None if timer is None else _port(timer, "timer"))
     system.validate()
     return system
 

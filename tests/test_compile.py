@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -110,29 +112,149 @@ def test_block_apis_match_pointwise():
         assert fresh.delta_plus_block(39) == ref_plus, kind
 
 
+@pytest.mark.parametrize("model", [
+    periodic(100.0),
+    periodic_with_jitter(100.0, 30.0),
+    periodic_with_burst(100.0, 250.0, 10.0),
+    StandardEventModel(100.0, 30.0, sporadic=True),
+], ids=["periodic", "jitter", "burst", "sporadic"])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 1000])
+def test_standard_blocks_match_pointwise(model, n_max):
+    assert model.delta_min_block(n_max) == [
+        model.delta_min(n) for n in range(n_max + 1)]
+    assert model.delta_plus_block(n_max) == [
+        model.delta_plus(n) for n in range(n_max + 1)]
+
+
+def _random_sem_or_theta(rng):
+    p = rng.uniform(2.0, 50.0)
+    m = StandardEventModel(
+        period=p, jitter=rng.uniform(0.0, 80.0),
+        d_min=rng.choice([0.0, rng.uniform(0.0, 0.9 * p)]))
+    if rng.random() < 0.5:
+        m = TaskOutputModel(m, rng.uniform(0.0, 4.0), rng.uniform(4.0, 9.0))
+    return m
+
+
 def test_or_join_block_matches_contribution_vector_dp():
     """The merge-based block evaluation of the pairwise OR-join must be
-    bit-identical to the per-n contribution-vector optimisation on
-    randomized inputs."""
+    bit-identical to the per-n contribution-vector optimisation of
+    eqs. (3)/(4) on randomized inputs."""
     rng = random.Random(42)
     for _ in range(50):
-        def mk():
-            p = rng.uniform(2.0, 50.0)
-            m = StandardEventModel(
-                period=p, jitter=rng.uniform(0.0, 80.0),
-                d_min=rng.choice([0.0, rng.uniform(0.0, 0.9 * p)]))
-            if rng.random() < 0.5:
-                m = TaskOutputModel(m, rng.uniform(0.0, 4.0),
-                                    rng.uniform(4.0, 9.0))
-            return m
-
-        join = _PairwiseOrJoin(mk(), mk())
+        join = _PairwiseOrJoin(_random_sem_or_theta(rng),
+                               _random_sem_or_theta(rng))
         block_min = join.delta_min_block(48)
         block_plus = join.delta_plus_block(48)
-        fresh = _PairwiseOrJoin(join._a, join._b)  # cold caches
         for n in range(49):
-            assert block_min[n] == fresh.delta_min(n), n
-            assert block_plus[n] == fresh.delta_plus(n), n
+            assert block_min[n] == join.delta_min_eq3(n), n
+            assert block_plus[n] == join.delta_plus_eq4(n), n
+    # A cold point far out on a 6-way fold: the memo fill through the
+    # merge agrees with eq. (3) evaluated at the top join.
+    leaves = [_random_sem_or_theta(rng) for _ in range(6)]
+    fold = or_join(leaves).wrapped
+    reference = or_join(leaves).wrapped
+    assert fold.delta_min(1000) == reference.delta_min_eq3(1000)
+    assert fold.delta_plus(1000) == reference.delta_plus_eq4(1000)
+
+
+# ----------------------------------------------------------------------
+# growth rules: far point queries ask the source, each side grows alone
+# ----------------------------------------------------------------------
+def make_load_chains():
+    """The chain shapes whose δ⁻(1000) the utilisation check reads."""
+    sem = periodic_with_jitter(100.0, 30.0, "sig")
+    frame = or_join([periodic_with_jitter(100.0, 30.0, "a"),
+                     periodic(250.0, "b"),
+                     periodic_with_burst(100.0, 250.0, 10.0, "c")],
+                    name="frame")
+    return {
+        "ijs(sem)": InnerJitterSpacingModel(sem, jitter=7.0, spacing=2.0,
+                                            k=3),
+        "ijs(pending(sem,or2))": InnerJitterSpacingModel(
+            PendingInnerModel(sem, frame), jitter=7.0, spacing=2.0, k=3),
+        "theta(or2)": TaskOutputModel(frame, 2.0, 9.0),
+        "or2": frame,
+    }
+
+
+POINTWISE = ("ijs(sem)", "ijs(pending(sem,or2))")
+
+
+@pytest.mark.parametrize("kind", list(make_load_chains()))
+def test_load_on_compiled_chain_matches_lazy(kind):
+    lazy = make_load_chains()[kind]
+    compiled = compile_model(make_load_chains()[kind])
+    assert compiled.load() == lazy.load()
+    assert compiled.delta_min(1000) == lazy.delta_min(1000)
+    if kind in POINTWISE:
+        assert compiled.prefix_length == emc.N_HINT
+        assert len(compiled._dplus) - 1 == emc.N_HINT
+
+
+@pytest.mark.parametrize("kind", list(make_load_chains()))
+def test_each_prefix_side_grows_alone(kind):
+    lazy = make_load_chains()[kind]
+    compiled = compile_model(make_load_chains()[kind])
+    top = emc.N_HINT
+    # far points: answered by the source, neither side grows
+    assert compiled.delta_min(200) == lazy.delta_min(200)
+    assert compiled.delta_plus(200) == lazy.delta_plus(200)
+    assert len(compiled._dmin) - 1 == len(compiled._dplus) - 1 == top
+    # a δ⁻ walk grows δ⁻ only, a δ⁺ walk δ⁺ only
+    for n in range(2, 201):
+        assert compiled.delta_min(n) == lazy.delta_min(n), n
+    assert len(compiled._dmin) - 1 >= 200
+    assert len(compiled._dplus) - 1 == top
+    for n in range(2, 201):
+        assert compiled.delta_plus(n) == lazy.delta_plus(n), n
+    assert len(compiled._dplus) - 1 >= 200
+
+
+def test_shared_curve_growth_is_thread_safe():
+    """The fingerprint cache shares compiled curves (and their source
+    chains' memos) between threads, such as the serve daemon's workers.
+    Concurrent walks, far points and η searches must all read the lazy
+    values and leave prefixes of them: growth never mutates a list a
+    reader may hold."""
+    lazy = make_chains()["theta"]
+    ref_min = lazy.delta_min_block(4096)
+    ref_plus = lazy.delta_plus_block(4096)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            compiled = compile_model(make_chains()["theta"], n_hint=4)
+            errors = []
+
+            def work(seed):
+                rng = random.Random(seed)
+                try:
+                    for n in range(2, 600):
+                        k = n if rng.random() < 0.8 else rng.randrange(1300)
+                        if compiled.delta_min(k) != ref_min[k]:
+                            errors.append(("delta_min", k))
+                        if compiled.delta_plus(k) != ref_plus[k]:
+                            errors.append(("delta_plus", k))
+                    for dt in (500.0, 5000.0, 50000.0):
+                        if compiled.eta_plus(dt) != lazy.eta_plus(dt):
+                            errors.append(("eta_plus", dt))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=work, args=(trial * 8 + i,))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == [], (trial, errors[:5])
+            assert len(compiled._dmin) < 4096
+            assert compiled._dmin == ref_min[:len(compiled._dmin)]
+            assert compiled._dplus == ref_plus[:len(compiled._dplus)]
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # ----------------------------------------------------------------------

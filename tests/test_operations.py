@@ -19,6 +19,8 @@ from repro.eventmodels import (
     periodic_with_jitter,
     sporadic,
 )
+from repro.eventmodels.base import EventModel
+from repro.eventmodels.operations import _PairwiseOrJoin
 from repro.timebase import INF
 
 
@@ -208,6 +210,90 @@ class TestOrJoinSuperpositionEquivalence:
                 if not math.isinf(p_exact):
                     assert p_sup == pytest.approx(p_exact, abs=1e-6,
                                                   rel=1e-9), n
+
+
+class _Counting(EventModel):
+    """Leaf wrapper counting the point and block queries reaching it."""
+
+    def __init__(self, inner: EventModel):
+        self.inner = inner
+        self.name = inner.name
+        self.points = 0
+        self.blocks = 0
+
+    def delta_min(self, n):
+        self.points += 1
+        return self.inner.delta_min(n)
+
+    def delta_plus(self, n):
+        self.points += 1
+        return self.inner.delta_plus(n)
+
+    def delta_min_block(self, n_max):
+        self.blocks += 1
+        return self.inner.delta_min_block(n_max)
+
+    def delta_plus_block(self, n_max):
+        self.blocks += 1
+        return self.inner.delta_plus_block(n_max)
+
+
+def _counting_leaves(k):
+    return [_Counting(periodic_with_jitter(100.0 + 7.0 * i, 3.0 * i))
+            for i in range(k)]
+
+
+class TestRecursiveMemoFill:
+    """Θ_τ and the pairwise OR-join answer a cold point by filling their
+    memo through the block path: O(n) per node, not O(n) point queries
+    of the inputs per point."""
+
+    def test_cold_point_on_16_way_or_join_is_one_pass_per_level(
+            self, monkeypatch):
+        merges = []
+        merge_min = _PairwiseOrJoin._merge_min
+
+        def counted(self, n_max):
+            merges.append(n_max)
+            return merge_min(self, n_max)
+
+        monkeypatch.setattr(_PairwiseOrJoin, "_merge_min", counted)
+        leaves = _counting_leaves(16)
+        join = or_join(leaves)
+        value = join.delta_min(1000)
+        assert merges == [1000] * 15  # one merge per fold level
+        assert [(leaf.points, leaf.blocks) for leaf in leaves] == \
+            [(0, 1)] * 16
+        # the memo now covers the range: blocks come from it
+        join.wrapped.delta_min_block(500)
+        assert len(merges) == 15
+        assert all(leaf.blocks == 1 for leaf in leaves)
+        reference = or_join([leaf.inner for leaf in leaves]).wrapped
+        assert value == reference.delta_min_eq3(1000)
+
+    def test_point_walk_fills_geometrically(self):
+        leaves = _counting_leaves(4)
+        join = or_join(leaves).wrapped
+        reference = or_join([leaf.inner for leaf in leaves]).wrapped
+        ref_min = reference.delta_min_block(1000)
+        ref_plus = reference.delta_plus_block(1000)
+        for n in range(0, 1001):
+            assert join.delta_min(n) == ref_min[n]
+            assert join.delta_plus(n) == ref_plus[n]
+        # the memo doubles: 2, 4, ..., 1024 is ten passes per side
+        assert all(leaf.points == 0 and leaf.blocks <= 20
+                   for leaf in leaves)
+
+    def test_theta_cold_point_is_one_block_pass(self):
+        leaf = _Counting(periodic_with_jitter(100.0, 30.0))
+        theta = TaskOutputModel(leaf, 2.0, 9.0)
+        reference = TaskOutputModel(periodic_with_jitter(100.0, 30.0),
+                                    2.0, 9.0)
+        assert theta.delta_min(1000) == \
+            reference.delta_min_block(1000)[1000]
+        assert (leaf.points, leaf.blocks) == (0, 1)
+        assert theta.delta_min_block(1000)[1000] == theta.delta_min(1000)
+        assert leaf.blocks == 1
 
 
 class TestAndJoin:

@@ -15,6 +15,8 @@ from repro.analysis import (
     TDMAScheduler,
 )
 from repro.eventmodels import (
+    TaskOutputModel,
+    compile_model,
     models_equal,
     or_join,
     periodic,
@@ -24,6 +26,7 @@ from repro.eventmodels import (
 from repro.examples_lib.rox08 import build_system
 from repro.system import (
     analyze_system,
+    content_hash,
     model_from_dict,
     model_to_dict,
     scheduler_from_dict,
@@ -31,6 +34,7 @@ from repro.system import (
     system_from_dict,
     system_to_dict,
 )
+from repro.system.serialize import FREEZE_N
 
 
 class TestModelRoundTrip:
@@ -49,6 +53,22 @@ class TestModelRoundTrip:
         # exact within the freeze horizon
         for n in range(2, 32):
             assert clone.delta_min(n) == pytest.approx(join.delta_min(n))
+
+    def test_compiled_curve_encoding_ignores_query_history(self):
+        """A compiled curve's prefix grows with the queries it answers;
+        its encoding, and so its content hash, must not."""
+        compiled = compile_model(
+            TaskOutputModel(periodic_with_jitter(100.0, 30.0), 2.0, 9.0))
+        before = model_to_dict(compiled)
+        compiled.load()
+        compiled.delta_min_block(80)  # grows the δ⁻ prefix alone
+        after = model_to_dict(compiled)
+        assert content_hash(after) == content_hash(before)
+        assert len(after["delta_min"]) == len(after["delta_plus"]) \
+            == FREEZE_N + 1
+        clone = model_from_dict(after)
+        assert models_equal(clone, compiled, n_max=FREEZE_N)
+        assert model_to_dict(clone) == after
 
     def test_json_compatible(self):
         payload = model_to_dict(periodic_with_jitter(10.0, 3.0))
@@ -131,8 +151,20 @@ class TestSystemRoundTrip:
          "source 'F1_timer': "),
         (lambda d: d["sources"].update(F1_timer={"type": "quantum"}),
          "source 'F1_timer': unknown event-model type"),
+        (lambda d: d["tasks"]["T1"].update(inputs=[["S1"]]),
+         "task 'T1': inputs: expected a port name"),
+        (lambda d: d["junctions"]["F1_rx"].update(inputs=[["F1"]]),
+         "junction 'F1_rx': inputs: expected a port name"),
+        (lambda d: d["junctions"]["F1_pack"].update(timer=["F1_timer"]),
+         "junction 'F1_pack': timer: expected a port name"),
+        (lambda d: d["resources"]["CPU1"].update(utilization_limit="x"),
+         "resource 'CPU1': utilization_limit: expected a number"),
+        (lambda d: d["tasks"]["T1"].update(priority="x"),
+         "task 'T1': priority: expected a number"),
     ], ids=["task-without-resource", "bogus-junction-kind", "tasks-as-list",
-            "hspp-without-budget", "string-period", "unknown-model-type"])
+            "hspp-without-budget", "string-period", "unknown-model-type",
+            "list-task-input", "list-junction-input", "list-junction-timer",
+            "string-utilization-limit", "string-priority"])
     def test_malformed_input_names_the_node(self, mutate, message):
         payload = system_to_dict(build_system("hem"))
         mutate(payload)
