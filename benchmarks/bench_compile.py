@@ -1,8 +1,9 @@
-"""End-to-end benchmark of the curve-compilation pass.
+"""End-to-end benchmark of chain sharing.
 
-Times ``analyze_system`` with compilation disabled (lazy per-``n``
-chain evaluation, the pre-compilation behaviour) against compilation
-enabled (``repro.eventmodels.compile``) on
+Times ``analyze_system`` with sharing off (``compile.enabled = False``:
+every global iteration evaluates freshly built chains) against sharing
+on (``repro.eventmodels.compile``: chains interned by fingerprint, each
+analysis starting from ``compile.cache().clear()``) on
 
 * the paper's RoX08 gateway case study (flat and hierarchical variants),
 * a synthetic wide-fanout COM-layer space (``repro.examples_lib.synth``)
@@ -10,7 +11,7 @@ enabled (``repro.eventmodels.compile``) on
 
 verifies that both modes produce **bit-identical** analysis results
 (response times, utilizations, iteration counts), and records a
-``__slots__`` micro-benchmark of the hot event-model classes.
+``__slots__`` micro-benchmark of the memoised chain classes.
 
 Usage::
 
@@ -18,8 +19,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_compile.py --quick  # CI smoke
 
 Emits ``BENCH_compile.json`` into the repository root (override with
-``BENCH_OUT_DIR``).  Exit status is non-zero when the compiled mode is
-slower than lazy on the RoX08 case or when any case diverges between
+``BENCH_OUT_DIR``).  Exit status is non-zero when the shared mode is
+slower than unshared on the RoX08 case or when any case diverges between
 the two modes — the CI smoke job runs ``--quick`` as a regression gate.
 """
 
@@ -38,8 +39,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_history import envelope  # noqa: E402
 from repro import obs  # noqa: E402
 from repro.eventmodels import compile as emc  # noqa: E402
-from repro.eventmodels.curves import CachedModel  # noqa: E402
-from repro.eventmodels.operations import TaskOutputModel  # noqa: E402
+from repro.eventmodels.operations import (  # noqa: E402
+    TaskOutputModel,
+    _PairwiseOrJoin,
+)
 from repro.eventmodels.standard import StandardEventModel  # noqa: E402
 from repro.examples_lib.rox08 import build_system as build_rox08  # noqa: E402
 from repro.examples_lib.synth import synth_system  # noqa: E402
@@ -71,58 +74,62 @@ def result_key(result) -> dict:
 
 
 def time_case(build, repeats: int):
-    """Best-of-``repeats`` wall time for lazy and compiled runs plus the
-    result digests and compile-cache statistics."""
-    lazy_times, compiled_times = [], []
-    lazy_key = compiled_key = None
+    """Best-of-``repeats`` wall time for unshared and shared runs plus
+    the result digests and fingerprint-cache statistics."""
+    unshared_times, shared_times = [], []
+    unshared_key = shared_key = None
     cache_stats = {}
-    for _ in range(repeats):
-        emc.configure(enabled=False)
-        system = build()
-        t0 = time.perf_counter()
-        lazy_key = result_key(analyze_system(system))
-        lazy_times.append(time.perf_counter() - t0)
+    try:
+        for _ in range(repeats):
+            emc.enabled = False
+            system = build()
+            t0 = time.perf_counter()
+            unshared_key = result_key(analyze_system(system))
+            unshared_times.append(time.perf_counter() - t0)
 
-        emc.configure(enabled=True, reset_cache=True)
-        system = build()
-        t0 = time.perf_counter()
-        compiled_key = result_key(analyze_system(system))
-        compiled_times.append(time.perf_counter() - t0)
-        cache_stats = emc.cache().stats()
-    emc.configure(enabled=True)
+            emc.enabled = True
+            emc.cache().clear()
+            system = build()
+            t0 = time.perf_counter()
+            shared_key = result_key(analyze_system(system))
+            shared_times.append(time.perf_counter() - t0)
+            cache_stats = emc.cache().stats()
+    finally:
+        emc.enabled = True
     return {
-        "lazy_seconds": min(lazy_times),
-        "compiled_seconds": min(compiled_times),
-        "speedup": min(lazy_times) / min(compiled_times),
-        "identical": lazy_key == compiled_key,
-        "iterations": lazy_key["iterations"],
+        "unshared_seconds": min(unshared_times),
+        "shared_seconds": min(shared_times),
+        "speedup": min(unshared_times) / min(shared_times),
+        "identical": unshared_key == shared_key,
+        "iterations": unshared_key["iterations"],
         "compile_cache": cache_stats,
     }
 
 
 def slots_microbench(n: int = 50_000) -> dict:
-    """Instance-construction micro-benchmark for the ``__slots__``-ed hot
-    classes.  ``__slots__`` removes the per-instance ``__dict__``; the
-    interesting numbers are construction rate and the confirmation that
-    no ``__dict__`` exists to pay for."""
+    """Instance-construction micro-benchmark for the ``__slots__``-ed
+    memoised chain classes (Θ_τ and the pairwise OR-join), which every
+    global iteration builds.  ``__slots__`` removes the per-instance
+    ``__dict__``; the interesting numbers are construction rate and the
+    confirmation that no ``__dict__`` exists to pay for."""
     src = StandardEventModel(period=10.0, jitter=4.0)
 
     def build_many():
         t0 = time.perf_counter()
         for _ in range(n):
-            CachedModel(TaskOutputModel(src, 1.0, 3.0))
+            _PairwiseOrJoin(TaskOutputModel(src, 1.0, 3.0), src)
         return time.perf_counter() - t0
 
     build_many()  # warm-up
     seconds = build_many()
-    sample = CachedModel(TaskOutputModel(src, 1.0, 3.0))
+    sample = _PairwiseOrJoin(TaskOutputModel(src, 1.0, 3.0), src)
     return {
         "instances": 2 * n,
         "seconds": seconds,
         "instances_per_second": 2 * n / seconds,
         "has_dict": {
-            "TaskOutputModel": hasattr(sample.wrapped, "__dict__"),
-            "CachedModel": hasattr(sample, "__dict__"),
+            "TaskOutputModel": hasattr(sample._a, "__dict__"),
+            "_PairwiseOrJoin": hasattr(sample, "__dict__"),
         },
     }
 
@@ -163,23 +170,23 @@ def main(argv=None) -> int:
 
     for case, row in report["cases"].items():
         flag = "" if row["identical"] else "  RESULTS DIVERGE"
-        print(f"{case:>16}: lazy {row['lazy_seconds']:7.3f}s   "
-              f"compiled {row['compiled_seconds']:7.3f}s   "
+        print(f"{case:>16}: unshared {row['unshared_seconds']:7.3f}s   "
+              f"shared {row['shared_seconds']:7.3f}s   "
               f"speedup {row['speedup']:7.1f}x{flag}")
         if not row["identical"]:
-            failures.append(f"{case}: lazy and compiled results differ")
+            failures.append(f"{case}: unshared and shared results differ")
     mb = report["slots_microbench"]
     print(f"  slots microbench: {mb['instances']} instances in "
           f"{mb['seconds']:.3f}s ({mb['instances_per_second']:,.0f}/s), "
           f"__dict__ present: {mb['has_dict']}")
 
-    # Regression gate: compiled must not be slower than lazy on rox08.
+    # Regression gate: shared must not be slower than unshared on rox08.
     for variant in ("flat", "hem"):
         row = report["cases"][f"rox08_{variant}"]
-        if row["compiled_seconds"] > row["lazy_seconds"]:
+        if row["shared_seconds"] > row["unshared_seconds"]:
             failures.append(
-                f"rox08_{variant}: compiled ({row['compiled_seconds']:.3f}s)"
-                f" slower than lazy ({row['lazy_seconds']:.3f}s)")
+                f"rox08_{variant}: shared ({row['shared_seconds']:.3f}s)"
+                f" slower than unshared ({row['unshared_seconds']:.3f}s)")
 
     report["failures"] = failures
     BENCH_OUT_DIR.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,7 @@ median of the last ``--window`` history entries, and the gate fails
 when the current value drops more than ``--threshold`` (fractional)
 below that baseline.  All tracked metrics are higher-is-better:
 
-* ``compile.min_speedup``      — worst-case compiled/lazy speedup
+* ``compile.min_speedup``      — worst-case shared/unshared speedup
                                  across the ``BENCH_compile.json`` cases
 * ``batch.throughput``         — points / pool wall seconds
 * ``batch.warm_cache_hit_rate``— warm-rerun store hit rate

@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # Best-of needs a couple of repeats even in quick mode: a single
-    # repeat times the scalar baseline against cold model/compile
+    # repeat times the scalar baseline against cold model/chain
     # caches, which flatters (or on tiny cases penalizes) whichever
     # configuration happens to run second.
     repeats = args.repeats or (2 if args.quick else 5)

@@ -32,8 +32,9 @@ dispatches per model type:
 
 * :class:`~repro.eventmodels.standard.StandardEventModel` — elementwise
   replica of the closed form (same IEEE-754 ops);
-* compiled / generic-η⁺ models — ``searchsorted`` over the exact δ⁻
-  sample table, which *is* the generic pseudo-inverse;
+* prefix-memo (Θ_τ, OR-join) / generic-η⁺ models — ``searchsorted``
+  over the exact δ⁻ sample table, which *is* the generic
+  pseudo-inverse;
 * models that override ``eta_plus`` (superposition OR-join, hierarchical
   outer models, degraded envelopes) — per-lane scalar calls.
 """
@@ -45,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .. import obs as _obs
 from .._errors import NotSchedulableError, UnboundedStreamError
 from ..eventmodels.base import MAX_EVENTS, EventModel, NullEventModel
-from ..eventmodels.compile import CompiledEventModel
+from ..eventmodels.operations import PrefixMemoModel
 from ..eventmodels.standard import StandardEventModel
 from ..timebase import EPS, time_eq
 from . import busy_window as _busy_window
@@ -104,8 +105,9 @@ _TABLE_SEED = 32
 class EtaTable:
     """Vector η⁺ for one event model, bit-identical to ``model.eta_plus``.
 
-    ``table``-kind models (compiled curves and any model using the
-    generic search in :meth:`EventModel.eta_plus`) are evaluated by
+    ``table``-kind models (Θ_τ and OR-join prefix memos, whose η⁺
+    bisect equals the generic search in :meth:`EventModel.eta_plus`, and
+    any model using that search) are evaluated by
     searching the exact δ⁻ sample prefix: the generic η⁺ *is* "largest n
     with δ⁻(n) < dt" (min 1 for dt > 0), which is
     ``searchsorted(δ⁻ samples, dt) - 1`` — no approximation involved.
@@ -126,7 +128,7 @@ class EtaTable:
             self._p = model.period
             self._j = model.jitter
             self._d = model.d_min
-        elif (isinstance(model, CompiledEventModel)
+        elif (isinstance(model, PrefixMemoModel)
               or type(model).eta_plus is EventModel.eta_plus):
             self.kind = _KIND_TABLE
             self._dmin = list(model.delta_min_block(_TABLE_SEED))

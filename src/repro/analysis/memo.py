@@ -4,7 +4,7 @@ The incremental re-analysis machinery rests on one observation: a local
 scheduling analysis is a **pure function** of (scheduler parameters,
 ordered task-spec list).  Two spec lists with equal *structural
 fingerprints* — name, execution times, priority/slot/deadline/blocking,
-plus the compiled-curve fingerprint of the activating event model
+plus the structural fingerprint of the activating event model
 (:func:`repro.eventmodels.compile.fingerprint`) — produce bit-identical
 :class:`~repro.analysis.results.ResourceResult`\\ s, so re-running the
 solver is wasted work.  That equality argument is exact, not heuristic:

@@ -56,7 +56,7 @@ class ConstructionRule(ABC):
         """Canonical key of the rule for structural fingerprints
         (:mod:`repro.eventmodels.compile`).  Rules that carry constructor
         state the inner update functions read must override this so two
-        hierarchies only share compiled curves when that state agrees."""
+        hierarchies only share chains when that state agrees."""
         return (self.name,)
 
 
@@ -173,7 +173,7 @@ def is_hierarchical(model: EventModel) -> bool:
 
 
 # ----------------------------------------------------------------------
-# curve-compilation integration
+# chain-sharing integration
 # ----------------------------------------------------------------------
 def _hem_fingerprint(model: HierarchicalEventModel):
     parts = [("rule",) + model.rule.fingerprint_key(),
@@ -188,11 +188,11 @@ def _hem_fingerprint(model: HierarchicalEventModel):
     return tuple(out)
 
 
-def _hem_compile(model: HierarchicalEventModel, name):
-    """Structural compile hook: compile the outer and every inner stream
-    while preserving the hierarchy and its construction rule."""
-    outer = maybe_compile(model.outer, name=f"{model.name}.outer")
-    inner = {label: maybe_compile(model.inner(label), name=label)
+def _hem_compile(model: HierarchicalEventModel):
+    """Structural hook: share the outer and every inner stream while
+    preserving the hierarchy and its construction rule."""
+    outer = maybe_compile(model.outer)
+    inner = {label: maybe_compile(model.inner(label))
              for label in model.labels}
     if outer is model.outer and all(inner[label] is model.inner(label)
                                     for label in model.labels):

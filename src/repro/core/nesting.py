@@ -30,7 +30,7 @@ from typing import Dict
 
 from .._errors import ModelError
 from ..eventmodels.base import EventModel
-from ..eventmodels.compile import compile_or_cache
+from ..eventmodels.compile import maybe_compile
 from .hem import HierarchicalEventModel, is_hierarchical
 
 #: Separator in flattened path labels produced by :func:`unpack_deep`.
@@ -50,10 +50,9 @@ def shift_hierarchy(model: EventModel, jitter: float, spacing: float,
     from .update import InnerJitterSpacingModel  # avoid import cycle
 
     if not is_hierarchical(model):
-        return compile_or_cache(
+        return maybe_compile(
             InnerJitterSpacingModel(model, jitter, spacing, k,
-                                    name=f"{model.name}{name_suffix}"),
-            name=f"{model.name}{name_suffix}")
+                                    name=f"{model.name}{name_suffix}"))
     new_outer = shift_hierarchy(model.outer, jitter, spacing, k,
                                 name_suffix)
     new_inner = {

@@ -33,12 +33,15 @@ from typing import Callable, Dict, Tuple, Type
 from .._errors import ModelError
 from ..eventmodels.base import EventModel
 from ..eventmodels.compile import (
-    compile_or_cache,
     fingerprint,
     maybe_compile,
     register_fingerprint,
 )
-from ..eventmodels.operations import DminShaper, TaskOutputModel
+from ..eventmodels.operations import (
+    DminShaper,
+    PrefixMemoModel,
+    TaskOutputModel,
+)
 from ..timebase import INF
 from .constructors import AndRule, OrRule, PackRule
 from .hem import ConstructionRule, HierarchicalEventModel
@@ -95,9 +98,14 @@ class ShaperOperation(StreamOperation):
 # ----------------------------------------------------------------------
 # Inner update building block
 # ----------------------------------------------------------------------
-class InnerJitterSpacingModel(EventModel):
+class InnerJitterSpacingModel(PrefixMemoModel):
     """Inner stream after the outer stream passed a jitter+serialisation
     stage (Definition 9 generalised).
+
+    A point δ⁻(n) is one query of the inner model; the δ⁻ prefix memo
+    (:class:`~repro.eventmodels.operations.PrefixMemoModel`) serves η⁺
+    and block reads only, so a far point such as the utilisation
+    check's δ⁻(1000) costs one inner query, not a fill to 1000.
 
     Parameters
     ----------
@@ -124,6 +132,7 @@ class InnerJitterSpacingModel(EventModel):
         self.jitter = float(jitter)
         self.spacing = float(spacing)
         self.k = int(k)
+        self._dmin_memo = [0.0, 0.0]
         self.name = name
 
     @property
@@ -138,6 +147,18 @@ class InnerJitterSpacingModel(EventModel):
         return max(self._inner.delta_min(n) - self.total_shift,
                    (n - 1) * self.spacing)
 
+    def _fill_min(self, n_max: int) -> list:
+        """The δ⁻ memo continued to n_max from one input block."""
+        memo = self._dmin_memo
+        src = self._inner.delta_min_block(n_max)
+        shift = self.total_shift
+        spacing = self.spacing
+        out = memo[:]
+        out.extend(max(src[n] - shift, (n - 1) * spacing)
+                   for n in range(len(memo), n_max + 1))
+        self._dmin_memo = out
+        return out
+
     def delta_plus(self, n: int) -> float:
         self._check_n(n)
         if n < 2:
@@ -146,14 +167,6 @@ class InnerJitterSpacingModel(EventModel):
         if dp == INF:
             return INF
         return dp + self.total_shift
-
-    def delta_min_block(self, n_max: int) -> list:
-        self._check_n(n_max)
-        src = self._inner.delta_min_block(n_max)
-        shift = self.total_shift
-        spacing = self.spacing
-        return src[:2] + [max(src[n] - shift, (n - 1) * spacing)
-                          for n in range(2, n_max + 1)]
 
     def delta_plus_block(self, n_max: int) -> list:
         self._check_n(n_max)
@@ -211,11 +224,9 @@ def apply_operation(stream: EventModel,
     Definition 6).
     """
     if not isinstance(stream, HierarchicalEventModel):
-        return maybe_compile(op.apply_flat(stream),
-                             name=f"{stream.name}'")
+        return maybe_compile(op.apply_flat(stream))
     update = _lookup(op, stream.rule)
-    new_outer = compile_or_cache(op.apply_flat(stream.outer),
-                                 name=f"{stream.name}.out'")
+    new_outer = maybe_compile(op.apply_flat(stream.outer))
     new_inner = update(op, stream)
     return stream.replace(outer=new_outer, inner=new_inner,
                           name=f"{stream.name}'")

@@ -17,8 +17,6 @@ from .standard import (
 from .combinators import check_consistent, intersect_bounds, union_bounds
 from .compile import (
     CompilationCache,
-    CompiledEventModel,
-    compile_model,
     fingerprint,
     maybe_compile,
     register_fingerprint,
@@ -53,9 +51,7 @@ __all__ = [
     "CurveEventModel",
     "FunctionEventModel",
     "CachedModel",
-    "CompiledEventModel",
     "CompilationCache",
-    "compile_model",
     "maybe_compile",
     "fingerprint",
     "register_fingerprint",

@@ -179,11 +179,11 @@ class EventModel(ABC):
     def delta_min_block(self, n_max: int) -> list:
         """[δ⁻(0), ..., δ⁻(n_max)] in one call.
 
-        The generic implementation is a plain loop; array-backed models
-        (:class:`~repro.eventmodels.compile.CompiledEventModel`) override
+        The generic implementation is a plain loop; memoised models
+        (:class:`~repro.eventmodels.operations.PrefixMemoModel`) override
         it with a prefix slice.  Engine code that needs a δ range —
-        convergence checks, serialisation, compilation — should use the
-        block APIs rather than per-n virtual calls.
+        convergence checks, serialisation — should use the block APIs
+        rather than per-n virtual calls.
         """
         return [self.delta_min(n) for n in range(n_max + 1)]
 
@@ -276,10 +276,13 @@ def models_equal(a: EventModel, b: EventModel, n_max: int = 64,
 
     Used by the global propagation loop as its convergence criterion: two
     models are considered equal when both δ functions agree for all
-    ``n <= n_max``.  Evaluates both models through the block APIs so
-    compiled (array-backed) curves are compared by slices rather than
-    per-n virtual calls.
+    ``n <= n_max``.  A model is equal to itself without evaluation (a
+    shared chain that did not move is the same object); otherwise both
+    are evaluated through the block APIs, so memoised chains are compared
+    by slices rather than per-n virtual calls.
     """
+    if a is b:
+        return True
     da = a.delta_min_block(n_max)
     db = b.delta_min_block(n_max)
     for n in range(2, n_max + 1):

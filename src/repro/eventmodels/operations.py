@@ -41,26 +41,82 @@ Implemented operations
 from __future__ import annotations
 
 import math
+from abc import abstractmethod
+from bisect import bisect_left
 from typing import List, Sequence
 
-from .._errors import ModelError
+from .._errors import ModelError, UnboundedStreamError
 from ..timebase import INF
-from .base import EventModel, NullEventModel
+from .base import MAX_EVENTS, EventModel, NullEventModel
 from .curves import CachedModel
+
+
+# ----------------------------------------------------------------------
+# the δ⁻ prefix memo of Θ_τ, the pairwise OR-join and the inner update
+# ----------------------------------------------------------------------
+class PrefixMemoModel(EventModel):
+    """An event model whose δ⁻ is memoised as a prefix list.
+
+    Subclasses implement :meth:`_fill_min`: continue the memo to
+    ``n_max`` through the block path, as a new list that replaces the
+    memo.  The memo is never extended in place: the fingerprint cache
+    shares chains between threads, and a thread still reading the old
+    list must not see it change.  A point query past the memo fills it
+    geometrically, so a walk over n costs amortised O(1) per point (a
+    subclass with an O(1) pointwise δ⁻ may answer points directly, as
+    :class:`~repro.core.update.InnerJitterSpacingModel` does), and η⁺
+    is one bisect over the memo.
+    """
+
+    __slots__ = ("_dmin_memo",)
+
+    @abstractmethod
+    def _fill_min(self, n_max: int) -> list:
+        """Fill the δ⁻ memo up to ``n_max`` and return it."""
+
+    def delta_min(self, n: int) -> float:
+        self._check_n(n)
+        memo = self._dmin_memo
+        if n >= len(memo):
+            memo = self._fill_min(max(n, 2 * (len(memo) - 1)))
+        return memo[n]
+
+    def delta_min_block(self, n_max: int) -> list:
+        self._check_n(n_max)
+        memo = self._dmin_memo
+        if n_max >= len(memo):
+            memo = self._fill_min(n_max)
+        return memo[:n_max + 1]
+
+    def eta_plus(self, dt: float) -> int:
+        if dt <= 0:
+            return 0
+        memo = self._dmin_memo
+        while memo[-1] < dt:
+            top = 2 * (len(memo) - 1)
+            if top > MAX_EVENTS:
+                raise UnboundedStreamError(
+                    f"eta_plus({dt!r}) exceeds {MAX_EVENTS} events for "
+                    f"{self!r}; the stream has no effective rate limit")
+            memo = self._fill_min(top)
+        # Largest n with δ⁻(n) < dt.  Entries 0 and 1 are 0 < dt, so the
+        # insertion point is >= 2 and the result >= 1: the generic
+        # exponential + binary search of EventModel.eta_plus in one
+        # bisect.
+        return bisect_left(memo, dt) - 1
 
 
 # ----------------------------------------------------------------------
 # Θ_τ — task output model
 # ----------------------------------------------------------------------
-class TaskOutputModel(EventModel):
+class TaskOutputModel(PrefixMemoModel):
     """Output event model of an analysed task (operation Θ_τ).
 
-    The recursion for δ'⁻ is memoised internally as a prefix list; a
-    point query past the memo fills it through the block recursion,
-    geometrically, so a walk over n costs amortised O(1) per point.
+    The recursion for δ'⁻ is memoised as a prefix list (see
+    :class:`PrefixMemoModel`).
     """
 
-    __slots__ = ("_in", "r_min", "r_max", "_dmin_memo", "name")
+    __slots__ = ("_in", "r_min", "r_max", "name")
 
     def __init__(self, input_model: EventModel, r_min: float, r_max: float,
                  name: str = "out"):
@@ -82,17 +138,8 @@ class TaskOutputModel(EventModel):
         """r⁺ - r⁻, the jitter added by the task."""
         return self.r_max - self.r_min
 
-    def delta_min(self, n: int) -> float:
-        self._check_n(n)
-        memo = self._dmin_memo
-        if n >= len(memo):
-            memo = self._fill(max(n, 2 * (len(memo) - 1)))
-        return memo[n]
-
-    def _fill(self, n_max: int) -> list:
-        """The δ'⁻ memo continued to n_max by one block recursion, as a
-        new list that replaces the memo (never extended in place: a
-        thread still reading the old list must not see it change)."""
+    def _fill_min(self, n_max: int) -> list:
+        """The δ'⁻ memo continued to n_max by one block recursion."""
         memo = self._dmin_memo
         src = self._in.delta_min_block(n_max)
         span = self.response_span
@@ -111,13 +158,6 @@ class TaskOutputModel(EventModel):
             return 0.0
         return self._in.delta_plus(n) + self.response_span
 
-    def delta_min_block(self, n_max: int) -> list:
-        self._check_n(n_max)
-        memo = self._dmin_memo
-        if n_max >= len(memo):
-            memo = self._fill(n_max)
-        return memo[:n_max + 1]
-
     def delta_plus_block(self, n_max: int) -> list:
         self._check_n(n_max)
         src = self._in.delta_plus_block(n_max)
@@ -130,17 +170,17 @@ class TaskOutputModel(EventModel):
 # ----------------------------------------------------------------------
 # OR-join — paper eqs. (3) and (4)
 # ----------------------------------------------------------------------
-class _PairwiseOrJoin(EventModel):
+class _PairwiseOrJoin(PrefixMemoModel):
     """Exact OR-combination of exactly two event models.
 
     Both δ functions are memoised as prefix lists filled by the block
     merge below; a point query past the memo fills it geometrically, so
     a cold δ(n) costs O(n) per fold level and a walk over n amortised
-    O(1) per point.  A fill builds a new list that replaces the memo,
-    as :meth:`TaskOutputModel._fill` does.
+    O(1) per point.  The δ⁺ memo is replaced on a fill like the δ⁻ memo
+    (see :class:`PrefixMemoModel`).
     """
 
-    __slots__ = ("_a", "_b", "_dmin_memo", "_dplus_memo", "name")
+    __slots__ = ("_a", "_b", "_dplus_memo", "name")
 
     def __init__(self, a: EventModel, b: EventModel, name: str = "or2"):
         self._a = a
@@ -149,18 +189,11 @@ class _PairwiseOrJoin(EventModel):
         self._dplus_memo = [0.0, 0.0]
         self.name = name
 
-    def delta_min(self, n: int) -> float:
-        self._check_n(n)
-        memo = self._dmin_memo
-        if n >= len(memo):
-            memo = self._merge_min(max(n, 2 * (len(memo) - 1)))
-        return memo[n]
-
     def delta_plus(self, n: int) -> float:
         self._check_n(n)
         memo = self._dplus_memo
         if n >= len(memo):
-            memo = self._merge_plus(max(n, 2 * (len(memo) - 1)))
+            memo = self._fill_plus(max(n, 2 * (len(memo) - 1)))
         return memo[n]
 
     # ------------------------------------------------------------------
@@ -214,21 +247,14 @@ class _PairwiseOrJoin(EventModel):
     # Every output value is *selected* from an input array (no arithmetic),
     # so the block results are bit-identical to the per-n contribution-
     # vector optimisation — at O(n) per join level instead of O(n²).
-    def delta_min_block(self, n_max: int) -> list:
-        self._check_n(n_max)
-        memo = self._dmin_memo
-        if n_max >= len(memo):
-            memo = self._merge_min(n_max)
-        return memo[:n_max + 1]
-
     def delta_plus_block(self, n_max: int) -> list:
         self._check_n(n_max)
         memo = self._dplus_memo
         if n_max >= len(memo):
-            memo = self._merge_plus(n_max)
+            memo = self._fill_plus(n_max)
         return memo[:n_max + 1]
 
-    def _merge_min(self, n_max: int) -> list:
+    def _fill_min(self, n_max: int) -> list:
         """Merge the input δ⁻ blocks up to n_max into a new memo."""
         da = self._a.delta_min_block(n_max)
         db = self._b.delta_min_block(n_max)
@@ -247,7 +273,7 @@ class _PairwiseOrJoin(EventModel):
         self._dmin_memo = out
         return out
 
-    def _merge_plus(self, n_max: int) -> list:
+    def _fill_plus(self, n_max: int) -> list:
         """Merge the input δ⁺ blocks up to n_max into a new memo."""
         pa = self._a.delta_plus_block(n_max)
         pb = self._b.delta_plus_block(n_max)
@@ -282,7 +308,7 @@ def or_join(models: Sequence[EventModel], name: str = "or") -> EventModel:
     for nxt in active[1:]:
         combined = _PairwiseOrJoin(combined, nxt)
     combined.name = name
-    return CachedModel(combined, name=name)
+    return combined
 
 
 class _SuperpositionOrJoin(EventModel):

@@ -22,7 +22,7 @@ Pieces:
 
 Because every request flows through the shared
 :class:`~repro.batch.store.ResultStore` and the process-global
-compiled-curve LRU, the daemon's caches warm across *clients*: the
+shared-chain LRU, the daemon's caches warm across *clients*: the
 second identical request — from anyone — is a cache hit.
 """
 

@@ -8,7 +8,7 @@ the :class:`~repro.batch.jobs.JobResult` as the response body.  That
 buys the service, for free:
 
 * **shared hot caches** — identical requests from any client hit the
-  store (and the process-global compiled-curve LRU warms across
+  store (and the process-global shared-chain LRU warms across
   requests, since all dispatcher threads share one process);
 * **resumability** — a drained request's job key can be resubmitted
   later and may already be answered;

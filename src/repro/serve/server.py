@@ -7,7 +7,7 @@ them into the bounded priority :class:`~repro.serve.queue.RequestQueue`
 and awaits the per-request future; dispatchers drain the queue into the
 existing :class:`~repro.batch.executor.BatchRunner` running on worker
 threads, so the content-addressed :class:`~repro.batch.store.
-ResultStore` and the process-global compiled-curve LRU act as shared
+ResultStore` and the process-global shared-chain LRU act as shared
 hot caches across *all* clients of the daemon.
 
 Endpoints (see ``docs/serve.md`` for the full protocol):

@@ -3,8 +3,8 @@
 A :class:`Contract` states one invariant the engine must uphold on
 *every* sample a burn-in campaign draws — conservativeness of analytic
 bounds against simulation, dominance of HEM over flat modeling, and
-bit-identity of the engine's internal acceleration paths (compiled
-curves, incremental memo) against their reference paths.  Each contract
+bit-identity of the engine's internal acceleration paths (shared
+chains, incremental memo) against their reference paths.  Each contract
 carries an id, a prose statement, a severity, a pointer into
 ``docs/contracts/``, and a check function over the
 :class:`~repro.soak.oracle.Evidence` the oracle gathered for a sample.
@@ -302,9 +302,9 @@ register_contract(Contract(
 
 register_contract(Contract(
     id="compiled-lazy-identical",
-    statement="Analysis with compiled event-model curves is "
-              "bit-identical (responses and iteration count) to the "
-              "lazy reference path.",
+    statement="Analysis with event-model chains shared through the "
+              "fingerprint cache is bit-identical (responses and "
+              "iteration count) to the unshared reference path.",
     severity=SEVERITY_MAJOR,
     doc="docs/contracts/compiled-lazy-identical.md",
     check=_check_compiled_lazy_identical))

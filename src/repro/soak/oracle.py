@@ -2,7 +2,7 @@
 
 One soak sample is a seeded system draw.  The oracle runs it through
 every engine path the contract matrix compares — strict analysis,
-degrade mode, compiled and lazy curve evaluation, the incremental memo,
+degrade mode, shared and unshared event-model chains, the incremental memo,
 bounded simulations under worst-case and randomized arrivals, a
 blame-instrumented run, and an optional fault-injection ladder — and
 collects everything into one :class:`Evidence` object.  Contracts
@@ -141,18 +141,19 @@ def _try_analyze(system: System, **kwargs):
 
 
 def _compiled_lazy_pair(system: System):
-    """Analyse once with compiled curves, once fully lazy."""
+    """Analyse once with shared chains, once unshared (the reference
+    path)."""
     prev = _compile.enabled
     try:
-        _compile.configure(enabled=True)
+        _compile.enabled = True
         compiled, err = _try_analyze(system)
         if compiled is None:
             return None, None
-        _compile.configure(enabled=False)
+        _compile.enabled = False
         lazy, err = _try_analyze(system)
         return compiled, lazy
     finally:
-        _compile.configure(enabled=prev)
+        _compile.enabled = prev
 
 
 def _blame_evidence(system: System) -> "Tuple[Optional[List[str]], int]":

@@ -33,7 +33,6 @@ from ..core.hem import is_hierarchical
 from ..core.update import BusyWindowOutput, apply_operation
 from ..eventmodels import compile as _compile
 from ..eventmodels.base import EventModel, models_equal
-from ..eventmodels.curves import CachedModel
 from ..eventmodels.operations import and_join, or_join
 from ..explain.lineage import (
     KIND_ACTIVATION,
@@ -86,10 +85,10 @@ class _StreamResolver:
         cached = self._cache.get(port)
         if cached is not None:
             return cached
-        # Compile derived chains into array-backed curves; the global
-        # fingerprint cache carries them across iterations, so only
-        # streams whose inputs actually moved are recompiled.
-        model = _compile.maybe_compile(self._resolve(port), name=port)
+        # Share derived chains through the global fingerprint cache:
+        # a stream whose inputs did not move is last iteration's chain,
+        # memos filled.
+        model = _compile.maybe_compile(self._resolve(port))
         self._cache[port] = model
         return model
 
@@ -258,7 +257,7 @@ class _StreamResolver:
                 rule=f"{task.activation.upper()}-join "
                      f"({task.activation}_join of {len(models)} inputs)",
                 flattened_hierarchies=flattened)
-        return _compile.maybe_compile(joined, name=f"{task.name}.act")
+        return _compile.maybe_compile(joined)
 
 
 def output_models(system: System, result,
@@ -532,10 +531,6 @@ def _iterate(system: System, policy, max_iterations: int,
                     out = resolver.port(task_name)
                 except policy.errors as exc:
                     out = policy.port_failed(task, exc)
-                if not _compile.enabled and task_name not in substitutes:
-                    # Lazy mode: memoise the chain for the convergence
-                    # check; compiled curves are already array-backed.
-                    out = CachedModel(out, name=f"{task_name}.out")
                 new_models[task_name] = out
                 # Cycle seeds advance with the iteration.
                 cycle_seeds[task_name] = out

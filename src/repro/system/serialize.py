@@ -40,7 +40,6 @@ from ..analysis.spp import SPPScheduler
 from ..analysis.tdma import TDMAScheduler
 from ..core.constructors import TransferProperty
 from ..eventmodels.base import EventModel
-from ..eventmodels.compile import CompiledEventModel
 from ..eventmodels.curves import CurveEventModel, freeze
 from ..eventmodels.standard import StandardEventModel
 from .model import JunctionKind, System
@@ -62,11 +61,9 @@ def model_to_dict(model: EventModel) -> "Dict[str, Any]":
             "sporadic": model.sporadic,
             "name": model.name,
         }
-    # A compiled curve's prefix is as long as its queries have grown it,
-    # so it is sampled at the fixed depth like any other derived model:
-    # one curve, one encoding, one content hash.
-    if (not isinstance(model, CurveEventModel)
-            or isinstance(model, CompiledEventModel)):
+    # A derived chain is sampled at the fixed depth, however far its
+    # memos have been filled: one chain, one encoding, one content hash.
+    if not isinstance(model, CurveEventModel):
         model = freeze(model, n_max=FREEZE_N)
     return {
         "type": "curve",

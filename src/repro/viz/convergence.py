@@ -33,7 +33,7 @@ RESILIENCE_COUNTERS = (
 
 #: Engine-efficiency metrics (counter or gauge) surfaced on their own
 #: footer line: how much work the vector kernels batched, how much the
-#: incremental memo and the compiled-curve cache reused.
+#: incremental memo and the shared-chain cache reused.
 ENGINE_METRICS = (
     "kernels.vector_lanes",
     "memo.reuse_rate",

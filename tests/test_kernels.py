@@ -16,7 +16,9 @@ from repro.analysis import SPPScheduler, TaskSpec
 from repro.analysis import busy_window, kernels
 from repro.eventmodels import (
     StandardEventModel,
+    TaskOutputModel,
     freeze,
+    or_join,
     periodic,
     periodic_with_jitter,
 )
@@ -91,6 +93,14 @@ class TestEtaTable:
         model = freeze(periodic_with_jitter(40.0, 90.0), n_max=256)
         assert kernels.EtaTable(model).kind == kernels._KIND_TABLE
         self.check_matches_model(model)
+
+    def test_table_kind_prefix_memo(self):
+        """Θ_τ and the OR-join answer η⁺ by a bisect over their δ⁻ memo,
+        which equals the generic search: they stay table-kind."""
+        frame = or_join([periodic_with_jitter(40.0, 90.0), periodic(70.0)])
+        for model in (frame, TaskOutputModel(frame, 1.0, 6.0)):
+            assert kernels.EtaTable(model).kind == kernels._KIND_TABLE
+            self.check_matches_model(model)
 
     def test_scalar_kind_custom_override(self):
         model = _CustomEta()

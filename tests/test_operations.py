@@ -5,7 +5,8 @@ import math
 import pytest
 
 from conftest import assert_delta_consistent
-from repro._errors import ModelError
+from repro._errors import ModelError, UnboundedStreamError
+from repro.core.update import InnerJitterSpacingModel
 from repro.eventmodels import (
     DminShaper,
     NullEventModel,
@@ -19,7 +20,10 @@ from repro.eventmodels import (
     periodic_with_jitter,
     sporadic,
 )
+from repro.eventmodels import base as _base
+from repro.eventmodels import operations as _operations
 from repro.eventmodels.base import EventModel
+from repro.eventmodels.curves import FunctionEventModel
 from repro.eventmodels.operations import _PairwiseOrJoin
 from repro.timebase import INF
 
@@ -251,13 +255,13 @@ class TestRecursiveMemoFill:
     def test_cold_point_on_16_way_or_join_is_one_pass_per_level(
             self, monkeypatch):
         merges = []
-        merge_min = _PairwiseOrJoin._merge_min
+        merge_min = _PairwiseOrJoin._fill_min
 
         def counted(self, n_max):
             merges.append(n_max)
             return merge_min(self, n_max)
 
-        monkeypatch.setattr(_PairwiseOrJoin, "_merge_min", counted)
+        monkeypatch.setattr(_PairwiseOrJoin, "_fill_min", counted)
         leaves = _counting_leaves(16)
         join = or_join(leaves)
         value = join.delta_min(1000)
@@ -265,16 +269,16 @@ class TestRecursiveMemoFill:
         assert [(leaf.points, leaf.blocks) for leaf in leaves] == \
             [(0, 1)] * 16
         # the memo now covers the range: blocks come from it
-        join.wrapped.delta_min_block(500)
+        join.delta_min_block(500)
         assert len(merges) == 15
         assert all(leaf.blocks == 1 for leaf in leaves)
-        reference = or_join([leaf.inner for leaf in leaves]).wrapped
+        reference = or_join([leaf.inner for leaf in leaves])
         assert value == reference.delta_min_eq3(1000)
 
     def test_point_walk_fills_geometrically(self):
         leaves = _counting_leaves(4)
-        join = or_join(leaves).wrapped
-        reference = or_join([leaf.inner for leaf in leaves]).wrapped
+        join = or_join(leaves)
+        reference = or_join([leaf.inner for leaf in leaves])
         ref_min = reference.delta_min_block(1000)
         ref_plus = reference.delta_plus_block(1000)
         for n in range(0, 1001):
@@ -294,6 +298,62 @@ class TestRecursiveMemoFill:
         assert (leaf.points, leaf.blocks) == (0, 1)
         assert theta.delta_min_block(1000)[1000] == theta.delta_min(1000)
         assert leaf.blocks == 1
+
+
+def _memo_chains():
+    """A Θ_τ over a 3-way OR-join, that OR-join, and a Def. 9 inner
+    update over it: the models that answer η⁺ by a bisect over their
+    δ⁻ memo."""
+    frame = or_join([periodic_with_jitter(100.0, 30.0),
+                     periodic(250.0),
+                     periodic_with_burst(100.0, 250.0, 10.0)])
+    return {"theta": TaskOutputModel(frame, 2.0, 9.0), "or": frame,
+            "ijs": InnerJitterSpacingModel(frame, jitter=7.0, spacing=2.0,
+                                           k=3)}
+
+
+class TestPrefixMemoEta:
+    """η⁺ of Θ_τ and the pairwise OR-join is one bisect over the δ⁻
+    memo; it must equal the generic exponential + binary search of
+    :meth:`EventModel.eta_plus` everywhere."""
+
+    @pytest.mark.parametrize("kind", ["theta", "or", "ijs"])
+    def test_bisect_equals_generic_search(self, kind):
+        reference = _memo_chains()[kind]
+        steps = reference.delta_min_block(200)
+        points = [-5.0, -1e-9, 0.0]
+        for value in sorted(set(steps)):
+            points += [value, math.nextafter(value, INF), value + 0.5]
+        points += [steps[-1] * 3.0, steps[-1] * 40.0]  # past the memo
+        model = _memo_chains()[kind]
+        model.delta_min_block(16)  # a short memo, grown by η⁺ itself
+        for dt in points:
+            assert model.eta_plus(dt) == \
+                EventModel.eta_plus(reference, dt), (kind, dt)
+
+    @pytest.mark.parametrize("kind", ["theta", "or", "ijs"])
+    def test_zero_distance_stream_is_unbounded(self, kind, monkeypatch):
+        # a cap of 4096 events keeps the memo small; both searches
+        # read the same cap
+        monkeypatch.setattr(_base, "MAX_EVENTS", 4096)
+        monkeypatch.setattr(_operations, "MAX_EVENTS", 4096)
+        burst = FunctionEventModel(lambda n: 0.0, lambda n: INF,
+                                   name="burst")
+        model = {"theta": TaskOutputModel(burst, 0.0, 1.0),
+                 "or": or_join([burst, periodic(10.0)]),
+                 "ijs": InnerJitterSpacingModel(burst, 1.0, 0.0, 1)}[kind]
+        with pytest.raises(UnboundedStreamError):
+            EventModel.eta_plus(model, 1.0)
+        with pytest.raises(UnboundedStreamError):
+            model.eta_plus(1.0)
+
+    def test_inner_update_far_point_stays_pointwise(self):
+        """The utilisation check's δ⁻(1000) on an inner update is one
+        query of its input, not a memo fill to 1000."""
+        model = _memo_chains()["ijs"]
+        reference = _memo_chains()["ijs"].delta_min_block(1000)
+        assert model.delta_min(1000) == reference[1000]
+        assert len(model._dmin_memo) == 2
 
 
 class TestAndJoin:

@@ -165,10 +165,9 @@ class TestSerializationProperties:
 
 
 class TestAdditiveExtensionProperties:
-    """The additive extension used by detached compiled curves and
-    :func:`freeze` must bound the direct evaluation: δ⁻ never
-    overestimated, δ⁺ never underestimated — for jittered periodic and
-    bursty sources alike."""
+    """The additive extension used by :func:`freeze` must bound the
+    direct evaluation: δ⁻ never overestimated, δ⁺ never underestimated —
+    for jittered periodic and bursty sources alike."""
 
     @settings(max_examples=40, deadline=None)
     @given(sem_models(), st.integers(min_value=5, max_value=24),

@@ -16,7 +16,7 @@ from repro.analysis import (
 )
 from repro.eventmodels import (
     TaskOutputModel,
-    compile_model,
+    maybe_compile,
     models_equal,
     or_join,
     periodic,
@@ -55,13 +55,13 @@ class TestModelRoundTrip:
             assert clone.delta_min(n) == pytest.approx(join.delta_min(n))
 
     def test_compiled_curve_encoding_ignores_query_history(self):
-        """A compiled curve's prefix grows with the queries it answers;
-        its encoding, and so its content hash, must not."""
-        compiled = compile_model(
+        """A shared chain's memo grows with the queries it answers; its
+        encoding, and so its content hash, must not."""
+        compiled = maybe_compile(
             TaskOutputModel(periodic_with_jitter(100.0, 30.0), 2.0, 9.0))
         before = model_to_dict(compiled)
         compiled.load()
-        compiled.delta_min_block(80)  # grows the δ⁻ prefix alone
+        compiled.delta_min_block(80)  # grows the δ⁻ memo
         after = model_to_dict(compiled)
         assert content_hash(after) == content_hash(before)
         assert len(after["delta_min"]) == len(after["delta_plus"]) \

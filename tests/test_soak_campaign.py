@@ -89,8 +89,14 @@ class TestCampaign:
         """A killed campaign resumes without re-running or duplicating
         finished samples."""
         cache = tmp_path / "soak"
+        # A campaign that finishes before the kill writes its bench
+        # file; it must land in the test's directory, not the checkout.
+        root_bench = REPO / "BENCH_soak.json"
+        root_before = (root_bench.stat().st_mtime_ns
+                       if root_bench.exists() else None)
         env = dict(os.environ,
-                   PYTHONPATH=str(REPO / "src"))
+                   PYTHONPATH=str(REPO / "src"),
+                   BENCH_OUT_DIR=str(tmp_path))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "soak", "run", "smoke",
              "--samples", "5", "--seed", "3",
@@ -111,6 +117,9 @@ class TestCampaign:
             proc.send_signal(signal.SIGKILL)
         finally:
             proc.wait(timeout=30)
+        assert (root_bench.stat().st_mtime_ns if root_bench.exists()
+                else None) == root_before, \
+            "the campaign wrote BENCH_soak.json into the repo root"
 
         done_before = _store_indices(cache)
         assert done_before, "kill landed before any result persisted"
