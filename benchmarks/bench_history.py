@@ -6,7 +6,7 @@ cross-commit comparison needs::
 
     {
       "schema": "repro-bench/1",
-      "bench": "compile",            # compile | batch | suite
+      "bench": "compile",            # compile | batch | suite | e2e | ...
       "host": "runner-3",
       "git_sha": "3f4dab3...",
       "timestamp": 1754640000.0,
@@ -27,9 +27,10 @@ Two subcommands close the performance loop::
 ``BENCH_HISTORY.jsonl`` (append-only, one JSON object per line).
 ``check`` compares the *current* artefacts against a baseline derived
 from the recorded history: for each tracked metric the baseline is the
-median of the last ``--window`` history entries, and the gate fails
-when the current value drops more than ``--threshold`` (fractional)
-below that baseline.  All tracked metrics are higher-is-better:
+median of the last ``--window`` history entries.  The gate fails when a
+higher-is-better metric drops more than ``--threshold`` (fractional)
+below that baseline, or a lower-is-better one rises more than its bound
+above it.  Higher is better for:
 
 * ``compile.min_speedup``      — worst-case shared/unshared speedup
                                  across the ``BENCH_compile.json`` cases
@@ -41,6 +42,18 @@ below that baseline.  All tracked metrics are higher-is-better:
 * ``incremental.reuse_rate``   — dirty-set sweep task reuse rate
 * ``soak.samples_per_sec``     — burn-in campaign sample throughput
                                  from ``BENCH_soak.json``
+
+The repository benchmark's end-to-end metrics are read from
+``BENCH_e2e.json`` — the document
+``python3 benchmarks/e2e/run.py --out BENCH_e2e.json`` writes (a
+``--smoke`` document carries no tracked values).  ``BENCHMARK.json``
+names them: one ``e2e.<workload>.<metric>`` per workload and
+``end_to_end`` entry it declares (``setup_s``, ``input_p10_ms`` and
+``peak_rss_mb``, all lower-is-better), each gated at that entry's
+``bound`` instead of ``--threshold``.
+
+``check`` also prints each workload's three largest traced
+``*.self_ms`` layers from that document, ungated.
 
 With no history yet (first run on a branch) ``check`` passes with a
 note unless ``--require-baseline`` is given — so the gate can be wired
@@ -59,11 +72,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 SCHEMA = "repro-bench/1"
 
 HISTORY_NAME = "BENCH_HISTORY.jsonl"
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Artefact file per bench name.
 ARTIFACTS = {
@@ -73,13 +88,17 @@ ARTIFACTS = {
     "serve": "BENCH_serve.json",
     "kernels": "BENCH_kernels.json",
     "soak": "BENCH_soak.json",
+    "e2e": "BENCH_e2e.json",
 }
+
+#: The repository benchmark: its workloads and end-to-end metrics.
+BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(
+    encoding="utf-8"))
 
 DEFAULT_WINDOW = 5
 DEFAULT_THRESHOLD = 0.25
 
-BENCH_OUT_DIR = Path(os.environ.get(
-    "BENCH_OUT_DIR", Path(__file__).resolve().parent.parent))
+BENCH_OUT_DIR = Path(os.environ.get("BENCH_OUT_DIR", REPO_ROOT))
 
 
 # --------------------------------------------------------------------------
@@ -217,17 +236,75 @@ def _metric_incremental_reuse(payload: Dict[str, Any]) -> Optional[float]:
     return float(rate) if isinstance(rate, (int, float)) else None
 
 
-#: name -> (bench artefact it reads, extractor).  All higher-is-better.
-TRACKED_METRICS: Dict[str, Tuple[str, Callable[[Dict[str, Any]],
-                                               Optional[float]]]] = {
-    "compile.min_speedup": ("compile", _metric_compile_min_speedup),
-    "batch.throughput": ("batch", _metric_batch_throughput),
-    "batch.warm_cache_hit_rate": ("batch", _metric_warm_hit_rate),
-    "serve.throughput": ("serve", _metric_serve_throughput),
-    "kernels.speedup": ("kernels", _metric_kernels_speedup),
-    "incremental.reuse_rate": ("kernels", _metric_incremental_reuse),
-    "soak.samples_per_sec": ("soak", _metric_soak_throughput),
+def _e2e_results(payload: Dict[str, Any], traced: bool
+                 ) -> Dict[str, Dict[str, Any]]:
+    """workload -> metrics of the untraced (or traced) runs of an e2e
+    document; empty for a ``--smoke`` document."""
+    results = payload.get("results")
+    if payload.get("smoke") or not isinstance(results, list):
+        return {}
+    return {r["workload"]: r.get("metrics") or {} for r in results
+            if isinstance(r, dict) and "workload" in r
+            and bool(r.get("trace")) == traced}
+
+
+def _value(entry: Any) -> Optional[float]:
+    """A metric value as run.py writes it: ``{"value": v, "unit": u}``."""
+    value = entry.get("value") if isinstance(entry, dict) else None
+    return float(value) if isinstance(value, (int, float)) else None
+
+
+def _metric_e2e(workload: str, name: str
+                ) -> Callable[[Dict[str, Any]], Optional[float]]:
+    def extract(payload: Dict[str, Any]) -> Optional[float]:
+        metrics = _e2e_results(payload, traced=False).get(workload, {})
+        return _value(metrics.get(name))
+    return extract
+
+
+def top_layers(payload: Dict[str, Any], count: int = 3
+               ) -> Dict[str, List[Tuple[str, float]]]:
+    """workload -> its *count* largest traced ``*.self_ms`` layers."""
+    out = {}
+    for workload, metrics in _e2e_results(payload, traced=True).items():
+        layers = [(name, _value(entry)) for name, entry in metrics.items()
+                  if name.endswith(".self_ms")]
+        out[workload] = sorted((layer for layer in layers
+                                if layer[1] is not None),
+                               key=lambda layer: -layer[1])[:count]
+    return out
+
+
+class Metric(NamedTuple):
+    bench: str
+    extract: Callable[[Dict[str, Any]], Optional[float]]
+    better: str = "higher"
+    #: Allowed fractional move against ``better``; None: ``--threshold``.
+    bound: Optional[float] = None
+
+
+def e2e_metrics(benchmark: Dict[str, Any]) -> Dict[str, Metric]:
+    """``e2e.<workload>.<metric>`` for every workload and end-to-end
+    metric a ``BENCHMARK.json`` document declares, with its direction
+    and bound."""
+    return {f"e2e.{w['name']}.{m['name']}":
+            Metric("e2e", _metric_e2e(w["name"], m["name"]), m["better"],
+                   float(m["bound"]))
+            for w in benchmark["workloads"] for m in benchmark["end_to_end"]}
+
+
+#: name -> (bench artefact it reads, extractor, "higher" | "lower",
+#: bound or None).
+TRACKED_METRICS: Dict[str, Metric] = {
+    "compile.min_speedup": Metric("compile", _metric_compile_min_speedup),
+    "batch.throughput": Metric("batch", _metric_batch_throughput),
+    "batch.warm_cache_hit_rate": Metric("batch", _metric_warm_hit_rate),
+    "serve.throughput": Metric("serve", _metric_serve_throughput),
+    "kernels.speedup": Metric("kernels", _metric_kernels_speedup),
+    "incremental.reuse_rate": Metric("kernels", _metric_incremental_reuse),
+    "soak.samples_per_sec": Metric("soak", _metric_soak_throughput),
 }
+TRACKED_METRICS.update(e2e_metrics(BENCHMARK))
 
 
 def _median(values: List[float]) -> float:
@@ -262,7 +339,7 @@ def baseline_for(metric: str, history: List[Dict[str, Any]],
                  window: int = DEFAULT_WINDOW) -> Optional[float]:
     """Median of the metric over the last *window* history entries that
     carry it, or None when the history has no usable sample."""
-    bench, extract = TRACKED_METRICS[metric]
+    bench, extract = TRACKED_METRICS[metric][:2]
     samples: List[float] = []
     for entry in reversed(history):
         if entry.get("bench") != bench:
@@ -318,28 +395,40 @@ def cmd_check(args) -> int:
 
     failures: List[str] = []
     missing_baseline: List[str] = []
-    for metric, (bench, extract) in sorted(TRACKED_METRICS.items()):
+    for metric, (bench, extract, better, bound) in sorted(
+            TRACKED_METRICS.items()):
         payload = load_artifact(out_dir / ARTIFACTS[bench])
         if payload is None:
-            print(f"{metric:>28}: no current {ARTIFACTS[bench]}; skipped")
+            print(f"{metric:>34}: no current {ARTIFACTS[bench]}; skipped")
             continue
         current = extract(payload)
         if current is None:
-            print(f"{metric:>28}: not present in current artefact; skipped")
+            print(f"{metric:>34}: not present in current artefact; skipped")
             continue
         baseline = baseline_for(metric, history, window=args.window)
         if baseline is None:
             missing_baseline.append(metric)
-            print(f"{metric:>28}: {current:10.4f}  (no baseline yet)")
+            print(f"{metric:>34}: {current:10.4f}  (no baseline yet)")
             continue
-        floor = baseline * (1.0 - args.threshold)
-        verdict = "ok" if current >= floor else "REGRESSION"
-        print(f"{metric:>28}: {current:10.4f}  baseline {baseline:10.4f}"
-              f"  floor {floor:10.4f}  {verdict}")
-        if current < floor:
+        threshold = args.threshold if bound is None else bound
+        if better == "lower":
+            label, limit = "ceiling", baseline * (1.0 + threshold)
+            regressed, sign = current > limit, ">"
+        else:
+            label, limit = "floor", baseline * (1.0 - threshold)
+            regressed, sign = current < limit, "<"
+        verdict = "REGRESSION" if regressed else "ok"
+        print(f"{metric:>34}: {current:10.4f}  baseline {baseline:10.4f}"
+              f"  {label} {limit:10.4f}  {verdict}")
+        if regressed:
             failures.append(
-                f"{metric}: {current:.4f} < {floor:.4f} "
-                f"(baseline {baseline:.4f}, threshold {args.threshold:.0%})")
+                f"{metric}: {current:.4f} {sign} {limit:.4f} "
+                f"(baseline {baseline:.4f}, threshold {threshold:.0%})")
+
+    e2e = load_artifact(out_dir / ARTIFACTS["e2e"])
+    for workload, layers in sorted(top_layers(e2e or {}).items()):
+        shown = ", ".join(f"{name} {value:.3g} ms" for name, value in layers)
+        print(f"e2e.{workload} top layers (not gated): {shown}")
 
     if failures:
         for failure in failures:
@@ -378,7 +467,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     check.add_argument(
         "--threshold", type=float, default=DEFAULT_THRESHOLD,
         metavar="FRACTION",
-        help=f"allowed fractional drop below baseline "
+        help=f"allowed fractional move against the metric's direction "
+             f"for metrics without a BENCHMARK.json bound "
              f"(default {DEFAULT_THRESHOLD})")
     check.add_argument(
         "--require-baseline", action="store_true",

@@ -70,9 +70,11 @@ class TaskSpec:
                 f"task {self.name}: blocking must be >= 0, got "
                 f"{self.blocking}")
 
-    def load(self, accuracy: int = 1000) -> float:
-        """Long-run processor demand of this task."""
-        return self.c_max * self.event_model.load(accuracy)
+    def load(self) -> float:
+        """Long-run processor demand of this task: ``c_max`` times the
+        activating stream's
+        :meth:`~repro.eventmodels.base.EventModel.long_run_rate`."""
+        return self.c_max * self.event_model.long_run_rate()
 
 
 class Scheduler(ABC):
@@ -111,8 +113,9 @@ class Scheduler(ABC):
         return resource_fingerprint(self, tasks)
 
     @staticmethod
-    def total_load(tasks: Sequence[TaskSpec], accuracy: int = 1000) -> float:
-        return sum(t.load(accuracy) for t in tasks)
+    def total_load(tasks: Sequence[TaskSpec]) -> float:
+        """The utilisation every scheduler checks against its limit."""
+        return sum(t.load() for t in tasks)
 
     @staticmethod
     def check_unique_names(tasks: Sequence[TaskSpec]) -> None:

@@ -55,6 +55,16 @@ STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
 STATUS_POISONED = "poisoned"
 
+#: Version of the results the job kinds compute, hashed into every
+#: :attr:`Job.key`.  Bump it whenever a change makes a job kind return
+#: different ``data`` for the same payload (a bound, a reported
+#: utilisation, a new field): stored results are looked up by key, so a
+#: persisted :class:`~repro.batch.store.ResultStore` (the serve cache
+#: directory, ``repro batch --resume``) would otherwise keep serving
+#: what the older code computed.  Version 2: utilisation read from
+#: ``EventModel.long_run_rate``.
+RESULT_VERSION = 2
+
 
 @dataclass(frozen=True)
 class Job:
@@ -83,8 +93,9 @@ class Job:
         contract the memo layer guarantees.  Job kinds read them via
         :func:`current_job_options`.
     key:
-        Derived content hash over ``(kind, payload)`` — equal payloads
-        produce equal keys in every process.
+        Derived content hash over ``(kind, payload)`` and
+        :data:`RESULT_VERSION` — equal payloads produce equal keys in
+        every process running the same code.
     """
 
     kind: str
@@ -98,7 +109,8 @@ class Job:
         if not self.kind:
             raise ModelError("job kind must be non-empty")
         digest = content_hash({"kind": self.kind,
-                               "payload": dict(self.payload)})
+                               "payload": dict(self.payload),
+                               "version": RESULT_VERSION})
         object.__setattr__(self, "key", digest)
 
 

@@ -122,6 +122,14 @@ class PendingInnerModel(EventModel):
             return 0.0
         return INF
 
+    def long_run_rate(self) -> float:
+        # δ'⁻ is the max of the signal's and the frames' δ⁻; without a
+        # maximum frame distance only the frames' term is left.
+        outer = self._outer.long_run_rate()
+        if self._outer.delta_plus(2) == INF:
+            return outer
+        return min(self._signal.long_run_rate(), outer)
+
     def delta_min_block(self, n_max: int) -> list:
         self._check_n(n_max)
         sig = self._signal.delta_min_block(n_max)

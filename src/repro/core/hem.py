@@ -110,6 +110,9 @@ class HierarchicalEventModel(EventModel):
     def delta_plus_block(self, n_max: int) -> list:
         return self._outer.delta_plus_block(n_max)
 
+    def long_run_rate(self) -> float:
+        return self._outer.long_run_rate()
+
     # ------------------------------------------------------------------
     # hierarchy accessors
     # ------------------------------------------------------------------

@@ -41,6 +41,7 @@ from ..eventmodels.operations import (
     DminShaper,
     PrefixMemoModel,
     TaskOutputModel,
+    spaced_rate,
 )
 from ..timebase import INF
 from .constructors import AndRule, OrRule, PackRule
@@ -104,8 +105,8 @@ class InnerJitterSpacingModel(PrefixMemoModel):
 
     A point δ⁻(n) is one query of the inner model; the δ⁻ prefix memo
     (:class:`~repro.eventmodels.operations.PrefixMemoModel`) serves η⁺
-    and block reads only, so a far point such as the utilisation
-    check's δ⁻(1000) costs one inner query, not a fill to 1000.
+    and block reads only, so a far point δ⁻(n) costs one inner query,
+    not a fill to n.
 
     Parameters
     ----------
@@ -146,6 +147,9 @@ class InnerJitterSpacingModel(PrefixMemoModel):
             return 0.0
         return max(self._inner.delta_min(n) - self.total_shift,
                    (n - 1) * self.spacing)
+
+    def long_run_rate(self) -> float:
+        return spaced_rate(self._inner.long_run_rate(), self.spacing)
 
     def _fill_min(self, n_max: int) -> list:
         """The δ⁻ memo continued to n_max from one input block."""

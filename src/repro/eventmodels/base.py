@@ -140,6 +140,26 @@ class EventModel(ABC):
             return INF
         return (n - 1) / d
 
+    def long_run_rate(self) -> float:
+        """Long-run event rate read from the stream's structure.
+
+        Every derived model that knows its rate answers in one visit to
+        its inputs: the sum of the inputs for an OR-join (η⁺ of an
+        OR-join is the sum of its inputs' η⁺, paper eqs. (3)/(4)), the
+        outer stream's rate for a hierarchy, and so on.  Each such
+        answer keeps the invariant
+
+            δ⁻(n) <= (n - 1) / long_run_rate()     for every n >= 2
+
+        whenever its inputs keep it.  Every other model answers with
+        :meth:`load`: exact for the standard (1/P) and null (0) models,
+        which keep the invariant, and the estimate at 1000 events
+        otherwise, which holds it at n = 1000 only.  So on a chain whose
+        leaves are standard or null models the rate is never above
+        :meth:`load` at any horizon; above any other leaf it may be.
+        """
+        return self.load()
+
     def simultaneity(self, cap: int = MAX_EVENTS) -> int:
         """Maximum number of events that can arrive simultaneously, i.e.
         the largest ``n`` with ``delta_min(n) == 0``.

@@ -201,6 +201,9 @@ class CachedModel(EventModel):
         """The underlying event model."""
         return self._inner
 
+    def long_run_rate(self) -> float:
+        return self._inner.long_run_rate()
+
     def delta_min(self, n: int) -> float:
         v = self._dmin_cache.get(n)
         if v is None:

@@ -51,6 +51,14 @@ from .base import MAX_EVENTS, EventModel, NullEventModel
 from .curves import CachedModel
 
 
+def spaced_rate(rate: float, spacing: float) -> float:
+    """Long-run rate of a stream of rate *rate* whose consecutive events
+    are also at least *spacing* apart: ``min(rate, 1 / spacing)``, or
+    *rate* alone when the spacing is 0.  The rule of every operation
+    whose δ⁻ is ``max(..., (n - 1) * spacing)``."""
+    return min(rate, 1.0 / spacing) if spacing > 0 else rate
+
+
 # ----------------------------------------------------------------------
 # the δ⁻ prefix memo of Θ_τ, the pairwise OR-join and the inner update
 # ----------------------------------------------------------------------
@@ -138,6 +146,12 @@ class TaskOutputModel(PrefixMemoModel):
         """r⁺ - r⁻, the jitter added by the task."""
         return self.r_max - self.r_min
 
+    def long_run_rate(self) -> float:
+        # Unrolled, δ'⁻(n) is a max of δ⁻(n - j) - span + j * r⁻ over j,
+        # and of (n - 1) * r⁻: each term is at most (n - 1) times
+        # max(1 / rate, r⁻).
+        return spaced_rate(self._in.long_run_rate(), self.r_min)
+
     def _fill_min(self, n_max: int) -> list:
         """The δ'⁻ memo continued to n_max by one block recursion."""
         memo = self._dmin_memo
@@ -195,6 +209,10 @@ class _PairwiseOrJoin(PrefixMemoModel):
         if n >= len(memo):
             memo = self._fill_plus(max(n, 2 * (len(memo) - 1)))
         return memo[n]
+
+    def long_run_rate(self) -> float:
+        # η⁺ of the join is the sum of the inputs' η⁺ (eqs. (3)/(4)).
+        return self._a.long_run_rate() + self._b.long_run_rate()
 
     # ------------------------------------------------------------------
     # reference: the per-point contribution-vector optimisation
@@ -435,6 +453,9 @@ class _AndJoin(EventModel):
         blocks = [m.delta_plus_block(n_max) for m in self._models]
         return [max(b[n] for b in blocks) for n in range(n_max + 1)]
 
+    def long_run_rate(self) -> float:
+        return min(m.long_run_rate() for m in self._models)
+
 
 def and_join(models: Sequence[EventModel], name: str = "and") -> EventModel:
     """AND-combination: output when every input has produced an event.
@@ -511,6 +532,9 @@ class DminShaper(EventModel):
         if n < 2:
             return 0.0
         return max(self._in.delta_min(n), (n - 1) * self.d)
+
+    def long_run_rate(self) -> float:
+        return spaced_rate(self._in.long_run_rate(), self.d)
 
     def delta_plus(self, n: int) -> float:
         self._check_n(n)

@@ -88,8 +88,8 @@ def build_oscillating(gain_c: float = 46.0,
     below never push T_a's busy window plus T_c's jitter across the
     first η⁺ threshold, so the loop stays contractive and the system
     converges (``gain_c=30`` is the control case in the tests); values
-    of 48 and up grow so fast that the long-run load estimate of the
-    jittered stream tips over 1.0 and the run escapes into
+    of 50 and up grow so fast that T_c's busy window stops closing and,
+    without the divergence guard, the run escapes into
     :class:`~repro._errors.NotSchedulableError` instead of exercising
     the iteration limit.
     """

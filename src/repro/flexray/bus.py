@@ -71,7 +71,7 @@ class FlexRayStaticScheduler(Scheduler):
 
         # Rate admission: more than one activation per cycle on average
         # can never drain.
-        rate = task.event_model.load()
+        rate = task.event_model.long_run_rate()
         if rate * cycle > 1.0 + 1e-9:
             raise NotSchedulableError(
                 f"{resource_name}/{task.name}: {rate * cycle:.3f} "

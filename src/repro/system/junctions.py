@@ -16,12 +16,12 @@ from ..eventmodels.base import EventModel
 
 
 def check_and_join_rates(models: Sequence[EventModel],
-                         tolerance: float = 0.05,
-                         accuracy: int = 1000) -> None:
+                         tolerance: float = 0.05) -> None:
     """Raise :class:`ModelError` if the joined streams' long-run rates
-    differ by more than *tolerance* (relative) — AND-activation would
-    then require unbounded buffering on the faster input."""
-    rates = [m.load(accuracy) for m in models]
+    (:meth:`~repro.eventmodels.base.EventModel.long_run_rate`) differ by
+    more than *tolerance* (relative) — AND-activation would then
+    require unbounded buffering on the faster input."""
+    rates = [m.long_run_rate() for m in models]
     lo, hi = min(rates), max(rates)
     if lo <= 0:
         raise ModelError("AND-join input with zero rate never activates")

@@ -1,12 +1,17 @@
 """Unit tests for the batch job abstraction and built-in job kinds."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import SPPScheduler, System, TaskSpec, periodic
 from repro._errors import ModelError
 from repro.analysis import max_wcet_scaling
+from repro.batch import jobs as jobs_module
 from repro.batch import (
     Job,
     JobResult,
@@ -50,6 +55,28 @@ class TestJobIdentity:
         a = Job("analyze", {"system": {"x": 1}, "max_iterations": 9})
         b = Job("analyze", {"max_iterations": 9, "system": {"x": 1}})
         assert a.key == b.key
+
+    def test_key_changes_with_result_version(self, monkeypatch):
+        # Stored results are found by key: results of older code must
+        # not answer for the current version.
+        payload = {"system": system_to_dict(small_system())}
+        current = Job("analyze", payload).key
+        monkeypatch.setattr(jobs_module, "RESULT_VERSION",
+                            jobs_module.RESULT_VERSION + 1)
+        assert Job("analyze", payload).key != current
+
+    def test_key_equal_across_processes(self):
+        payload = {"system": system_to_dict(small_system())}
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import json, sys\n"
+                "from repro.batch import Job\n"
+                "print(Job('analyze', json.load(sys.stdin)).key)\n")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="7")
+        out = subprocess.run([sys.executable, "-c", code],
+                             input=json.dumps(payload), env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        assert out.stdout.strip() == Job("analyze", payload).key
 
     def test_empty_kind_rejected(self):
         with pytest.raises(ModelError):

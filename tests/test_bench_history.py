@@ -73,6 +73,42 @@ class TestEnvelope:
             tmp_path / "missing.json") is None
 
 
+#: The workloads BENCHMARK.json declares.
+WORKLOADS = [w["name"] for w in bench_history.BENCHMARK["workloads"]]
+
+
+def e2e_document(p10=40.0, rss=80.0, smoke=False):
+    """A run.py --out document: one untraced and one traced result per
+    workload, metrics as ``{"value", "unit"}``."""
+    results = []
+    for workload in WORKLOADS:
+        results.append({"workload": workload, "trace": False,
+                        "metrics": {
+                            "setup_s": {"value": 1.5, "unit": "s"},
+                            "input_p10_ms": {"value": p10, "unit": "ms"},
+                            "peak_rss_mb": {"value": rss, "unit": "MB"},
+                            "p50_ms": {"value": 2 * p10, "unit": "ms"}}})
+        results.append({"workload": workload, "trace": True,
+                        "metrics": {
+                            "analysis.spp.self_ms": {"value": 3.0,
+                                                     "unit": "ms"},
+                            "analysis.spnp.self_ms": {"value": 8.0,
+                                                      "unit": "ms"},
+                            "eventmodels.compile.self_ms": {"value": 4.0,
+                                                            "unit": "ms"},
+                            "core.theta.self_ms": {"value": 0.5,
+                                                   "unit": "ms"},
+                            "analysis.spp.calls": {"value": 99.0,
+                                                   "unit": "count"}}})
+    return {"schema": "repro-e2e/1", "seed": 0, "smoke": smoke,
+            "results": results}
+
+
+def write_e2e(out_dir, **kwargs):
+    (out_dir / "BENCH_e2e.json").write_text(
+        json.dumps(e2e_document(**kwargs)))
+
+
 class TestMetrics:
     def test_extractors(self):
         comp = {"cases": {"a": {"speedup": 5.0}, "b": {"speedup": 2.0}}}
@@ -85,6 +121,48 @@ class TestMetrics:
         assert metrics["compile.min_speedup"][1]({}) is None
         assert metrics["batch.throughput"][1](
             {"points": 1, "pool_wall_seconds": 0}) is None
+
+    def test_e2e_extractors(self):
+        metrics = bench_history.TRACKED_METRICS
+        doc = e2e_document(p10=12.5, rss=41.0)
+        for workload in WORKLOADS:
+            p10 = metrics[f"e2e.{workload}.input_p10_ms"]
+            rss = metrics[f"e2e.{workload}.peak_rss_mb"]
+            assert p10.bench == rss.bench == "e2e"
+            assert p10.better == rss.better == "lower"
+            assert p10.extract(doc) == 12.5
+            assert rss.extract(doc) == 41.0
+            assert metrics[f"e2e.{workload}.setup_s"].extract(doc) == 1.5
+            # a smoke run is too short to compare with full runs
+            assert p10.extract(e2e_document(smoke=True)) is None
+        assert metrics["e2e.serve-mix.input_p10_ms"].extract({}) is None
+        assert metrics["compile.min_speedup"].better == "higher"
+
+    def test_e2e_metrics_follow_benchmark_definition(self):
+        """Every workload x end-to-end metric of a BENCHMARK.json
+        document, with its direction and bound; nothing else."""
+        benchmark = {
+            "workloads": [{"name": "w1"}, {"name": "w2"}],
+            "end_to_end": [
+                {"name": "lat_ms", "better": "lower", "bound": 0.25},
+                {"name": "ops", "better": "higher", "bound": 0.1}]}
+        metrics = bench_history.e2e_metrics(benchmark)
+        assert sorted(metrics) == ["e2e.w1.lat_ms", "e2e.w1.ops",
+                                   "e2e.w2.lat_ms", "e2e.w2.ops"]
+        assert metrics["e2e.w2.lat_ms"][2:] == ("lower", 0.25)
+        assert metrics["e2e.w1.ops"][2:] == ("higher", 0.1)
+        tracked = {name for name in bench_history.TRACKED_METRICS
+                   if name.startswith("e2e.")}
+        assert tracked == set(bench_history.e2e_metrics(
+            bench_history.BENCHMARK))
+
+    def test_top_layers(self):
+        layers = bench_history.top_layers(e2e_document())
+        assert set(layers) == set(WORKLOADS)
+        assert layers["corpus-cold"] == [
+            ("analysis.spnp.self_ms", 8.0),
+            ("eventmodels.compile.self_ms", 4.0),
+            ("analysis.spp.self_ms", 3.0)]
 
 
 class TestRecordAndCheck:
@@ -131,6 +209,42 @@ class TestRecordAndCheck:
         assert self.check(tmp_path) == 1
         err = capsys.readouterr().err
         assert "batch.throughput" in err
+
+    def test_check_flags_e2e_rise(self, tmp_path, capsys):
+        write_e2e(tmp_path, p10=40.0, rss=80.0)
+        assert self.record(tmp_path) == 0
+        write_e2e(tmp_path, p10=52.0, rss=80.0)  # 30% slower
+        assert self.check(tmp_path) == 1
+        captured = capsys.readouterr()
+        assert "e2e.corpus-cold.input_p10_ms: 52.0000 > 50.0000" \
+            in captured.err
+        assert "peak_rss_mb" not in captured.err
+        # the traced layers are printed, not gated
+        assert ("e2e.corpus-cold top layers (not gated): "
+                "analysis.spnp.self_ms 8 ms") in captured.out
+
+    def test_check_passes_e2e_drop(self, tmp_path, capsys):
+        write_e2e(tmp_path, p10=40.0, rss=80.0)
+        assert self.record(tmp_path) == 0
+        write_e2e(tmp_path, p10=8.0, rss=42.0)  # much faster, smaller
+        assert self.check(tmp_path) == 0
+        assert "REGRESSION" not in capsys.readouterr().out
+        write_e2e(tmp_path, p10=49.0, rss=87.0)  # within both bounds
+        assert self.check(tmp_path) == 0
+
+    def test_check_gates_e2e_at_benchmark_bound(self, tmp_path, capsys):
+        """peak_rss_mb is gated at its 10% BENCHMARK.json bound, not at
+        the 25% --threshold default."""
+        write_e2e(tmp_path, p10=40.0, rss=80.0)
+        assert self.record(tmp_path) == 0
+        write_e2e(tmp_path, p10=40.0, rss=92.0)  # 15% larger
+        assert self.check(tmp_path) == 1
+        err = capsys.readouterr().err
+        assert ("e2e.corpus-cold.peak_rss_mb: 92.0000 > 88.0000 "
+                "(baseline 80.0000, threshold 10%)") in err
+        assert "input_p10_ms" not in err
+        # --threshold does not loosen a declared bound
+        assert self.check(tmp_path, "--threshold", "0.5") == 1
 
     def test_baseline_is_median_of_window(self, tmp_path):
         # history: speedups 2, 100, 100 -> median 100; current 60

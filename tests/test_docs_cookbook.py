@@ -25,6 +25,7 @@ def test_stream_recipe():
     em = periodic_with_jitter(100.0, 30.0)
     assert em.delta_min(5) == 370.0
     assert em.eta_plus(250.0) == 3
+    assert em.long_run_rate() == 0.01
     assert em.load() == pytest.approx(0.01)
     assert em.simultaneity() == 1
 

@@ -290,6 +290,15 @@ class TestJunctionHelpers:
         with pytest.raises(ModelError):
             check_and_join_rates([periodic(100.0), periodic(200.0)])
 
+    def test_and_rate_check_reads_structural_rates(self):
+        # Θ_τ keeps its input's rate, 0.1; the estimate
+        # 999 / δ'⁻(1000) reads 0.106 because of the 599 of response
+        # jitter, outside the 5% tolerance.
+        from repro.eventmodels import StandardEventModel, TaskOutputModel
+        check_and_join_rates([
+            StandardEventModel(10, 0),
+            TaskOutputModel(StandardEventModel(10, 0), 1, 600)])
+
     def test_decompose(self):
         (jname, kind, inputs), (tname, tinputs) = decompose_multi_input(
             "t", ["a", "b"])
