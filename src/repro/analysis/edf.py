@@ -200,9 +200,9 @@ class EDFScheduler(Scheduler):
                                       element=element, closes=closes)
                 chains.append(chain)
                 task_chains.append((a, chain))
-            meta.append((task, others, candidates, task_chains))
+            meta.append((task, candidates, task_chains))
         kernels.run_chains(chains, tables, resource_name)
-        for task, others, candidates, task_chains in meta:
+        for task, candidates, task_chains in meta:
             best_r = task.c_max
             best_busy = [task.c_max]
             best_q = 1
@@ -214,19 +214,9 @@ class EDFScheduler(Scheduler):
                     best_busy = chain.busy_times
                     best_q = chain.q_max
                     best_a = a
-            blame = None
-            if _obs.enabled:
-                registry = _obs.metrics()
-                registry.counter("edf.tasks_analyzed").inc()
-                registry.histogram("edf.candidate_offsets").observe(
-                    len(candidates))
-                registry.histogram("edf.busy_window_activations").observe(
-                    best_q)
-                blame = self._blame(task, others, resource_name, best_r,
-                                    best_busy, best_a)
-            out[task.name] = TaskResult(name=task.name, r_min=task.c_min,
-                                        r_max=best_r, busy_times=best_busy,
-                                        q_max=best_q, blame=blame)
+            out[task.name] = self._task_result(task, len(candidates),
+                                               best_r, best_busy, best_q,
+                                               best_a)
         return out
 
     def _analyze_task(self, task: TaskSpec, tasks: Sequence[TaskSpec],
@@ -275,23 +265,27 @@ class EDFScheduler(Scheduler):
                 best_q = q_max
                 best_a = a
 
-        blame = None
+        return self._task_result(task, len(candidates), best_r, best_busy,
+                                 best_q, best_a)
+
+    @staticmethod
+    def _task_result(task: TaskSpec, candidates: int, r_max: float,
+                     busy_times: "list[float]", q_max: int,
+                     offset: float) -> TaskResult:
+        """The result at the critical candidate offset, which
+        :meth:`blame` reads back from ``details["offset"]``."""
         if _obs.enabled:
             registry = _obs.metrics()
             registry.counter("edf.tasks_analyzed").inc()
-            registry.histogram("edf.candidate_offsets").observe(
-                len(candidates))
+            registry.histogram("edf.candidate_offsets").observe(candidates)
             registry.histogram("edf.busy_window_activations").observe(
-                best_q)
-            blame = self._blame(task, others, resource_name, best_r,
-                                best_busy, best_a)
-        return TaskResult(name=task.name, r_min=task.c_min, r_max=best_r,
-                          busy_times=best_busy, q_max=best_q, blame=blame)
+                q_max)
+        return TaskResult(name=task.name, r_min=task.c_min, r_max=r_max,
+                          busy_times=busy_times, q_max=q_max,
+                          details={"offset": offset})
 
-    @staticmethod
-    def _blame(task: TaskSpec, others: Sequence[TaskSpec],
-               resource_name: str, r_max: float,
-               busy_times: Sequence[float], a: float) -> Blame:
+    def blame(self, task: TaskSpec, tasks: Sequence[TaskSpec],
+              resource_name: str, result: TaskResult) -> Blame:
         """Decompose the WCRT at the critical candidate (a*, q*).
 
         At the fixed point ``B = q*·C⁺ + Σ min(η⁺_j(B), n_j(d))·C_j⁺``
@@ -300,6 +294,8 @@ class EDFScheduler(Scheduler):
         ``deadline-limited`` — the interference EDF filters out is
         exactly what fixed priorities would have charged.
         """
+        busy_times = result.busy_times
+        a = result.details["offset"]
         em = task.event_model
         arrivals = [a + em.delta_min(q)
                     for q in range(1, len(busy_times) + 1)]
@@ -307,7 +303,9 @@ class EDFScheduler(Scheduler):
         bq = busy_times[q - 1]
         abs_deadline = a + em.delta_min(q) + task.deadline
         terms = []
-        for j in others:
+        for j in tasks:
+            if j is task:
+                continue
             n_arrived = j.event_model.eta_plus(bq)
             n_deadline = j.event_model.eta_plus(
                 abs_deadline - j.deadline + _DEADLINE_EPS)
@@ -319,7 +317,7 @@ class EDFScheduler(Scheduler):
                       else "")))
         return Blame(
             task=task.name, resource=resource_name, policy="edf", q=q,
-            busy_time=bq, arrival=arrivals[q - 1], wcrt=r_max,
+            busy_time=bq, arrival=arrivals[q - 1], wcrt=result.r_max,
             own=BlameTerm(task.name, KIND_OWN, contribution=q * task.c_max,
                           activations=q, c_max=task.c_max),
             interference=terms,

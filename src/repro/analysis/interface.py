@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .._errors import ModelError
 from ..eventmodels.base import EventModel
 from .results import ResourceResult, TaskResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..explain.blame import Blame
 
 
 @dataclass
@@ -95,6 +98,17 @@ class Scheduler(ABC):
         re-deriving those tasks — set-wide validity checks (utilization,
         unique names, parameter validation) always run fresh.
         """
+
+    def blame(self, task: TaskSpec, tasks: Sequence[TaskSpec],
+              resource_name: str, result: TaskResult) -> "Optional[Blame]":
+        """Decompose *task*'s worst-case response time at its critical
+        activation into own, blocking and per-interferer terms.
+
+        *result* is *task*'s entry of ``analyze(tasks, resource_name)``;
+        the decomposition re-evaluates the workload terms at its
+        busy times.  ``None`` when the policy has no decomposition.
+        """
+        return None
 
     def influence_fingerprint(self, task: TaskSpec,
                               tasks: Sequence[TaskSpec]):

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..explain.blame import Blame
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -28,11 +25,10 @@ class TaskResult:
     q_max:
         Number of activations examined before the busy window closed.
     details:
-        Analysis-specific diagnostics (e.g. blocking term for SPNP).
-    blame:
-        WCRT decomposition at the critical activation
-        (:class:`repro.explain.blame.Blame`); populated by the solvers
-        only while ``repro.obs.enabled`` is on, ``None`` otherwise.
+        Analysis-specific diagnostics (e.g. blocking term for SPNP,
+        critical offset for EDF).  The WCRT decomposition is not stored
+        here: :meth:`repro.analysis.interface.Scheduler.blame` derives
+        it from this result on demand.
     degraded:
         True when this result was produced (or substituted) by the
         degraded-analysis path of :mod:`repro.resilience` rather than a
@@ -46,7 +42,6 @@ class TaskResult:
     busy_times: List[float] = field(default_factory=list)
     q_max: int = 0
     details: Dict[str, float] = field(default_factory=dict)
-    blame: "Optional[Blame]" = None
     degraded: bool = False
 
     @property

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .. import obs as _obs
 from .._errors import ModelError, NotSchedulableError
 from ..explain.blame import (
     KIND_INTERFERENCE,
@@ -88,26 +87,23 @@ class RoundRobinScheduler(Scheduler):
         r_max, busy_times, q_max = multi_activation_loop(
             task.event_model, busy_time,
             resource=resource_name, task=task.name)
-        blame = None
-        if _obs.enabled:
-            blame = self._blame(task, others, resource_name, r_max,
-                                busy_times)
         return TaskResult(name=task.name, r_min=task.c_min, r_max=r_max,
-                          busy_times=busy_times, q_max=q_max, blame=blame)
+                          busy_times=busy_times, q_max=q_max)
 
-    @staticmethod
-    def _blame(task: TaskSpec, others: Sequence[TaskSpec],
-               resource_name: str, r_max: float,
-               busy_times: Sequence[float]) -> Blame:
+    def blame(self, task: TaskSpec, tasks: Sequence[TaskSpec],
+              resource_name: str, result: TaskResult) -> Blame:
         """Decompose the WCRT at the critical activation; interference
         capped by the round count is marked ``slot-capped``."""
+        busy_times = result.busy_times
         arrivals = [task.event_model.delta_min(q)
                     for q in range(1, len(busy_times) + 1)]
         q = critical_activation(busy_times, arrivals)
         bq = busy_times[q - 1]
         rounds = math.ceil(q * task.c_max / task.slot)
         terms = []
-        for j in others:
+        for j in tasks:
+            if j is task:
+                continue
             n = j.event_model.eta_plus(bq)
             arrival_bound = n * j.c_max
             slot_bound = rounds * j.slot
@@ -120,7 +116,7 @@ class RoundRobinScheduler(Scheduler):
                       if capped else "")))
         return Blame(
             task=task.name, resource=resource_name, policy="round_robin",
-            q=q, busy_time=bq, arrival=arrivals[q - 1], wcrt=r_max,
+            q=q, busy_time=bq, arrival=arrivals[q - 1], wcrt=result.r_max,
             own=BlameTerm(task.name, KIND_OWN, contribution=q * task.c_max,
                           activations=q, c_max=task.c_max),
             interference=terms, candidate={"rounds": rounds})

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .. import obs as _obs
 from .._errors import ModelError, NotSchedulableError
 from ..explain.blame import (
     KIND_BLOCKING,
@@ -136,12 +135,11 @@ class SPNPScheduler(Scheduler):
                   max((t.c_max for t in tasks
                        if t.priority > task.priority), default=0.0),
                   own)]
-        for j in tasks:
-            if j is not task and j.priority <= task.priority:
-                fp = spec_fingerprint(j)
-                if fp is None:
-                    return None
-                parts.append(fp)
+        for j in self._higher(task, tasks):
+            fp = spec_fingerprint(j)
+            if fp is None:
+                return None
+            parts.append(fp)
         return tuple(parts)
 
     def _blocking(self, task: TaskSpec,
@@ -149,10 +147,15 @@ class SPNPScheduler(Scheduler):
         lower = [t for t in tasks if t.priority > task.priority]
         return max((t.c_max for t in lower), default=0.0) + task.blocking
 
+    @staticmethod
+    def _higher(task: TaskSpec,
+                tasks: Sequence[TaskSpec]) -> Sequence[TaskSpec]:
+        return [t for t in tasks
+                if t is not task and t.priority <= task.priority]
+
     def _analyze_task(self, task: TaskSpec, tasks: Sequence[TaskSpec],
                       resource_name: str) -> TaskResult:
-        higher = [t for t in tasks
-                  if t is not task and t.priority <= task.priority]
+        higher = self._higher(task, tasks)
         blocking = self._blocking(task, tasks)
         eps = self.arbitration_eps
 
@@ -181,18 +184,13 @@ class SPNPScheduler(Scheduler):
         r_max, busy_times, q_max = multi_activation_loop(
             task.event_model, busy_time,
             resource=resource_name, task=task.name)
-        blame = None
-        if _obs.enabled:
-            blame = self._blame(task, higher, resource_name, blocking,
-                                r_max, busy_times)
         # Best case: the frame finds the bus idle and just transmits.
         return TaskResult(name=task.name, r_min=task.c_min, r_max=r_max,
                           busy_times=busy_times, q_max=q_max,
-                          details={"blocking": blocking}, blame=blame)
+                          details={"blocking": blocking})
 
-    def _blame(self, task: TaskSpec, higher: Sequence[TaskSpec],
-               resource_name: str, blocking: float, r_max: float,
-               busy_times: Sequence[float]) -> Blame:
+    def blame(self, task: TaskSpec, tasks: Sequence[TaskSpec],
+              resource_name: str, result: TaskResult) -> Blame:
         """Decompose the WCRT at the critical activation.
 
         ``B(q*) = w + C⁺`` with ``w = blocking + (q*-1)·C⁺ +
@@ -200,6 +198,8 @@ class SPNPScheduler(Scheduler):
         term folds the queued predecessors and the final transmission
         into q*·C⁺.
         """
+        busy_times = result.busy_times
+        blocking = self._blocking(task, tasks)
         arrivals = [task.event_model.delta_min(q)
                     for q in range(1, len(busy_times) + 1)]
         q = critical_activation(busy_times, arrivals)
@@ -211,7 +211,7 @@ class SPNPScheduler(Scheduler):
                            * j.c_max,
                            activations=j.event_model.eta_plus(w + eps),
                            c_max=j.c_max)
-                 for j in higher]
+                 for j in self._higher(task, tasks)]
         extras = []
         if self.error_model is not None:
             extras.append(BlameTerm(
@@ -223,7 +223,7 @@ class SPNPScheduler(Scheduler):
                          if blocking else None)
         return Blame(
             task=task.name, resource=resource_name, policy="spnp", q=q,
-            busy_time=bq, arrival=arrivals[q - 1], wcrt=r_max,
+            busy_time=bq, arrival=arrivals[q - 1], wcrt=result.r_max,
             own=BlameTerm(task.name, KIND_OWN, contribution=q * task.c_max,
                           activations=q, c_max=task.c_max),
             blocking=blocking_term, interference=terms, extras=extras)

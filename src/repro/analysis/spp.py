@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from .. import obs as _obs
 from .._errors import NotSchedulableError
 from ..explain.blame import (
     KIND_BLOCKING,
@@ -121,15 +120,10 @@ class SPPScheduler(Scheduler):
         kernels.run_chains(chains, tables, resource_name)
         out = {}
         for chain, (task, interferers) in zip(chains, meta):
-            blame = None
-            if _obs.enabled:
-                blame = self._blame(task, interferers, resource_name,
-                                    chain.r_max, chain.busy_times)
             out[task.name] = TaskResult(
                 name=task.name, r_min=task.c_min, r_max=chain.r_max,
                 busy_times=chain.busy_times, q_max=chain.q_max,
-                details={"interferers": float(len(interferers))},
-                blame=blame)
+                details={"interferers": float(len(interferers))})
         return out
 
     def _analyze_task(self, task: TaskSpec, tasks: Sequence[TaskSpec],
@@ -157,19 +151,12 @@ class SPPScheduler(Scheduler):
         r_max, busy_times, q_max = multi_activation_loop(
             task.event_model, busy_time,
             resource=resource_name, task=task.name)
-        blame = None
-        if _obs.enabled:
-            blame = self._blame(task, interferers, resource_name, r_max,
-                                busy_times)
         return TaskResult(name=task.name, r_min=task.c_min, r_max=r_max,
                           busy_times=busy_times, q_max=q_max,
-                          details={"interferers": float(len(interferers))},
-                          blame=blame)
+                          details={"interferers": float(len(interferers))})
 
-    @staticmethod
-    def _blame(task: TaskSpec, interferers: Sequence[TaskSpec],
-               resource_name: str, r_max: float,
-               busy_times: Sequence[float]) -> Blame:
+    def blame(self, task: TaskSpec, tasks: Sequence[TaskSpec],
+              resource_name: str, result: TaskResult) -> Blame:
         """Decompose the WCRT at the critical activation.
 
         At the least fixed point ``B(q*) = blocking + q*·C⁺ +
@@ -177,6 +164,7 @@ class SPPScheduler(Scheduler):
         interferer's activation count at B(q*) recovers the exact
         additive split.
         """
+        busy_times = result.busy_times
         arrivals = [task.event_model.delta_min(q)
                     for q in range(1, len(busy_times) + 1)]
         q = critical_activation(busy_times, arrivals)
@@ -186,13 +174,13 @@ class SPPScheduler(Scheduler):
                            * j.c_max,
                            activations=j.event_model.eta_plus(bq),
                            c_max=j.c_max)
-                 for j in interferers]
+                 for j in self._interferers(task, tasks)]
         blocking = (BlameTerm(task.name, KIND_BLOCKING,
                               contribution=task.blocking)
                     if task.blocking else None)
         return Blame(
             task=task.name, resource=resource_name, policy="spp", q=q,
-            busy_time=bq, arrival=arrivals[q - 1], wcrt=r_max,
+            busy_time=bq, arrival=arrivals[q - 1], wcrt=result.r_max,
             own=BlameTerm(task.name, KIND_OWN, contribution=q * task.c_max,
                           activations=q, c_max=task.c_max),
             blocking=blocking, interference=terms)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .. import obs as _obs
 from .._errors import ModelError, NotSchedulableError
 from ..explain.blame import (
     KIND_OWN,
@@ -102,10 +101,6 @@ class TDMAScheduler(Scheduler):
         r_max, busy_times, q_max = multi_activation_loop(
             task.event_model, busy_time,
             resource=resource_name, task=task.name)
-        blame = None
-        if _obs.enabled:
-            blame = self._blame(task, cycle, resource_name, r_max,
-                                busy_times)
         # Best case: activation at the start of the own slot, execution
         # fits into consecutive slots without waiting.
         own_slots = math.ceil(task.c_min / task.slot - EPS) - 1
@@ -113,14 +108,15 @@ class TDMAScheduler(Scheduler):
         r_min = max(task.c_min, min(r_min, r_max))
         return TaskResult(name=task.name, r_min=r_min, r_max=r_max,
                           busy_times=busy_times, q_max=q_max,
-                          details={"cycle": cycle}, blame=blame)
+                          details={"cycle": cycle})
 
-    @staticmethod
-    def _blame(task: TaskSpec, cycle: float, resource_name: str,
-               r_max: float, busy_times: Sequence[float]) -> Blame:
+    def blame(self, task: TaskSpec, tasks: Sequence[TaskSpec],
+              resource_name: str, result: TaskResult) -> Blame:
         """Decompose the WCRT: in TDMA no other task's arrivals matter —
         everything beyond the own demand is waiting for the own slot, a
         single ``supply`` term charged to the cycle."""
+        busy_times = result.busy_times
+        cycle = sum(t.slot for t in tasks)
         arrivals = [task.event_model.delta_min(q)
                     for q in range(1, len(busy_times) + 1)]
         q = critical_activation(busy_times, arrivals)
@@ -134,7 +130,7 @@ class TDMAScheduler(Scheduler):
                      f"{task.slot:g}"))
         return Blame(
             task=task.name, resource=resource_name, policy="tdma", q=q,
-            busy_time=bq, arrival=arrivals[q - 1], wcrt=r_max,
+            busy_time=bq, arrival=arrivals[q - 1], wcrt=result.r_max,
             own=BlameTerm(task.name, KIND_OWN, contribution=q * task.c_max,
                           activations=q, c_max=task.c_max),
             extras=extras, candidate={"cycle": cycle})

@@ -2,51 +2,43 @@
 
 Where :mod:`repro.obs` answers "what did the engine *do*" (spans,
 counters, convergence residuals), this package answers "where does the
-*result* come from":
+*result* come from".  An explanation is a function of a finished
+analysis, computed on demand:
 
 * :mod:`repro.explain.blame` — WCRT blame attribution.  Every
-  busy-window solver (:mod:`repro.analysis.spp`, ``spnp``, ``edf``,
-  ``round_robin``, ``tdma``) decomposes the worst-case response time at
-  the critical activation into own execution, blocking, and
-  per-interferer activation×WCET contributions, attached to
-  :class:`repro.analysis.results.TaskResult` as a structured
-  :class:`Blame` record.
-* :mod:`repro.explain.lineage` — event-model lineage.  The global
-  propagation engine records, per port, how its activation model was
-  derived (source → Θ_τ output → OR-join → ``Ω_pa`` pack → inner update
-  ``B`` → ``Ψ`` unpack) as a queryable DAG; rendering lives in
-  :mod:`repro.viz.lineage`.
-* :mod:`repro.explain.engine` — the :func:`explain_system` driver that
-  runs the global analysis with recording on and bundles blame, lineage,
-  and the converged result into an :class:`Explanation`.
+  busy-window scheduler (:mod:`repro.analysis.spp`, ``spnp``, ``edf``,
+  ``round_robin``, ``tdma``) decomposes a task's worst-case response
+  time at the critical activation into own execution, blocking, and
+  per-interferer activation×WCET contributions
+  (:meth:`repro.analysis.interface.Scheduler.blame`, a structured
+  :class:`Blame` record).
+* :mod:`repro.explain.lineage` — event-model lineage: per port, how its
+  activation model was derived (source → Θ_τ output → OR-join →
+  ``Ω_pa`` pack → inner update ``B`` → ``Ψ`` unpack) as a queryable
+  DAG; rendering lives in :mod:`repro.viz.lineage`.
+* :mod:`repro.explain.engine` — :func:`explain_result` rebuilds both
+  from a converged :class:`~repro.analysis.results.SystemResult` and
+  bundles them into an :class:`Explanation`; :func:`explain_system`
+  analyses a system and explains the result.
 * :mod:`repro.explain.cli` — ``python -m repro explain``.
 
-All recording sits behind the ``repro.obs.enabled`` master switch: with
-observability off, the only cost at every instrumented call site is one
-attribute load and one branch (the same contract as :mod:`repro.obs`).
+Nothing here reads the ``repro.obs.enabled`` switch, and an analysis
+builds no explanation unless one is asked for.
 """
 
 from __future__ import annotations
 
 from .blame import Blame, BlameTerm
-from .lineage import (
-    LineageGraph,
-    LineageNode,
-    LineageRecorder,
-    lineage,
-    reset_lineage,
-)
+from .lineage import LineageGraph, LineageNode
 
 __all__ = [
     "Blame",
     "BlameTerm",
     "LineageGraph",
     "LineageNode",
-    "LineageRecorder",
-    "lineage",
-    "reset_lineage",
     # lazily resolved (see __getattr__):
     "Explanation",
+    "explain_result",
     "explain_system",
     "render_blame",
     "render_blame_table",
@@ -56,8 +48,8 @@ __all__ = [
 #: imports the system layer, which imports the analysis layer, which
 #: imports :mod:`repro.explain.blame` — importing it eagerly here would
 #: close that cycle at package-import time.
-_ENGINE_EXPORTS = ("Explanation", "explain_system", "render_blame",
-                   "render_blame_table")
+_ENGINE_EXPORTS = ("Explanation", "explain_result", "explain_system",
+                   "render_blame", "render_blame_table")
 
 
 def __getattr__(name: str):

@@ -1,6 +1,6 @@
 """``python -m repro explain`` — explain a built-in example's results.
 
-Runs the global analysis with explanation recording on and prints, for
+Analyses the example, explains the converged result and prints, for
 every task (or one ``--task``), the WCRT blame table, the per-term
 breakdown, and the activation-model lineage.  For ``rox08`` both paper
 variants are analysed and the flat-vs-HEM WCRT delta is attributed to
@@ -10,9 +10,10 @@ the receiver-side activation counts::
     python -m repro explain rox08 --task T3 --dot lineage.dot
     python -m repro explain body_gateway --chrome trace.json
 
-``--dot`` writes the lineage DAG as Graphviz DOT; ``--chrome`` writes
-the span trace of the explained run in Chrome trace-event format (open
-in https://ui.perfetto.dev or ``chrome://tracing``).
+``--dot`` writes the lineage DAG as Graphviz DOT; ``--chrome`` turns
+telemetry on for the explained run alone and writes its span trace in
+Chrome trace-event format (open in https://ui.perfetto.dev or
+``chrome://tracing``).
 """
 
 from __future__ import annotations
@@ -61,12 +62,18 @@ def explain_main(argv: Optional[Sequence[str]] = None) -> int:
     from .. import obs as _obs
     from .engine import explain_system
 
-    # A Chrome export should cover exactly this run's spans.
+    # The Chrome export covers exactly the explained run's spans: it is
+    # written before the rox08 flat baseline below runs.
+    was_enabled = _obs.enabled
     if args.chrome:
-        _obs.configure(enabled=_obs.enabled, reset=True)
-
-    system = EXAMPLES[args.example]()
-    ex = explain_system(system)
+        _obs.configure(enabled=True, reset=True)
+    try:
+        ex = explain_system(EXAMPLES[args.example]())
+        if args.chrome:
+            from ..obs.export import tracer_to_chrome
+            trace = tracer_to_chrome(_obs.get_tracer(), args.chrome)
+    finally:
+        _obs.configure(enabled=was_enabled)
 
     print(f"=== {ex.system_name}: converged in "
           f"{ex.result.iterations} iterations ===\n")
@@ -96,9 +103,7 @@ def explain_main(argv: Optional[Sequence[str]] = None) -> int:
             fh.write(dot)
         print(f"\nlineage DAG -> {args.dot}")
     if args.chrome:
-        from ..obs.export import tracer_to_chrome
-        payload = tracer_to_chrome(_obs.get_tracer(), args.chrome)
-        print(f"chrome trace: {len(payload['traceEvents'])} events "
+        print(f"chrome trace: {len(trace['traceEvents'])} events "
               f"-> {args.chrome}")
     return 0
 

@@ -1,11 +1,15 @@
-"""Run a global analysis and collect its explanation artefacts.
+"""Explain a finished analysis: blame and lineage on demand.
 
-:func:`explain_system` wraps :func:`repro.system.propagation.analyze_system`
-with observability forced on, so that the per-policy solvers attach
-:class:`~repro.explain.blame.Blame` records and the propagation engine
-records the event-model lineage DAG.  The result is an
-:class:`Explanation` bundling the converged :class:`SystemResult`, the
-per-task blame decompositions, and a :class:`LineageGraph` snapshot::
+:func:`explain_result` takes a system and its converged
+:class:`SystemResult` and rebuilds what the analysis knew at its fixed
+point: the stream resolver over the converged responses (recording each
+port's derivation into a lineage graph private to the call), each
+resource's local analysis on the task specs it resolves, and each
+scheduler's :meth:`~repro.analysis.interface.Scheduler.blame`
+decomposition of each task.  :func:`explain_system` analyses a system
+and explains the result.  Neither reads or writes ``repro.obs.enabled``;
+the result is an :class:`Explanation` bundling the converged result,
+the per-task blame decompositions and the :class:`LineageGraph`::
 
     from repro.explain import explain_system
     ex = explain_system(build_system("hem"))
@@ -22,24 +26,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .. import obs as _obs
 from ..analysis.results import SystemResult
 from ..system.model import System
-from ..system.propagation import DEFAULT_MAX_ITERATIONS, analyze_system
+from ..system.propagation import (
+    DEFAULT_MAX_ITERATIONS,
+    _converged_resolver,
+    analyze_system,
+)
 from ..viz.tables import render_table
 from .blame import Blame
-from .lineage import LineageGraph, lineage, reset_lineage
+from .lineage import LineageGraph, LineageNode
 
 
 @dataclass
 class Explanation:
-    """Everything recorded while explaining one system analysis."""
+    """Everything derived while explaining one system analysis."""
 
     system_name: str
     result: SystemResult
-    #: Task name → blame decomposition (every task the solvers analysed).
+    #: Task name → blame decomposition (every task whose scheduler
+    #: decomposes its bound).
     blames: Dict[str, Blame] = field(default_factory=dict)
-    #: Snapshot of the event-model derivation DAG.
+    #: The event-model derivation DAG.
     graph: LineageGraph = field(default_factory=lambda: LineageGraph({}))
     #: Task name → the activation port whose lineage explains the task
     #: (its single input, or the synthetic ``<task>.act`` join node).
@@ -104,30 +112,35 @@ class Explanation:
         }
 
 
-def explain_system(system: System,
-                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
+def explain_result(system: System, result: SystemResult,
                    check: bool = True) -> Explanation:
-    """Analyse *system* with explanation recording on.
+    """Explain *result*, a converged analysis of *system*.
 
-    Observability is enabled for the duration of the run (and restored
-    afterwards); the lineage recorder is reset first so the snapshot
-    contains exactly this system's derivations.  With ``check=True``
-    every blame record is verified to sum to its reported WCRT before
-    returning.
+    Rebuilds the stream resolver from the converged responses (the
+    models of the final iteration), re-runs each resource's local
+    analysis on the task specs it resolves, and asks each scheduler to
+    decompose each task's bound.  The lineage graph holds every port
+    this resolution visits.  With ``check=True`` every blame record is
+    verified to sum to its WCRT before returning.
     """
-    was_enabled = _obs.enabled
-    reset_lineage()
-    _obs.configure(enabled=True)
-    try:
-        result = analyze_system(system, max_iterations=max_iterations)
-    finally:
-        _obs.configure(enabled=was_enabled)
-
+    nodes: Dict[str, LineageNode] = {}
+    resolver = _converged_resolver(system, result, lineage=nodes)
     blames: Dict[str, Blame] = {}
-    for rr in result.resource_results.values():
-        for name, tr in rr.task_results.items():
-            if tr.blame is not None:
-                blames[name] = tr.blame
+    for resource in system.resources.values():
+        tasks = system.tasks_on(resource.name)
+        if not tasks:
+            continue
+        specs = resolver.task_specs(tasks)
+        scheduler = resource.scheduler
+        rr = scheduler.analyze(specs, resource.name)
+        for spec in specs:
+            blame = scheduler.blame(spec, specs, resource.name,
+                                    rr.task_results[spec.name])
+            if blame is not None:
+                blames[spec.name] = blame
+    # Every task's output stream, as the final iteration propagated it.
+    for name in system.tasks:
+        resolver.port(name)
     if check:
         for b in blames.values():
             b.check()
@@ -136,8 +149,18 @@ def explain_system(system: System,
                     else f"{name}.act")
              for name, task in system.tasks.items() if task.inputs}
     return Explanation(system_name=system.name, result=result,
-                       blames=blames, graph=lineage().graph(),
+                       blames=blames, graph=LineageGraph(nodes),
                        activation_ports=ports)
+
+
+def explain_system(system: System,
+                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
+                   check: bool = True) -> Explanation:
+    """Analyse *system* and explain the converged result
+    (:func:`explain_result`)."""
+    return explain_result(
+        system, analyze_system(system, max_iterations=max_iterations),
+        check=check)
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ The global propagation engine (:mod:`repro.system.propagation`) resolves
 every port's event model by walking the stream graph and applying
 constructors (``Ω_pa`` pack, OR/AND join), the task-output operation Θ_τ
 with its inner update ``B_{Θ,C}``, and the deconstructor ``Ψ`` (unpack).
-When observability is enabled it records each derivation step here, so
-after a run the full provenance chain of any activation model can be
-queried and rendered (:mod:`repro.viz.lineage`):
+A resolver given a lineage dict records each derivation step there;
+:func:`repro.explain.engine.explain_result` hands one to the resolver it
+rebuilds from a converged result, so the full provenance chain of any
+activation model can be queried and rendered (:mod:`repro.viz.lineage`):
 
     F1_rx.S3   unpack Ψ[S3]
       └─ F1    Θ_τ r=[37.5, 138.0] + inner update B_{Θτ,C_pa}
@@ -14,21 +15,14 @@ queried and rendered (:mod:`repro.viz.lineage`):
               ├─ S1    source
               ...
 
-Nodes are keyed by port name and overwritten on re-recording, so after a
-converged fixed-point run the graph reflects the final iteration.  The
-recorder is process-global (like the tracer); drivers that analyse
-several systems snapshot and reset between runs
-(:meth:`LineageRecorder.graph`, :func:`reset_lineage`).
-
 This module must stay import-light: the propagation engine imports it at
 module load, so nothing here may import the analysis or system layers.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Node kinds, in rough upstream→downstream order of the paper's
 #: pipeline.
@@ -167,58 +161,3 @@ def _plain(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     return repr(value)
-
-
-class LineageRecorder:
-    """Mutable collector the propagation engine writes into.
-
-    Recording is idempotent per port-and-iteration: :meth:`record`
-    overwrites the node for a port, so re-resolution in later global
-    iterations keeps only the final state.  A lock guards the node map —
-    the engine is single-threaded today, but batch workers and future
-    sharded backends may not be.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._nodes: Dict[str, LineageNode] = {}
-
-    def record(self, port: str, kind: str,
-               inputs: Sequence[str] = (), **attrs: Any) -> None:
-        node = LineageNode(port, kind, tuple(inputs), attrs)
-        with self._lock:
-            self._nodes[port] = node
-
-    def annotate(self, port: str, **attrs: Any) -> None:
-        """Merge attributes into an existing node (no-op if absent)."""
-        with self._lock:
-            node = self._nodes.get(port)
-            if node is not None:
-                node.attrs.update(attrs)
-
-    def graph(self) -> LineageGraph:
-        """Immutable snapshot of the current DAG."""
-        with self._lock:
-            return LineageGraph(self._nodes)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._nodes.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._nodes)
-
-
-_recorder = LineageRecorder()
-
-
-def lineage() -> LineageRecorder:
-    """The process-global lineage recorder (written by the propagation
-    engine whenever ``repro.obs.enabled`` is on)."""
-    return _recorder
-
-
-def reset_lineage() -> None:
-    """Drop all recorded derivation steps."""
-    _recorder.reset()

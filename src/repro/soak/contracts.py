@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from .._errors import ModelError
+from ..timebase import EPS
 
 #: Severity vocabulary, most severe first.
 SEVERITY_CRITICAL = "critical"  # the paper's claim itself is broken
@@ -206,13 +207,28 @@ def _check_memo_cold_identical(ev) -> Tuple[str, str]:
 
 
 def _check_blame_sums_to_bound(ev) -> Tuple[str, str]:
-    if ev.blame_failures is None:
-        return SKIP, "no blame-instrumented run"
-    if ev.blame_failures:
-        return VIOLATION, "; ".join(ev.blame_failures[:3])
-    if not ev.blame_checked:
-        return SKIP, "analysis attached no blame decompositions"
-    return PASS, f"{ev.blame_checked} decompositions sum to their bound"
+    if ev.explain_error:
+        return VIOLATION, (f"explaining the strict result failed: "
+                           f"{ev.explain_error}")
+    if ev.explanation is None:
+        return SKIP, "no explanation of a strict result"
+    blames = ev.explanation.blames
+    failures: List[str] = []
+    for name, blame in sorted(blames.items()):
+        try:
+            blame.check()
+        except AssertionError as exc:
+            failures.append(str(exc))
+        r_max = ev.strict.wcrt(name)
+        if abs(blame.wcrt - r_max) > EPS:
+            failures.append(f"{name}: explained WCRT {blame.wcrt!r} != "
+                            f"converged r+ {r_max!r}")
+    if failures:
+        return VIOLATION, "; ".join(failures[:3])
+    if not blames:
+        return SKIP, "no scheduler decomposed a bound"
+    return PASS, (f"{len(blames)} decompositions sum to their converged "
+                  f"bound")
 
 
 def _check_degrade_certified_sound(ev) -> Tuple[str, str]:
@@ -319,8 +335,9 @@ register_contract(Contract(
 
 register_contract(Contract(
     id="blame-sums-to-bound",
-    statement="Every WCRT blame decomposition's terms sum exactly to "
-              "the reported busy time and bound.",
+    statement="Every WCRT blame decomposition re-derived from the "
+              "converged result sums exactly to its busy time and "
+              "bound, and that bound is the converged r+.",
     severity=SEVERITY_MAJOR,
     doc="docs/contracts/blame-sums-to-bound.md",
     check=_check_blame_sums_to_bound))

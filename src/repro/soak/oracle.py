@@ -3,9 +3,9 @@
 One soak sample is a seeded system draw.  The oracle runs it through
 every engine path the contract matrix compares — strict analysis,
 degrade mode, shared and unshared event-model chains, the incremental memo,
-bounded simulations under worst-case and randomized arrivals, a
-blame-instrumented run, and an optional fault-injection ladder — and
-collects everything into one :class:`Evidence` object.  Contracts
+bounded simulations under worst-case and randomized arrivals, an
+explanation of the strict result, and an optional fault-injection ladder
+— and collects everything into one :class:`Evidence` object.  Contracts
 (:mod:`repro.soak.contracts`) are pure predicates over that evidence,
 so each expensive engine invocation happens exactly once per sample no
 matter how many contracts read it.
@@ -24,12 +24,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .. import obs as _obs
 from .._errors import AnalysisError, ModelError
 from ..analysis.memo import AnalysisMemo
 from ..batch.jobs import register_job_kind
 from ..eventmodels import compile as _compile
 from ..examples_lib.synth import GraphSpace, synth_system, synth_task_graph
+from ..explain.engine import explain_result
 from ..resilience.faultinject import (
     FaultPlan,
     check_monotone_conservativeness,
@@ -89,8 +89,8 @@ class Evidence:
     sims: "Dict[str, object]" = field(default_factory=dict)
     output_models: "Optional[Dict[str, object]]" = None
     envelope_n_max: int = DEFAULT_ENVELOPE_N_MAX
-    blame_failures: "Optional[List[str]]" = None
-    blame_checked: int = 0
+    explanation: Optional[object] = None
+    explain_error: str = ""
     hem_pair: "Optional[Tuple[object, object, List[str]]]" = None
     fault_findings: "Optional[List[dict]]" = None
 
@@ -156,32 +156,13 @@ def _compiled_lazy_pair(system: System):
         _compile.enabled = prev
 
 
-def _blame_evidence(system: System) -> "Tuple[Optional[List[str]], int]":
-    """Run one obs-instrumented analysis and check every attached blame
-    decomposition.  Returns (failures, checked) — (None, 0) when the
-    sample could not be analysed at all."""
-    enabled_before = _obs.enabled
-    if not enabled_before:
-        _obs.configure(enabled=True)
+def _explain(system: System, ev: Evidence) -> None:
+    """Explain the strict result (blame and lineage re-derived from its
+    converged responses); failures become evidence."""
     try:
-        result, err = _try_analyze(system)
-        if result is None:
-            return None, 0
-        failures: "List[str]" = []
-        checked = 0
-        for rr in result.resource_results.values():
-            for tr in rr.task_results.values():
-                if tr.blame is None:
-                    continue
-                checked += 1
-                try:
-                    tr.blame.check()
-                except AssertionError as exc:
-                    failures.append(f"{tr.name}: {exc}")
-        return failures, checked
-    finally:
-        if not enabled_before:
-            _obs.configure(enabled=enabled_before)
+        ev.explanation = explain_result(system, ev.strict, check=False)
+    except _ANALYSIS_ERRORS as exc:
+        ev.explain_error = f"{type(exc).__name__}: {exc}"
 
 
 def _simulate(system: System, spec: SampleSpec, ev: Evidence) -> None:
@@ -229,7 +210,7 @@ def gather_evidence(spec: SampleSpec) -> Evidence:
         ev.compiled, ev.lazy = _compiled_lazy_pair(system)
         ev.memo_result, _memo_err = _try_analyze(
             system, memo=AnalysisMemo())
-        ev.blame_failures, ev.blame_checked = _blame_evidence(system)
+        _explain(system, ev)
         if spec.kind == KIND_GATEWAY and flat_result is not None:
             tasks = sorted(system.tasks)
             ev.hem_pair = (ev.strict, flat_result, tasks)
@@ -294,7 +275,7 @@ def evaluate_system(system: System, spec: SampleSpec,
     if ev.strict is not None:
         ev.compiled, ev.lazy = _compiled_lazy_pair(system)
         ev.memo_result, _err = _try_analyze(system, memo=AnalysisMemo())
-        ev.blame_failures, ev.blame_checked = _blame_evidence(system)
+        _explain(system, ev)
         try:
             ev.output_models = output_models(system, ev.strict)
         except _ANALYSIS_ERRORS:

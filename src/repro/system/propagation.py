@@ -19,7 +19,7 @@ and propagated event models are stable.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from .. import obs as _obs
 from .._errors import ConvergenceError, ModelError
@@ -42,7 +42,7 @@ from ..explain.lineage import (
     KIND_SOURCE,
     KIND_THETA,
     KIND_UNPACK,
-    lineage as _lineage,
+    LineageNode,
 )
 from ..timebase import EPS
 from .model import Junction, JunctionKind, System, Task
@@ -63,18 +63,28 @@ class _StreamResolver:
     is resolved (the widened outputs of quarantined resources in a
     degraded run).  The mapping is read live, so a quarantine decided
     mid-iteration takes effect for every later lookup.
+
+    ``lineage``, when given, receives one
+    :class:`~repro.explain.lineage.LineageNode` per resolved port: the
+    derivation step that produced its model.  Without it nothing is
+    recorded.
     """
 
     def __init__(self, system: System,
                  responses: "Dict[str, TaskResult]",
                  initial_outputs: "Dict[str, EventModel]",
-                 substitutes: "Optional[Dict[str, EventModel]]" = None):
+                 substitutes: "Optional[Dict[str, EventModel]]" = None,
+                 lineage: "Optional[Dict[str, LineageNode]]" = None):
         self._system = system
         self._responses = responses
         self._initial = initial_outputs
         self._substitutes = {} if substitutes is None else substitutes
+        self._lineage = lineage
         self._cache: "Dict[str, EventModel]" = {}
         self._visiting: Set[str] = set()
+
+    def _record(self, port: str, kind: str, inputs=(), **attrs) -> None:
+        self._lineage[port] = LineageNode(port, kind, tuple(inputs), attrs)
 
     # ------------------------------------------------------------------
     def port(self, port: str) -> EventModel:
@@ -97,8 +107,8 @@ class _StreamResolver:
         node = system.producer_of(port)
         if node in system.sources:
             model = system.sources[node].model
-            if _obs.enabled:
-                _lineage().record(port, KIND_SOURCE, model=repr(model))
+            if self._lineage is not None:
+                self._record(port, KIND_SOURCE, model=repr(model))
             return model
         if node in system.junctions:
             return self._resolve_junction(system.junctions[node], port)
@@ -116,13 +126,6 @@ class _StreamResolver:
                          "reason": "dependency_cycle"})
         self._visiting.add(key)
         try:
-            if _obs.enabled:
-                _obs.metrics().counter(
-                    f"propagation.junction.{junction.kind.name.lower()}"
-                ).inc()
-                _obs.get_tracer().event(
-                    "junction", junction=junction.name,
-                    kind=junction.kind.name.lower(), port=port)
             if junction.kind is JunctionKind.UNPACK:
                 upstream = self.port(junction.inputs[0])
                 if not is_hierarchical(upstream):
@@ -134,14 +137,14 @@ class _StreamResolver:
                                  "reason": "unpack_flat_stream"})
                 if port == junction.name:
                     # the unadorned port exposes the outer stream
-                    if _obs.enabled:
-                        _lineage().record(
+                    if self._lineage is not None:
+                        self._record(
                             port, KIND_UNPACK, inputs=junction.inputs,
                             rule="Ψ (outer stream)", label="(outer)")
                     return upstream.outer
                 label = port[len(junction.name) + 1:]
-                if _obs.enabled:
-                    _lineage().record(
+                if self._lineage is not None:
+                    self._record(
                         port, KIND_UNPACK, inputs=junction.inputs,
                         rule="Ψ_pa: F_i = L(i)", label=label,
                         from_rule=upstream.rule.name)
@@ -155,15 +158,15 @@ class _StreamResolver:
                            for name, model in inputs.items()}
                 packed = hsc_pack(signals, timer=timer,
                                   name=junction.name)
-                if _obs.enabled:
+                if self._lineage is not None:
                     upstream = list(junction.inputs)
                     if junction.timer is not None:
                         # The timer never passes through port(); record
                         # its source node here so the DAG is closed.
                         upstream.append(junction.timer)
-                        _lineage().record(junction.timer, KIND_SOURCE,
-                                          model=repr(timer))
-                    _lineage().record(
+                        self._record(junction.timer, KIND_SOURCE,
+                                     model=repr(timer))
+                    self._record(
                         port, KIND_PACK, inputs=upstream,
                         rule=f"Ω_pa: {packed.rule.describe()}",
                         inner_labels=packed.labels,
@@ -171,19 +174,17 @@ class _StreamResolver:
                 return packed
             if junction.kind is JunctionKind.OR:
                 joined = hsc_or(inputs, name=junction.name)
-                if _obs.enabled:
-                    _lineage().record(port, KIND_OR,
-                                      inputs=junction.inputs,
-                                      rule=f"Ω_∨: {joined.rule.describe()}",
-                                      inner_labels=joined.labels)
+                if self._lineage is not None:
+                    self._record(port, KIND_OR, inputs=junction.inputs,
+                                 rule=f"Ω_∨: {joined.rule.describe()}",
+                                 inner_labels=joined.labels)
                 return joined
             if junction.kind is JunctionKind.AND:
                 joined = hsc_and(inputs, name=junction.name)
-                if _obs.enabled:
-                    _lineage().record(port, KIND_AND,
-                                      inputs=junction.inputs,
-                                      rule=f"Ω_∧: {joined.rule.describe()}",
-                                      inner_labels=joined.labels)
+                if self._lineage is not None:
+                    self._record(port, KIND_AND, inputs=junction.inputs,
+                                 rule=f"Ω_∧: {joined.rule.describe()}",
+                                 inner_labels=joined.labels)
                 return joined
             raise ModelError(
                 f"junction {junction.name}: unsupported kind "
@@ -223,7 +224,7 @@ class _StreamResolver:
             # its own execution-time interval.
             r_min, r_max = task.c_min, task.c_max
         op = BusyWindowOutput(r_min, r_max)
-        if _obs.enabled:
+        if self._lineage is not None:
             attrs = {"rule": "Θ_τ", "r_min": r_min, "r_max": r_max,
                      "resource": task.resource}
             if is_hierarchical(activation):
@@ -233,8 +234,7 @@ class _StreamResolver:
                     inner_labels=activation.labels)
             upstream = ([f"{task.name}.act"] if len(task.inputs) > 1
                         else list(task.inputs))
-            _lineage().record(task.name, KIND_THETA, inputs=upstream,
-                              **attrs)
+            self._record(task.name, KIND_THETA, inputs=upstream, **attrs)
         return apply_operation(activation, op)
 
     # ------------------------------------------------------------------
@@ -249,15 +249,48 @@ class _StreamResolver:
             joined = and_join(flat, name=f"{task.name}.act")
         else:
             joined = or_join(flat, name=f"{task.name}.act")
-        if _obs.enabled:
+        if self._lineage is not None:
             flattened = [p for p, m in zip(task.inputs, models)
                          if is_hierarchical(m)]
-            _lineage().record(
+            self._record(
                 f"{task.name}.act", KIND_ACTIVATION, inputs=task.inputs,
                 rule=f"{task.activation.upper()}-join "
                      f"({task.activation}_join of {len(models)} inputs)",
                 flattened_hierarchies=flattened)
         return _compile.maybe_compile(joined)
+
+    def task_specs(self, tasks: "List[Task]") -> "List[TaskSpec]":
+        """What a local analysis sees of *tasks*: each one's parameters
+        and the stream that activates it."""
+        return [TaskSpec(name=t.name, c_min=t.c_min, c_max=t.c_max,
+                         event_model=self.activation_model(t),
+                         priority=t.priority, slot=t.slot,
+                         deadline=t.deadline, blocking=t.blocking)
+                for t in tasks]
+
+
+class _TracedStreamResolver(_StreamResolver):
+    """A resolver that also counts and traces every junction it
+    resolves (the telemetry of an ``obs``-enabled iteration)."""
+
+    def _resolve_junction(self, junction: Junction,
+                          port: str) -> EventModel:
+        kind = junction.kind.name.lower()
+        _obs.metrics().counter(f"propagation.junction.{kind}").inc()
+        _obs.get_tracer().event("junction", junction=junction.name,
+                                kind=kind, port=port)
+        return super()._resolve_junction(junction, port)
+
+
+def _converged_resolver(system: System, result,
+                        lineage: "Optional[Dict[str, LineageNode]]" = None
+                        ) -> _StreamResolver:
+    """A resolver serving the streams of *result*'s converged responses:
+    exactly the models of the final iteration."""
+    responses: "Dict[str, TaskResult]" = {}
+    for rr in result.resource_results.values():
+        responses.update(rr.task_results)
+    return _StreamResolver(system, responses, {}, lineage=lineage)
 
 
 def output_models(system: System, result,
@@ -276,10 +309,7 @@ def output_models(system: System, result,
     dependency cycles need the cycle seeds the original call provided;
     this helper targets acyclic graphs and raises for unseeded cycles.
     """
-    responses: "Dict[str, TaskResult]" = {}
-    for rr in result.resource_results.values():
-        responses.update(rr.task_results)
-    resolver = _StreamResolver(system, responses, {})
+    resolver = _converged_resolver(system, result)
     if ports is None:
         ports = list(system.tasks)
     return {port: resolver.port(port) for port in ports}
@@ -473,9 +503,11 @@ def _iterate(system: System, policy, max_iterations: int,
                                              system=system.name,
                                              iteration=iteration)
                      if _obs.enabled else None)
+        resolver_type = (_StreamResolver if iter_span is None
+                         else _TracedStreamResolver)
         try:
-            resolver = _StreamResolver(system, responses, cycle_seeds,
-                                       substitutes)
+            resolver = resolver_type(system, responses, cycle_seeds,
+                                     substitutes)
 
             # Local analysis per resource (through the incremental memo
             # when one is attached — same inputs, reused outputs).  A
@@ -489,15 +521,8 @@ def _iterate(system: System, policy, max_iterations: int,
                 if not tasks or tasks[0].name in substitutes:
                     continue
                 try:
-                    specs = [
-                        TaskSpec(name=t.name, c_min=t.c_min,
-                                 c_max=t.c_max,
-                                 event_model=resolver.activation_model(t),
-                                 priority=t.priority, slot=t.slot,
-                                 deadline=t.deadline, blocking=t.blocking)
-                        for t in tasks
-                    ]
-                    rr, info = analyze(resource, specs, memo)
+                    rr, info = analyze(resource, resolver.task_specs(tasks),
+                                       memo)
                 except policy.errors as exc:
                     policy.analysis_failed(resource.name, exc)
                     continue
@@ -523,8 +548,8 @@ def _iterate(system: System, policy, max_iterations: int,
 
             # Propagate: compute every task's output model with the *new*
             # responses and compare with the previous iteration's models.
-            resolver = _StreamResolver(system, responses, cycle_seeds,
-                                       substitutes)
+            resolver = resolver_type(system, responses, cycle_seeds,
+                                     substitutes)
             new_models: "Dict[str, EventModel]" = {}
             for task_name, task in system.tasks.items():
                 try:

@@ -7,14 +7,18 @@ sample coordinates — both the graph and the gateway kind must come back
 clean on a healthy engine.
 """
 
+import dataclasses
 import pathlib
 import re
 
+from repro.analysis.results import ResourceResult, SystemResult
+from repro.examples_lib.rox08 import build_system
 from repro.soak import (SampleSpec, all_contracts, contract_ids,
                         evaluate_sample, evaluate_system, get_contract)
 from repro.soak.contracts import (PASS, SEVERITIES, SKIP, VIOLATION)
-from repro.soak.oracle import (KIND_GATEWAY, KIND_GRAPH,
-                               build_sample_system)
+from repro.soak.oracle import (KIND_GATEWAY, KIND_GRAPH, Evidence,
+                               _explain, build_sample_system)
+from repro.system.propagation import analyze_system
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -110,3 +114,35 @@ class TestOracle:
                                   "wcrt-sim-conservative")
         assert outcome["status"] in (PASS, SKIP)
         assert outcome["status"] != VIOLATION
+
+
+def _raise_r_max(result: SystemResult, task: str,
+                 delta: float) -> SystemResult:
+    """A copy of *result* whose r+ for *task* is *delta* higher."""
+    resources = {}
+    for name, rr in result.resource_results.items():
+        tasks = dict(rr.task_results)
+        if task in tasks:
+            tasks[task] = dataclasses.replace(
+                tasks[task], r_max=tasks[task].r_max + delta)
+        resources[name] = ResourceResult(rr.resource, rr.utilization,
+                                         tasks)
+    return SystemResult(result.iterations, result.converged, resources)
+
+
+class TestBlameContract:
+    def test_raised_bound_is_a_violation_naming_the_task(self):
+        """The explanation re-derives each bound from the converged
+        streams; a result it does not reproduce is reported."""
+        system = build_system("hem")
+        strict = analyze_system(system)
+        contract = get_contract("blame-sums-to-bound")
+        for result, status in ((strict, PASS),
+                               (_raise_r_max(strict, "T3", 1.0),
+                                VIOLATION)):
+            ev = Evidence(kind=KIND_GATEWAY, seed=0, system=system,
+                          strict=result)
+            _explain(system, ev)
+            outcome = contract.evaluate(ev)
+            assert outcome["status"] == status, outcome
+        assert outcome["detail"].startswith("T3: ")
