@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import obs as _obs
 from .._errors import ModelError
+from ..obs.aggregate import effort_summary
 from ..obs.bus import BUS as _BUS
 from .jobs import (
     STATUS_FAILED,
@@ -49,23 +50,11 @@ from .store import ResultStore
 OnResult = Callable[[JobResult], None]
 
 
-def _obs_summary(result: JobResult) -> Optional[Dict[str, int]]:
-    """Condense a result's worker-side ``obs`` delta for the ``job``
-    bus event (engine effort the live aggregator folds into totals)."""
-    if not result.obs:
-        return None
-    counters = result.obs.get("metrics", {}).get("counters", {})
-    return {
-        "iterations": counters.get("propagation.iterations", 0),
-        "model_cache_hits": counters.get("eventmodels.cache.hits", 0),
-        "model_cache_misses": counters.get(
-            "eventmodels.cache.misses", 0),
-        "spans": result.obs.get("spans", 0),
-    }
-
-
 def _publish_job(result: JobResult, cached: bool) -> None:
-    """One ``job`` lifecycle event per unique point, cached or not."""
+    """One ``job`` lifecycle event per unique point, cached or not.
+
+    Only an executed point carries the engine effort it spent; a cached
+    point's stored ``obs`` describes the run that first computed it."""
     event = {
         "type": "job", "key": result.key, "kind": result.kind,
         "label": result.label, "status": result.status,
@@ -74,9 +63,8 @@ def _publish_job(result: JobResult, cached: bool) -> None:
     }
     if result.error:
         event["error"] = result.error
-    summary = _obs_summary(result)
-    if summary is not None:
-        event["obs"] = summary
+    if result.obs and not cached:
+        event["obs"] = effort_summary(result.obs)
     _BUS.publish(event)
 
 
@@ -151,9 +139,15 @@ class ProcessPoolBackend:
             return
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
+        # Workers ship their span records only when some sink here will
+        # take them; a forked worker drops the sinks it inherited, so
+        # each record reaches them once, re-published by the parent.
+        ship = _obs.enabled and _BUS.span_interest
         with ProcessPoolExecutor(max_workers=self.workers,
-                                 mp_context=self._mp_context) as pool:
-            futures = {pool.submit(run_job, job): job for job in jobs}
+                                 mp_context=self._mp_context,
+                                 initializer=_drop_inherited_sinks) as pool:
+            futures = {pool.submit(run_job, job, ship): job
+                       for job in jobs}
             for future in as_completed(futures):
                 job = futures[future]
                 try:
@@ -166,6 +160,12 @@ class ProcessPoolBackend:
                         error=f"{type(exc).__name__}: {exc}",
                         traceback=traceback.format_exc())
                 on_result(_enforce_budget(job, result))
+
+
+def _drop_inherited_sinks() -> None:
+    """Pool initializer: a forked worker's copies of the parent's sinks
+    must not see its events."""
+    _BUS.clear()
 
 
 def make_backend(workers: int = 0, mp_context=None):
@@ -295,6 +295,7 @@ class BatchRunner:
         retry_queue: "List[Job]" = []
 
         def record(result: JobResult) -> None:
+            span_records = result.obs.pop("span_records", None)
             if self.store is not None:
                 self.store.put(result)
             report.results[result.key] = result
@@ -322,15 +323,13 @@ class BatchRunner:
                     spans = result.obs.get("spans", 0)
                     if spans:
                         registry.counter("batch.worker.spans").inc(spans)
-                    records = result.obs.get("span_records")
-                    if records:
-                        # Adopt worker spans onto a per-worker lane so
-                        # Chrome/Perfetto exports keep worker activity
-                        # distinct from the parent's threads.
-                        tracer = _obs.get_tracer()
-                        worker = str(result.obs.get("pid", "?"))
-                        for record in records:
-                            tracer.adopt(record, worker=worker)
+                    # The worker tag puts shipped spans on their own
+                    # Chrome/Perfetto lane, apart from the parent's
+                    # threads.
+                    worker = str(result.obs.get("pid", "?"))
+                    for span_record in span_records or ():
+                        span_record["worker"] = worker
+                        _BUS.publish(span_record)
                 if _BUS.active:
                     _publish_job(result, cached=False)
             if progress is not None:

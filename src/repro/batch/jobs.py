@@ -223,51 +223,46 @@ class JobTimeout(Exception):
     """Raised inside a worker when the per-job alarm fires."""
 
 
-def run_job(job: Job) -> JobResult:
+def run_job(job: Job, ship_spans: bool = False) -> JobResult:
     """Execute *job*, capturing errors and wall time; never raises.
 
     With observability enabled, the metrics recorded while the job ran
     (and the number of spans it finished) are attached to the result as
     a serialisable ``obs`` delta, so pool workers — whose registries die
-    with the process — still report back to the parent.
+    with the process — still report back to the parent.  With
+    *ship_spans* the job's span records (collected by a bus sink
+    subscribed for this job only) travel along as
+    ``obs["span_records"]`` for the parent to re-publish.
     """
     fn = _JOB_KINDS.get(job.kind)
     t0 = time.perf_counter()
     mark = None
     spans_before = 0
-    dropped_before = 0
+    span_records: "Optional[list]" = None
     if _obs.enabled:
         registry = _obs.metrics()
         mark = registry.mark()
-        tracer = _obs.get_tracer()
-        spans_before = len(tracer)
-        dropped_before = tracer.dropped
+        spans_before = _obs.get_tracer().finished_count
         registry.counter(f"analysis.jobs.{job.kind}").inc()
+        if ship_spans:
+            span_records = []
+            collect = span_records.append
+            _obs.get_bus().subscribe(collect, interests=("span",))
 
     def finish(result: JobResult) -> JobResult:
         rid = _obs_context.current_request_id()
         if rid:
             result.request_id = rid
+        if span_records is not None:
+            _obs.get_bus().unsubscribe(collect)
         if mark is not None and _obs.enabled:
-            tracer = _obs.get_tracer()
             result.obs = {
                 "metrics": _obs.metrics().delta_since(mark),
-                "spans": len(tracer) - spans_before,
+                "spans": _obs.get_tracer().finished_count - spans_before,
                 "pid": os.getpid(),
             }
-            if _obs.ship_worker_spans:
-                # Serialise the spans this job finished (absolute
-                # perf_counter times — comparable across processes on
-                # one host) so the parent can adopt them onto a
-                # per-worker lane.  Ring-buffer evictions since the
-                # job started shift the slice start accordingly.
-                from ..obs.export import span_to_dict
-
-                evicted = tracer.dropped - dropped_before
-                start = max(0, spans_before - evicted)
-                spans = list(tracer.finished)[start:]
-                result.obs["span_records"] = [
-                    span_to_dict(span) for span in spans]
+            if span_records:
+                result.obs["span_records"] = span_records
         return result
 
     if fn is None:

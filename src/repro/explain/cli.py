@@ -62,17 +62,21 @@ def explain_main(argv: Optional[Sequence[str]] = None) -> int:
     from .. import obs as _obs
     from .engine import explain_system
 
-    # The Chrome export covers exactly the explained run's spans: it is
-    # written before the rox08 flat baseline below runs.
+    # The Chrome sink is attached for the explained run alone: it is
+    # detached before the rox08 flat baseline below runs.
     was_enabled = _obs.enabled
+    sink = None
     if args.chrome:
+        from ..obs.sinks import ChromeTraceSink
         _obs.configure(enabled=True, reset=True)
+        sink = _obs.get_bus().subscribe(
+            ChromeTraceSink(args.chrome, t0=_obs.get_tracer().t0))
     try:
         ex = explain_system(EXAMPLES[args.example]())
-        if args.chrome:
-            from ..obs.export import tracer_to_chrome
-            trace = tracer_to_chrome(_obs.get_tracer(), args.chrome)
     finally:
+        if sink is not None:
+            _obs.get_bus().unsubscribe(sink)
+            sink.close()
         _obs.configure(enabled=was_enabled)
 
     print(f"=== {ex.system_name}: converged in "
@@ -102,9 +106,9 @@ def explain_main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
         print(f"\nlineage DAG -> {args.dot}")
-    if args.chrome:
-        print(f"chrome trace: {len(trace['traceEvents'])} events "
-              f"-> {args.chrome}")
+    if sink is not None:
+        print(f"chrome trace: {len(sink.payload()['traceEvents'])} "
+              f"events -> {args.chrome}")
     return 0
 
 

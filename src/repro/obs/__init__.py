@@ -3,18 +3,19 @@
 The pieces:
 
 * :mod:`repro.obs.trace` — span-based tracer (context-manager API,
-  thread-local span stack, ring-buffered retention) used by the global
-  fixed-point loop to emit per-iteration convergence spans.
+  thread-local span stack) used by the global fixed-point loop to emit
+  per-iteration convergence spans.  It keeps no finished span: each
+  one is published on the bus as a single record.
 * :mod:`repro.obs.metrics` — counters, gauges, and histograms behind a
   create-on-first-use registry (cache hit rates, fixed-point iteration
   counts, simulator throughput).
-* :mod:`repro.obs.export` — JSONL trace and JSON metrics exporters,
-  plus the Chrome/Perfetto trace-event converter.
+* :mod:`repro.obs.export` — JSONL trace reader, JSON metrics
+  exporter, and the Chrome/Perfetto trace-event converter.
 * :mod:`repro.obs.bus` — process-global streaming event bus that span,
   metric, batch-lifecycle, convergence-residual, and guard-verdict
   events publish through *while a run is in flight*.
 * :mod:`repro.obs.sinks` / :mod:`repro.obs.aggregate` — pluggable bus
-  subscribers: live JSONL/Chrome exporters and the
+  subscribers: the JSONL/Chrome trace exporters and the
   :class:`LiveAggregator` behind the batch progress line and the
   ``python -m repro top`` monitor (:mod:`repro.obs.top`).
 
@@ -32,10 +33,15 @@ explicitly requested via :func:`configure`.
 Typical use::
 
     import repro
+    from repro.viz import ConvergenceReport
+
+    records = []
+    bus = repro.obs.get_bus()
+    collect = bus.subscribe(records.append, interests={"span"})
     repro.configure(enabled=True)
     result = repro.analyze_system(system)
-    from repro.viz import ConvergenceReport
-    print(ConvergenceReport.from_tracer(repro.get_tracer()).render())
+    bus.unsubscribe(collect)
+    print(ConvergenceReport.from_records(records).render())
 
 or from the shell: ``python -m repro trace examples/quickstart.py``.
 """
@@ -43,7 +49,6 @@ or from the shell: ``python -m repro trace examples/quickstart.py``.
 from __future__ import annotations
 
 import sys
-from typing import Optional
 
 from .aggregate import LiveAggregator
 from .bus import BUS, EventBus
@@ -58,10 +63,6 @@ from .export import (
     read_jsonl,
     records_to_chrome,
     span_to_dict,
-    spans_to_chrome,
-    spans_to_jsonl,
-    tracer_to_chrome,
-    tracer_to_jsonl,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .openmetrics import render_registry as render_openmetrics
@@ -75,19 +76,11 @@ from .trace import Span, Tracer
 #: imports (which would freeze the value at import time).
 enabled = False
 
-#: When true, pool-worker jobs attach their finished span records to
-#: ``JobResult.obs`` so the parent tracer can adopt them onto per-worker
-#: lanes.  Off by default — shipping thousands of span dicts per job is
-#: only worth it when someone is going to look at the merged trace.
-ship_worker_spans = False
-
 _tracer = Tracer()
 _metrics = MetricsRegistry()
 
 
-def configure(*, enabled: bool = True, reset: bool = False,
-              max_spans: Optional[int] = None,
-              ship_worker_spans: Optional[bool] = None) -> None:
+def configure(*, enabled: bool = True, reset: bool = False) -> None:
     """Turn observability on or off for the whole process.
 
     Parameters
@@ -95,21 +88,10 @@ def configure(*, enabled: bool = True, reset: bool = False,
     enabled:
         New state of the master switch.
     reset:
-        Also drop all previously collected spans and zero every metric.
-    max_spans:
-        When given, new cap on the tracer's finished-span ring buffer
-        (see :class:`~repro.obs.trace.Tracer`); ``0``/negative means
-        "keep everything".
-    ship_worker_spans:
-        When given, toggles relaying worker-side span records through
-        the ``JobResult.obs`` channel for parent-side adoption.
+        Also restart the tracer (span ids, finished count, clock
+        origin) and zero every metric.
     """
-    module = sys.modules[__name__]
-    module.enabled = enabled
-    if max_spans is not None:
-        _tracer.max_finished = max_spans if max_spans > 0 else None
-    if ship_worker_spans is not None:
-        module.ship_worker_spans = ship_worker_spans
+    sys.modules[__name__].enabled = enabled
     if reset:
         _tracer.reset()
         _metrics.reset()
@@ -143,7 +125,6 @@ def get_bus() -> EventBus:
 
 __all__ = [
     "enabled",
-    "ship_worker_spans",
     "configure",
     "disable",
     "is_enabled",
@@ -168,10 +149,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "span_to_dict",
-    "spans_to_jsonl",
-    "tracer_to_jsonl",
-    "spans_to_chrome",
-    "tracer_to_chrome",
     "records_to_chrome",
     "read_jsonl",
     "metrics_to_json",

@@ -11,8 +11,9 @@ telemetry of a running sweep into one compact aggregate:
   ``job`` event per unique point, cached or executed);
 * cache hit rate, throughput over a sliding completion window, and an
   ETA estimator for the remaining points;
-* engine effort streamed from workers through the ``JobResult.obs``
-  channel (global iterations, event-model cache hits, span counts);
+* engine effort of executed points, from the ``JobResult.obs``
+  channel (global iterations, event-model cache hits, span counts;
+  see :func:`effort_summary`);
 * per-system convergence residual trends from ``iteration`` events
   (serial/in-process runs — pool workers publish in their own
   processes, so their residuals arrive post-hoc via the job summary);
@@ -31,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 #: Completion-window size for the throughput estimate.
 THROUGHPUT_WINDOW = 128
@@ -44,6 +45,19 @@ MAX_TRACKED_SYSTEMS = 16
 
 #: Failures and guard verdicts retained for display.
 MAX_FAILURES = 20
+
+
+def effort_summary(obs: Mapping[str, Any]) -> Dict[str, int]:
+    """The engine effort a ``JobResult.obs`` delta records, as the
+    ``job`` event's ``obs`` summary the aggregator folds."""
+    counters = obs.get("metrics", {}).get("counters", {})
+    return {
+        "iterations": counters.get("propagation.iterations", 0),
+        "model_cache_hits": counters.get("eventmodels.cache.hits", 0),
+        "model_cache_misses": counters.get(
+            "eventmodels.cache.misses", 0),
+        "spans": obs.get("spans", 0),
+    }
 
 
 class LiveAggregator:
@@ -228,24 +242,11 @@ class LiveAggregator:
     # ------------------------------------------------------------------
     @staticmethod
     def telemetry_health() -> Dict[str, Any]:
-        """Health of the telemetry plane itself: spans dropped by the
-        tracer's ring buffer and exceptions the bus swallowed per sink.
-        Read lazily from the process-global tracer/bus so an aggregator
-        constructed before ``obs.configure`` still sees them."""
-        from . import get_bus, get_tracer
-        health: Dict[str, Any] = {
-            "dropped_spans": 0,
-            "sink_errors": 0,
-            "sink_error_counts": {},
-        }
-        try:
-            health["dropped_spans"] = get_tracer().dropped
-            bus = get_bus()
-            health["sink_errors"] = bus.sink_errors
-            health["sink_error_counts"] = bus.sink_error_counts()
-        except Exception:
-            pass  # telemetry health is best-effort decoration
-        return health
+        """Health of the telemetry plane itself: the exceptions the
+        process-global bus swallowed, in total and per sink."""
+        from .bus import BUS
+        return {"sink_errors": BUS.sink_errors,
+                "sink_error_counts": BUS.sink_error_counts()}
 
     def snapshot(self) -> Dict[str, Any]:
         """The whole aggregate as one JSON-compatible dict."""
@@ -383,18 +384,13 @@ class LiveAggregator:
         for label, error in snap["failures"][-5:]:
             text = f"FAILED {label}: {error}"
             lines.append(text[:width])
-        telemetry = snap.get("telemetry") or {}
-        if telemetry.get("dropped_spans") or telemetry.get("sink_errors"):
-            bits = []
-            if telemetry.get("dropped_spans"):
-                bits.append(f"{telemetry['dropped_spans']} spans dropped")
-            if telemetry.get("sink_errors"):
-                per_sink = ", ".join(
-                    f"{name}={count}" for name, count in sorted(
-                        telemetry.get("sink_error_counts", {}).items()))
-                bits.append(f"{telemetry['sink_errors']} sink errors"
-                            + (f" ({per_sink})" if per_sink else ""))
-            lines.append("telemetry: " + "  ".join(bits))
+        telemetry = snap["telemetry"]
+        if telemetry["sink_errors"]:
+            per_sink = ", ".join(
+                f"{name}={count}" for name, count in sorted(
+                    telemetry["sink_error_counts"].items()))
+            lines.append(f"telemetry: {telemetry['sink_errors']} sink "
+                         f"errors ({per_sink})")
         return "\n".join(line[:width] for line in lines)
 
 

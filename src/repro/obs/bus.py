@@ -3,20 +3,21 @@
 Spans, metrics, batch-job lifecycles, per-iteration convergence
 residuals, and divergence-guard verdicts all *publish* plain-dict
 events through one :class:`EventBus`; pluggable *sinks* subscribe and
-fold or forward them (see :mod:`repro.obs.sinks`).  Where the tracer
-and metrics registry answer "what happened" after a run, the bus
-answers "what is happening" while it runs — it is the seam a live
-monitor (:mod:`repro.obs.top`), a progress line
-(:mod:`repro.batch.cli`), or a future analysis daemon's HTTP progress
-stream plugs into.
+fold or forward them (see :mod:`repro.obs.sinks`).  Where the metrics
+registry answers "what happened" after a run, the bus answers "what is
+happening" while it runs — it is the seam a live monitor
+(:mod:`repro.obs.top`), a progress line (:mod:`repro.batch.cli`), a
+trace exporter, or the daemon's HTTP progress stream plugs into.
 
 Events are JSON-compatible dicts with a ``"type"`` field; consumers
 must skip unknown types so the vocabulary can grow.  The core types:
 
 ``span`` / ``span_start`` / ``span_point``
-    Finished spans (same shape as
-    :func:`repro.obs.export.span_to_dict`), span openings, and
-    point-in-time span events from the tracer.
+    Finished spans (the :func:`repro.obs.trace.span_to_dict` record,
+    absolute times, span events included), span openings, and
+    point-in-time span events from the tracer.  The ``span`` record is
+    the only way a finished span leaves the tracer; records shipped
+    back from pool workers are re-published with a ``worker`` tag.
 ``metric``
     One instrument update (``kind``/``name`` plus ``inc`` or
     ``value``).  Only published while some sink declares interest in
@@ -40,9 +41,10 @@ must skip unknown types so the vocabulary can grow.  The core types:
     ``violation`` (a triaged violation with its bundle path).
 
 Publishing is allocation-free when nothing is subscribed: call sites
-check :attr:`EventBus.active` (or :attr:`EventBus.metric_interest`)
-before building the event dict.  Sink exceptions are counted and
-swallowed — a broken monitor must never sink an analysis run.
+check :attr:`EventBus.active` (or :attr:`EventBus.metric_interest` /
+:attr:`EventBus.span_interest`) before building the event dict.  Sink
+exceptions are counted and swallowed — a broken monitor must never sink
+an analysis run.
 """
 
 from __future__ import annotations
@@ -62,10 +64,11 @@ class EventBus:
 
     Subscribers declare optional *interests* — a collection of event
     types — and only receive matching events; ``None`` means
-    everything.  The bus keeps two cheap flags, :attr:`active` (any
-    sink at all) and :attr:`metric_interest` (some sink wants
-    ``"metric"`` events), so hot call sites can skip event
-    construction entirely with one attribute read.
+    everything.  The bus keeps three cheap flags, :attr:`active` (any
+    sink at all), :attr:`metric_interest` and :attr:`span_interest`
+    (some sink wants ``"metric"`` / ``"span"`` events), so hot call
+    sites can skip event construction entirely with one attribute
+    read.
     """
 
     def __init__(self):
@@ -75,6 +78,7 @@ class EventBus:
             Tuple[SinkLike, Optional[frozenset], Any, str]] = []
         self.active = False
         self.metric_interest = False
+        self.span_interest = False
         #: Exceptions swallowed while dispatching to sinks (total).
         self.sink_errors = 0
         #: Swallowed exceptions broken out by sink label — the total
@@ -115,9 +119,12 @@ class EventBus:
 
     def _refresh_flags(self) -> None:
         self.active = bool(self._sinks)
-        self.metric_interest = any(
-            wanted is None or "metric" in wanted
-            for _, wanted, _, _ in self._sinks)
+        self.metric_interest = self._accepts("metric")
+        self.span_interest = self._accepts("span")
+
+    def _accepts(self, kind: str) -> bool:
+        return any(wanted is None or kind in wanted
+                   for _, wanted, _, _ in self._sinks)
 
     def clear(self) -> None:
         """Drop every sink (test isolation; sinks are not closed)."""

@@ -1,8 +1,9 @@
 """``python -m repro trace`` — run a workload instrumented, dump JSONL.
 
 Runs an example script (or the built-in paper system) with
-observability enabled, writes every finished span as a JSONL trace,
-prints the convergence report of any global fixed-point runs, and
+observability enabled and a span-only :class:`JsonlEventSink` attached,
+so every span finished during the run lands in the JSONL trace; then
+prints the convergence report of any global fixed-point runs and
 summarises the headline metrics (iterations, cache hit rate,
 fixed-point effort)::
 
@@ -18,8 +19,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import configure, get_tracer, metrics
-from .export import metrics_to_json, tracer_to_jsonl
+from . import configure, get_bus, get_tracer, metrics
+from .export import metrics_to_json, read_jsonl
+from .sinks import JsonlEventSink
 
 
 def _run_builtin_rox08() -> None:
@@ -69,6 +71,8 @@ def trace_main(argv: Optional[Sequence[str]] = None) -> int:
             runpy.run_path(str(script), run_name="__main__")
 
     configure(enabled=True, reset=True)
+    sink = get_bus().subscribe(JsonlEventSink(
+        out_path, span_only=True, t0=get_tracer().t0))
     try:
         if args.quiet:
             import contextlib
@@ -78,15 +82,16 @@ def trace_main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             workload()
     finally:
+        get_bus().unsubscribe(sink)
+        sink.close()
         configure(enabled=False)
 
-    tracer = get_tracer()
     registry = metrics()
-    tracer_to_jsonl(tracer, out_path)
-    print(f"\n--- trace: {len(tracer)} spans -> {out_path}")
+    records = read_jsonl(out_path)
+    print(f"\n--- trace: {len(records)} spans -> {out_path}")
 
     from ..viz.convergence import ConvergenceReport
-    report = ConvergenceReport.from_tracer(tracer)
+    report = ConvergenceReport.from_records(records)
     if report.rows:
         print(report.render())
 

@@ -1,9 +1,10 @@
-"""Trace and metrics serialisation: JSONL spans, JSON metric snapshots.
+"""Trace and metrics serialisation: JSONL reading, the Chrome
+trace-event converter, JSON metric snapshots.
 
-The JSONL layout is one JSON object per line, each with a ``"type"``
-field (``"span"`` today; readers must skip unknown types so the format
-can grow).  Timestamps are seconds relative to the tracer's clock
-origin, keeping traces diffable across runs.
+Span traces are written by the sinks in :mod:`repro.obs.sinks` while a
+run is in flight.  The JSONL layout is one JSON object per line, each
+with a ``"type"`` field (``"span"`` for span records; readers must skip
+unknown types so the format can grow).
 """
 
 from __future__ import annotations
@@ -12,48 +13,9 @@ import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from .metrics import MetricsRegistry
-from .trace import Span, Tracer
-
-
-def span_to_dict(span: Span, t0: float = 0.0) -> Dict[str, Any]:
-    """JSON-serialisable representation of one finished span."""
-    record: Dict[str, Any] = {
-        "type": "span",
-        "name": span.name,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "thread_id": span.thread_id,
-        "start": span.start - t0,
-        "end": (span.end - t0) if span.end is not None else None,
-        "duration": span.duration,
-        "status": span.status,
-        "attributes": _jsonable(span.attributes),
-    }
-    if span.worker is not None:
-        record["worker"] = span.worker
-    if span.request_id is not None:
-        record["request_id"] = span.request_id
-    if span.error is not None:
-        record["error"] = span.error
-    if span.events:
-        record["events"] = [
-            {**_jsonable(e), "time": e["time"] - t0} for e in span.events
-        ]
-    return record
-
-
-def spans_to_jsonl(spans: Sequence[Span], path: str,
-                   t0: float = 0.0) -> str:
-    """Write spans to *path* as JSONL; returns the path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in spans:
-            fh.write(json.dumps(span_to_dict(span, t0)) + "\n")
-    return path
-
-
-def tracer_to_jsonl(tracer: Tracer, path: str) -> str:
-    """Export every finished span of *tracer* (origin-relative times)."""
-    return spans_to_jsonl(tracer.spans(), path, t0=tracer.t0)
+# span_to_dict lives next to Span (the tracer publishes its records)
+# and stays importable from here.
+from .trace import _jsonable, span_to_dict
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:
@@ -81,9 +43,9 @@ def records_to_chrome(records: Sequence[Dict[str, Any]],
     (``end`` missing) are skipped — the format has no open-ended
     complete events.
 
-    Lanes are ``(worker, thread_id)`` pairs: spans adopted from pool
-    workers carry a ``"worker"`` tag and get their own synthetic tids
-    (named ``worker-<tag>`` in the metadata) even when — as under
+    Lanes are ``(worker, thread_id)`` pairs: records shipped back from
+    pool workers carry a ``"worker"`` tag and get their own synthetic
+    tids (named ``worker-<tag>`` in the metadata) even when — as under
     ``fork`` — their raw thread idents coincide with the parent's, so
     worker activity shows up as distinct Perfetto rows rather than
     collapsing onto the parent thread.
@@ -145,27 +107,6 @@ def records_to_chrome(records: Sequence[Dict[str, Any]],
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
 
-def spans_to_chrome(spans: Sequence[Span],
-                    t0: float = 0.0) -> Dict[str, Any]:
-    """Convert finished :class:`Span` objects to Chrome trace-event
-    format (see :func:`records_to_chrome` for the lane semantics)."""
-    records = [span_to_dict(span) for span in spans]
-    return records_to_chrome(records, t0=t0)
-
-
-def tracer_to_chrome(tracer: Tracer,
-                     path: Optional[str] = None) -> Dict[str, Any]:
-    """Export *tracer* in Chrome trace-event format; when *path* is
-    given the JSON is also written there (returns the payload either
-    way)."""
-    payload = spans_to_chrome(tracer.spans(), t0=tracer.t0)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-    return payload
-
-
 def metrics_to_json(registry: MetricsRegistry, path: str,
                     extra: Optional[Dict[str, Any]] = None) -> str:
     """Write a metrics snapshot (plus optional extra fields) to *path*."""
@@ -177,13 +118,3 @@ def metrics_to_json(registry: MetricsRegistry, path: str,
         fh.write("\n")
     return path
 
-
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion to JSON-serialisable structures."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)

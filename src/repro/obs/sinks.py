@@ -4,16 +4,13 @@ Three ready-made sinks:
 
 * :class:`JsonlEventSink` — streams events to a file as JSONL, one
   JSON object per line, flushed per event so a running sweep can be
-  tailed.  With ``span_only=True`` the output contains exactly the
-  ``"span"`` records the post-hoc exporter
-  (:func:`repro.obs.export.tracer_to_jsonl`) writes, so
-  :func:`repro.obs.export.read_jsonl` and
-  :class:`repro.viz.ConvergenceReport` consume it unchanged — the
-  JSONL exporter *is* this sink, fed live instead of after the fact.
+  tailed.  With ``span_only=True`` it is the span trace exporter: the
+  file holds one ``"span"`` record per finished span (span events
+  included), which :func:`repro.obs.export.read_jsonl` and
+  :meth:`repro.viz.ConvergenceReport.from_records` read back.
 * :class:`ChromeTraceSink` — accumulates ``"span"`` events and writes
-  a Perfetto-loadable Chrome trace on :meth:`close`, through the same
-  :func:`repro.obs.export.records_to_chrome` core the post-hoc
-  exporter uses.
+  a Perfetto-loadable Chrome trace on :meth:`close`, through
+  :func:`repro.obs.export.records_to_chrome`.
 * :class:`~repro.obs.aggregate.LiveAggregator` (its own module) —
   folds sweep/job/iteration/guard events into rolling aggregate state
   for progress lines and the ``python -m repro top`` monitor.
@@ -28,9 +25,11 @@ own I/O.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Any, Dict, IO, List, Optional, Union
 
-from .export import _jsonable, records_to_chrome
+from .export import records_to_chrome
+from .trace import _jsonable
 
 
 class Sink:
@@ -53,8 +52,10 @@ class JsonlEventSink(Sink):
     ``tail -f`` (or the ``repro top --follow`` machinery) sees events
     while the run is still going.  Timestamps stay absolute
     ``perf_counter`` seconds unless *t0* is given, in which case
-    ``start``/``end``/``t`` fields are rebased to it (matching the
-    post-hoc exporter's origin-relative layout).
+    ``start``/``end``/``t`` fields and each span event's ``time`` are
+    rebased to it (pass the tracer's ``t0`` for origin-relative
+    traces).  Events may arrive from several threads at once; each line
+    is written whole.
     """
 
     def __init__(self, target: Union[str, IO[str]],
@@ -69,35 +70,40 @@ class JsonlEventSink(Sink):
             self._fh = target
             self._owns = False
         self._closed = False
+        self._lock = threading.Lock()
         self.written = 0
 
     def handle(self, event: Dict[str, Any]) -> None:
-        if self._closed:
-            return
         record = _jsonable(event)
         if self._t0:
             for key in ("start", "end", "t"):
                 if isinstance(record.get(key), (int, float)):
                     record[key] = record[key] - self._t0
-        self._fh.write(json.dumps(record) + "\n")
-        self._fh.flush()
-        self.written += 1
+            for span_event in record.get("events", ()):
+                span_event["time"] -= self._t0
+        line = json.dumps(record) + "\n"
+        with self._lock:
+            if self._closed:
+                return
+            self._fh.write(line)
+            self._fh.flush()
+            self.written += 1
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns:
-            self._fh.close()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self._owns:
+                self._fh.close()
 
 
 class ChromeTraceSink(Sink):
     """Collect ``"span"`` events; write a Chrome/Perfetto trace on close.
 
     The payload is produced by
-    :func:`repro.obs.export.records_to_chrome`, so worker-adopted
-    spans land on their own named lanes exactly as in the post-hoc
-    export path.
+    :func:`repro.obs.export.records_to_chrome`, so span records shipped
+    back from pool workers land on their own named lanes.
     """
 
     interests = frozenset({"span"})

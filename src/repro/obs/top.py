@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
-from .aggregate import LiveAggregator
+from .aggregate import LiveAggregator, effort_summary
 
 #: Seconds between frames by default.
 DEFAULT_INTERVAL = 0.5
@@ -57,18 +57,7 @@ def fold_store_record(aggregator: LiveAggregator,
         "duration": record.get("duration", 0.0),
         "attempts": record.get("attempts", 1),
         "error": record.get("error", ""),
-        "obs": {
-            "iterations": record.get("obs", {}).get(
-                "metrics", {}).get("counters", {}).get(
-                    "propagation.iterations", 0),
-            "model_cache_hits": record.get("obs", {}).get(
-                "metrics", {}).get("counters", {}).get(
-                    "eventmodels.cache.hits", 0),
-            "model_cache_misses": record.get("obs", {}).get(
-                "metrics", {}).get("counters", {}).get(
-                    "eventmodels.cache.misses", 0),
-            "spans": record.get("obs", {}).get("spans", 0),
-        },
+        "obs": effort_summary(record.get("obs", {})),
     })
 
 

@@ -2,9 +2,12 @@
 
 A :class:`Span` is a named, timed region of work with free-form
 attributes; spans nest via a thread-local stack kept by the
-:class:`Tracer`.  Finished spans accumulate on the tracer and can be
-exported as JSONL (:mod:`repro.obs.export`) or summarised by the
-convergence renderer in :mod:`repro.viz.convergence`.
+:class:`Tracer`.  A finished span leaves the tracer one way: as one
+``"span"`` record (:func:`span_to_dict`) published on the event bus.
+The tracer keeps nothing; whoever wants spans attaches a sink for the
+run it cares about (:class:`~repro.obs.sinks.JsonlEventSink`,
+:class:`~repro.obs.sinks.ChromeTraceSink`), and
+:class:`~repro.viz.ConvergenceReport` reads the records.
 
 Call sites never touch this module when observability is disabled: the
 hot paths guard every tracer call with ``if obs.enabled:`` so the
@@ -15,16 +18,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from . import context as _context
 from .bus import BUS
-
-#: Default cap on retained finished spans.  Long sweeps (and the future
-#: analysis daemon) emit spans indefinitely; beyond the cap the oldest
-#: spans are dropped and counted rather than leaking memory.
-DEFAULT_MAX_FINISHED = 100_000
 
 
 class Span:
@@ -41,7 +38,7 @@ class Span:
     """
 
     __slots__ = ("name", "attributes", "events", "span_id", "parent_id",
-                 "thread_id", "worker", "request_id", "start", "end",
+                 "thread_id", "request_id", "start", "end",
                  "status", "error", "_tracer")
 
     def __init__(self, tracer: "Tracer", name: str, span_id: int,
@@ -52,9 +49,6 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.thread_id = threading.get_ident()
-        #: Worker lane for spans adopted from pool workers (``None`` for
-        #: spans recorded in this process); see :meth:`Tracer.adopt`.
-        self.worker: Optional[str] = None
         #: Request correlation id, stamped from the active
         #: :class:`repro.obs.context.TraceContext` (``None`` outside
         #: any request).
@@ -104,27 +98,63 @@ class Span:
         return f"<Span {self.name} id={self.span_id} {state}>"
 
 
+def span_to_dict(span: Span, t0: float = 0.0) -> Dict[str, Any]:
+    """JSON-serialisable record of one span: the ``"span"`` bus event.
+
+    Times are ``perf_counter`` seconds minus *t0*; the tracer publishes
+    absolute times (``t0=0``) and sinks rebase them.
+    """
+    record: Dict[str, Any] = {
+        "type": "span",
+        "name": span.name,
+        "span_id": span.span_id,
+        "parent_id": span.parent_id,
+        "thread_id": span.thread_id,
+        "start": span.start - t0,
+        "end": (span.end - t0) if span.end is not None else None,
+        "duration": span.duration,
+        "status": span.status,
+        "attributes": _jsonable(span.attributes),
+    }
+    if span.request_id is not None:
+        record["request_id"] = span.request_id
+    if span.error is not None:
+        record["error"] = span.error
+    if span.events:
+        record["events"] = [
+            {**_jsonable(e), "time": e["time"] - t0} for e in span.events
+        ]
+    return record
+
+
+def _jsonable(value: Any) -> Any:
+    """Best-effort conversion to JSON-serialisable structures."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
 class Tracer:
-    """Collects spans; keeps a per-thread stack of open spans.
+    """Hands out span ids and keeps a per-thread stack of open spans.
 
     ``span()``/``start()`` push onto the calling thread's stack so
-    nested spans automatically pick up their parent.  Finished spans are
-    appended to a shared ring buffer guarded by a lock (the analysis
-    engine is single-threaded today, but simulators and future sharded
-    backends may not be); once ``max_finished`` spans are retained the
-    oldest are dropped and counted in :attr:`dropped` (mirrored to the
-    ``trace.spans_dropped`` counter), so unbounded sweeps cannot leak
-    memory through the tracer.
+    nested spans automatically pick up their parent.  A finished span is
+    published on the bus as one :func:`span_to_dict` record (built only
+    while some sink takes ``"span"`` events) and then forgotten: only
+    :attr:`finished_count` remembers it.
     """
 
-    def __init__(self, max_finished: int = DEFAULT_MAX_FINISHED):
+    def __init__(self):
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_id = 0
-        self.max_finished = max_finished
-        self.finished: "Deque[Span]" = deque()
-        #: Spans evicted from the ring buffer since the last reset.
-        self.dropped = 0
+        #: Spans finished since the last reset (a run's span count,
+        #: e.g. ``JobResult.obs["spans"]``).
+        self.finished_count = 0
         #: perf_counter origin for relative timestamps in exports.
         self.t0 = time.perf_counter()
 
@@ -231,90 +261,17 @@ class Tracer:
                 popped = stack.pop()
                 if popped is span:
                     break
-        self._retain(span)
-        if BUS.active:
-            # Same record shape as span_to_dict (absolute times) plus
-            # the envelope type, so a streamed JSONL trace is readable
-            # by the existing read_jsonl/ConvergenceReport machinery.
-            event: Dict[str, Any] = {
-                "type": "span", "name": span.name,
-                "span_id": span.span_id, "parent_id": span.parent_id,
-                "thread_id": span.thread_id, "start": span.start,
-                "end": span.end, "duration": span.duration,
-                "status": span.status,
-                "attributes": dict(span.attributes),
-            }
-            if span.error is not None:
-                event["error"] = span.error
-            if span.request_id is not None:
-                event["request_id"] = span.request_id
-            BUS.publish(event)
-
-    def _retain(self, span: Span) -> None:
-        """Append to the finished ring buffer, evicting beyond the cap."""
-        dropped = 0
         with self._lock:
-            self.finished.append(span)
-            while (self.max_finished is not None
-                    and len(self.finished) > self.max_finished):
-                self.finished.popleft()
-                self.dropped += 1
-                dropped += 1
-        if dropped:
-            # Lazy import: repro.obs imports this module at its top
-            # level, so reach the registry through the package only
-            # when an eviction actually happens.
-            import repro.obs as _obs
-            _obs.metrics().counter("trace.spans_dropped").inc(dropped)
-
-    def adopt(self, record: "Mapping[str, Any]",
-              worker: Optional[str] = None) -> Span:
-        """Fold a serialised span record from another process into this
-        tracer's finished buffer.
-
-        Pool workers ship their finished spans back through the
-        ``JobResult.obs`` channel as plain dicts (absolute
-        ``perf_counter`` times — comparable across processes on the
-        same host, where the clock is system-wide monotonic).  The
-        *worker* lane tag keeps their thread idents from colliding
-        with the parent's in Chrome/Perfetto exports — under ``fork``
-        every worker's main thread usually reports the *same* ident as
-        the parent's.
-        """
-        span = Span(self, record.get("name", "?"),
-                    record.get("span_id", -1), record.get("parent_id"),
-                    record.get("attributes"))
-        span.thread_id = record.get("thread_id", 0)
-        span.worker = worker if worker is not None \
-            else record.get("worker")
-        span.request_id = record.get("request_id")
-        span.start = record.get("start", 0.0)
-        span.end = record.get("end", span.start)
-        span.status = record.get("status", "ok")
-        span.error = record.get("error")
-        for ev in record.get("events", ()):
-            span.events.append(dict(ev))
-        self._retain(span)
-        return span
+            self.finished_count += 1
+        if BUS.span_interest:
+            BUS.publish(span_to_dict(span))
 
     # ------------------------------------------------------------------
-    def spans(self, name: Optional[str] = None) -> List[Span]:
-        """Finished spans, optionally filtered by name."""
-        with self._lock:
-            snapshot = list(self.finished)
-        if name is None:
-            return snapshot
-        return [s for s in snapshot if s.name == name]
-
     def reset(self) -> None:
-        """Drop all finished spans and restart the clock origin."""
+        """Restart the span ids, the finished count and the clock
+        origin."""
         with self._lock:
-            self.finished.clear()
             self._next_id = 0
-            self.dropped = 0
+            self.finished_count = 0
         self._local = threading.local()
         self.t0 = time.perf_counter()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self.finished)

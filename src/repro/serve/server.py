@@ -635,9 +635,6 @@ class ServeDaemon:
             gauge("serve.in_flight").set(self._in_flight)
             gauge("serve.uptime_seconds").set(
                 time.monotonic() - self.started_at)
-            tracer = _obs.get_tracer()
-            gauge("trace.spans_retained").set(len(tracer))
-            gauge("trace.dropped_spans").set(tracer.dropped)
             gauge("bus.sinks").set(len(_BUS))
             gauge("bus.swallowed_sink_errors").set(_BUS.sink_errors)
             try:
@@ -704,10 +701,6 @@ class ServeDaemon:
             "kernels": kernel_stats,
             "incremental": incremental_stats,
             "aggregate": self.aggregator.snapshot(),
-            "trace": {
-                "finished_spans": len(_obs.get_tracer()),
-                "dropped_spans": _obs.get_tracer().dropped,
-            },
             "bus": {"sinks": len(_BUS), "sink_errors": _BUS.sink_errors,
                     "sink_error_counts": _BUS.sink_error_counts()},
         }

@@ -1,15 +1,20 @@
 """Convergence diagnostics renderer for the global fixed-point loop.
 
-Consumes the ``global_iteration`` spans emitted by
+Consumes the ``global_iteration`` span records emitted by
 :func:`repro.system.propagation.analyze_system` when observability is
 enabled (see :mod:`repro.obs`) and renders them as an ASCII table of
 per-iteration residuals — which response time is still moving, how far,
 and which propagated output models have not settled yet::
 
     import repro
+
+    records = []
+    bus = repro.obs.get_bus()
+    collect = bus.subscribe(records.append, interests={"span"})
     repro.configure(enabled=True)
     repro.analyze_system(system)
-    print(ConvergenceReport.from_tracer(repro.get_tracer()).render())
+    bus.unsubscribe(collect)
+    print(ConvergenceReport.from_records(records).render())
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ ENGINE_METRICS = (
 class ConvergenceReport:
     """Per-iteration convergence history of one (or more) analysis runs.
 
-    Built from finished tracer spans (:meth:`from_tracer`) or from the
-    dict records of an exported JSONL trace (:meth:`from_records`).
+    Built from ``"span"`` records (:meth:`from_records`): the bus
+    events a sink collected, or an exported JSONL trace read back.
     """
 
     def __init__(self, rows: List[Dict[str, Any]],
@@ -61,13 +66,18 @@ class ConvergenceReport:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_tracer(cls, tracer, registry=None) -> "ConvergenceReport":
-        """Build from a tracer; pass a
-        :class:`repro.obs.metrics.MetricsRegistry` as *registry* to also
-        capture the resilience/batch counters into the report footer."""
+    def from_records(cls, records: Sequence[Dict[str, Any]],
+                     registry=None) -> "ConvergenceReport":
+        """Build from span records (see :func:`repro.obs.read_jsonl`);
+        pass a :class:`repro.obs.metrics.MetricsRegistry` as *registry*
+        to also capture the resilience/batch counters and the engine
+        metrics into the report footer."""
         rows = []
-        for span in tracer.spans(ITERATION_SPAN):
-            rows.append({**span.attributes, "duration": span.duration})
+        for record in records:
+            if record.get("type") == "span" \
+                    and record.get("name") == ITERATION_SPAN:
+                rows.append({**record.get("attributes", {}),
+                             "duration": record.get("duration")})
         counters = {}
         engine = {}
         if registry is not None:
@@ -84,19 +94,6 @@ class ConvergenceReport:
                 if value is not None:
                     engine[name] = value
         return cls(rows, counters, engine)
-
-    @classmethod
-    def from_records(cls,
-                     records: Sequence[Dict[str, Any]]
-                     ) -> "ConvergenceReport":
-        """Build from JSONL records (see :func:`repro.obs.read_jsonl`)."""
-        rows = []
-        for record in records:
-            if record.get("type") == "span" \
-                    and record.get("name") == ITERATION_SPAN:
-                rows.append({**record.get("attributes", {}),
-                             "duration": record.get("duration")})
-        return cls(rows)
 
     # ------------------------------------------------------------------
     @property
@@ -162,8 +159,6 @@ def _fmt_residual(value) -> str:
     return f"{value:.6g}"
 
 
-def render_convergence_report(source) -> str:
-    """Render a convergence report from a tracer or JSONL record list."""
-    if hasattr(source, "spans"):
-        return ConvergenceReport.from_tracer(source).render()
-    return ConvergenceReport.from_records(source).render()
+def render_convergence_report(records: Sequence[Dict[str, Any]]) -> str:
+    """Render a convergence report from span records."""
+    return ConvergenceReport.from_records(records).render()

@@ -42,6 +42,17 @@ def spor500():
 
 
 @pytest.fixture
+def span_records():
+    """The ``"span"`` records published on the bus during the test."""
+    from repro import obs
+
+    records = []
+    collect = obs.get_bus().subscribe(records.append, interests={"span"})
+    yield records
+    obs.get_bus().unsubscribe(collect)
+
+
+@pytest.fixture
 def force_batching(monkeypatch):
     """Send every SPP/EDF resource through the numpy kernels, however
     small or lightly loaded; skips when numpy is not installed."""

@@ -15,14 +15,18 @@ from repro import analyze_system, configure, get_tracer, metrics, obs
 from repro._errors import ModelError
 from repro.examples_lib.rox08 import build_system
 from repro.obs import (
+    ChromeTraceSink,
+    JsonlEventSink,
     MetricsRegistry,
     Tracer,
     read_jsonl,
     span_to_dict,
-    spans_to_jsonl,
-    tracer_to_jsonl,
 )
 from repro.viz import ConvergenceReport, render_convergence_report
+
+
+def named(records, name):
+    return [r for r in records if r["name"] == name]
 
 
 @pytest.fixture
@@ -41,7 +45,7 @@ def obs_off_guard():
 
 
 class TestSpans:
-    def test_nesting_assigns_parents(self):
+    def test_nesting_assigns_parents(self, span_records):
         tracer = Tracer()
         with tracer.span("outer") as outer:
             assert tracer.current() is outer
@@ -51,23 +55,22 @@ class TestSpans:
                     assert leaf.parent_id == inner.span_id
             assert tracer.current() is outer
         assert tracer.current() is None
-        assert [s.name for s in tracer.spans()] == \
+        assert [r["name"] for r in span_records] == \
             ["leaf", "inner", "outer"]
 
-    def test_exception_marks_span_and_restores_stack(self):
+    def test_exception_marks_span_and_restores_stack(self, span_records):
         tracer = Tracer()
         with pytest.raises(ValueError):
             with tracer.span("outer"):
                 with tracer.span("boom"):
                     raise ValueError("kaputt")
         assert tracer.current() is None
-        boom = tracer.spans("boom")[0]
-        assert boom.status == "error"
-        assert "kaputt" in boom.error
-        assert boom.end is not None
+        boom = named(span_records, "boom")[0]
+        assert boom["status"] == "error"
+        assert "kaputt" in boom["error"]
+        assert boom["end"] is not None
         # the outer span still closed cleanly
-        assert tracer.spans("outer")[0].status == "error" or \
-            tracer.spans("outer")[0].status == "ok"
+        assert named(span_records, "outer")[0]["status"] in ("error", "ok")
 
     def test_missed_finish_deeper_down_is_recovered(self):
         tracer = Tracer()
@@ -76,27 +79,30 @@ class TestSpans:
         outer.finish()
         assert tracer.current() is None
 
-    def test_attributes_and_events(self):
+    def test_attributes_and_events(self, span_records):
         tracer = Tracer()
         with tracer.span("work", phase=1) as span:
             span.set(items=3)
             tracer.event("checkpoint", at="half")
-        done = tracer.spans("work")[0]
-        assert done.attributes == {"phase": 1, "items": 3}
-        assert done.events[0]["name"] == "checkpoint"
-        assert done.duration >= 0.0
+        done = named(span_records, "work")[0]
+        assert done["attributes"] == {"phase": 1, "items": 3}
+        assert done["events"][0]["name"] == "checkpoint"
+        assert done["events"][0]["at"] == "half"
+        assert done["duration"] >= 0.0
 
-    def test_event_without_open_span_is_dropped(self):
+    def test_event_without_open_span_is_dropped(self, span_records):
         tracer = Tracer()
         tracer.event("orphan")  # must not raise
-        assert len(tracer) == 0
+        assert tracer.finished_count == 0 and span_records == []
 
     def test_reset(self):
         tracer = Tracer()
         with tracer.span("x"):
             pass
+        assert tracer.finished_count == 1
         tracer.reset()
-        assert len(tracer) == 0
+        assert tracer.finished_count == 0
+        assert tracer.start("y").span_id == 0
 
 
 class TestMetrics:
@@ -216,12 +222,15 @@ class TestMetrics:
 class TestExport:
     def test_jsonl_round_trip(self, tmp_path):
         tracer = Tracer()
+        path = tmp_path / "trace.jsonl"
+        sink = obs.get_bus().subscribe(
+            JsonlEventSink(str(path), span_only=True, t0=tracer.t0))
         with tracer.span("outer", system="s") as outer:
             tracer.event("junction", junction="F1", kind="pack")
             with tracer.span("inner", resource="cpu"):
                 pass
-        path = tmp_path / "trace.jsonl"
-        tracer_to_jsonl(tracer, str(path))
+        obs.get_bus().unsubscribe(sink)
+        sink.close()
         records = read_jsonl(str(path))
         assert len(records) == 2
         by_name = {r["name"]: r for r in records}
@@ -230,6 +239,10 @@ class TestExport:
         assert by_name["outer"]["events"][0]["junction"] == "F1"
         assert all(r["type"] == "span" for r in records)
         assert all(r["end"] >= r["start"] >= 0.0 for r in records)
+        # span events are rebased to the tracer origin like the spans
+        event_time = by_name["outer"]["events"][0]["time"]
+        assert by_name["outer"]["start"] <= event_time \
+            <= by_name["outer"]["end"]
 
     def test_span_to_dict_serialises_odd_attributes(self):
         tracer = Tracer()
@@ -253,20 +266,32 @@ class TestExport:
         assert data["wall_seconds"] == 0.5
 
 
+def chrome_trace(path, run, t0=0.0):
+    """Chrome payload a ChromeTraceSink writes for the spans *run*
+    finishes."""
+    sink = obs.get_bus().subscribe(ChromeTraceSink(str(path), t0=t0))
+    try:
+        run()
+    finally:
+        obs.get_bus().unsubscribe(sink)
+        sink.close()
+    return sink.payload()
+
+
 class TestChromeExport:
     def test_complete_events_and_metadata(self, tmp_path):
         import json
 
-        from repro.obs import tracer_to_chrome
-
         tracer = Tracer()
-        with tracer.span("outer", system="s"):
-            tracer.event("checkpoint", junction="F1")
-            with tracer.span("inner", resource="cpu"):
-                pass
+
+        def run():
+            with tracer.span("outer", system="s"):
+                tracer.event("checkpoint", junction="F1")
+                with tracer.span("inner", resource="cpu"):
+                    pass
         path = tmp_path / "trace.json"
-        payload = tracer_to_chrome(tracer, str(path))
-        # file and return value agree and are valid JSON
+        payload = chrome_trace(path, run, t0=tracer.t0)
+        # file and payload agree and are valid JSON
         assert json.loads(path.read_text()) == payload
         assert payload["displayTimeUnit"] == "ms"
         events = payload["traceEvents"]
@@ -290,63 +315,76 @@ class TestChromeExport:
         assert outer["pid"] == inner["pid"] == 1
         assert outer["args"]["system"] == "s"
 
-    def test_unfinished_spans_are_skipped(self):
-        from repro.obs.export import spans_to_chrome
-
+    def test_unfinished_spans_are_skipped(self, tmp_path):
         tracer = Tracer()
-        open_span = tracer.start("open")
-        with tracer.span("closed"):
-            pass
-        payload = spans_to_chrome(tracer.spans() + [open_span])
+
+        def run():
+            tracer.start("open")
+            with tracer.span("closed"):
+                pass
+        payload = chrome_trace(tmp_path / "t.json", run)
         names = [e["name"] for e in payload["traceEvents"]
                  if e["ph"] == "X"]
         assert names == ["closed"]
 
-    def test_error_spans_are_flagged(self):
-        from repro.obs.export import spans_to_chrome
-
+    def test_error_spans_are_flagged(self, tmp_path):
         tracer = Tracer()
-        with pytest.raises(ValueError):
-            with tracer.span("boom"):
-                raise ValueError("kaputt")
-        payload = spans_to_chrome(tracer.spans(), t0=tracer.t0)
+
+        def run():
+            with pytest.raises(ValueError):
+                with tracer.span("boom"):
+                    raise ValueError("kaputt")
+        payload = chrome_trace(tmp_path / "t.json", run, t0=tracer.t0)
         event = [e for e in payload["traceEvents"]
                  if e["ph"] == "X"][0]
         assert "error" in event["cat"]
         assert event["args"]["status"] == "error"
         assert "kaputt" in event["args"]["error"]
 
-    def test_explained_run_exports_valid_chrome_trace(self, obs_on):
+    def test_explained_run_exports_valid_chrome_trace(self, obs_on,
+                                                      tmp_path):
         import json
 
-        from repro.obs import tracer_to_chrome
-
-        analyze_system(build_system("hem"))
-        payload = json.loads(json.dumps(
-            tracer_to_chrome(get_tracer())))
+        path = tmp_path / "t.json"
+        chrome_trace(path, lambda: analyze_system(build_system("hem")),
+                     t0=get_tracer().t0)
+        payload = json.loads(path.read_text())
         complete = [e for e in payload["traceEvents"]
                     if e["ph"] == "X"]
         assert {e["name"] for e in complete} >= {
             "global_iteration", "local_analysis"}
         assert all(e["dur"] >= 0.0 for e in complete)
 
+    def test_rox08_trace_carries_junction_instants(self, obs_on, tmp_path):
+        """The sink carries span events: the 30 junction instants of
+        RoX08 HEM, beside its 9 spans."""
+        payload = chrome_trace(
+            tmp_path / "t.json",
+            lambda: analyze_system(build_system("hem")),
+            t0=get_tracer().t0)
+        phases = [e["ph"] for e in payload["traceEvents"]]
+        assert phases.count("X") == 9
+        assert phases.count("i") == 30
+
 
 class TestEngineIntegration:
-    def test_analyze_system_emits_convergence_spans(self, obs_on):
+    def test_analyze_system_emits_convergence_spans(self, obs_on,
+                                                    span_records):
         result = analyze_system(build_system("hem"))
-        tracer = get_tracer()
-        iterations = tracer.spans("global_iteration")
+        iterations = named(span_records, "global_iteration")
         assert len(iterations) == result.iterations
-        first, last = iterations[0].attributes, iterations[-1].attributes
+        first = iterations[0]["attributes"]
+        last = iterations[-1]["attributes"]
         assert first["iteration"] == 1
         assert first["residual_r_max"] > 0.0
         assert first["unstable_models"] == len(first["changed_ports"]) > 0
         assert last["converged"] is True
         assert last["residual_r_max"] == 0.0
         # local analyses nested under their iteration span
-        local = tracer.spans("local_analysis")
-        assert {s.attributes["resource"] for s in local} == {"CAN", "CPU1"}
-        assert all(s.parent_id is not None for s in local)
+        local = named(span_records, "local_analysis")
+        assert {r["attributes"]["resource"] for r in local} \
+            == {"CAN", "CPU1"}
+        assert all(r["parent_id"] is not None for r in local)
 
     def test_analyze_system_emits_metrics(self, obs_on):
         analyze_system(build_system("hem"))
@@ -375,28 +413,33 @@ class TestEngineIntegration:
         assert snap["counters"]["sim.events"] == 10
         assert snap["gauges"]["sim.events_per_second"] > 0
 
-    def test_convergence_report_renders(self, obs_on, tmp_path):
+    def test_convergence_report_renders(self, obs_on, span_records,
+                                        tmp_path):
+        path = tmp_path / "t.jsonl"
+        sink = obs.get_bus().subscribe(
+            JsonlEventSink(str(path), span_only=True, t0=get_tracer().t0))
         analyze_system(build_system("hem"))
-        report = ConvergenceReport.from_tracer(get_tracer())
+        obs.get_bus().unsubscribe(sink)
+        sink.close()
+        report = ConvergenceReport.from_records(span_records)
         text = report.render()
         assert report.converged is True
         assert "converged" in text
         assert "max |dR+|" in text
         # the same report reconstructed from an exported JSONL trace
-        path = tmp_path / "t.jsonl"
-        tracer_to_jsonl(get_tracer(), str(path))
         roundtrip = ConvergenceReport.from_records(read_jsonl(str(path)))
         assert roundtrip.iterations == report.iterations
         assert roundtrip.render() == text
-        assert render_convergence_report(get_tracer()) == text
+        assert render_convergence_report(span_records) == text
 
     def test_empty_report_is_explicit(self):
         assert "no convergence data" in ConvergenceReport([]).render()
 
-    def test_engine_metrics_footer(self, obs_on, force_batching):
+    def test_engine_metrics_footer(self, obs_on, force_batching,
+                                   span_records):
         analyze_system(build_system("hem"))
-        report = ConvergenceReport.from_tracer(get_tracer(),
-                                               registry=metrics())
+        report = ConvergenceReport.from_records(span_records,
+                                                registry=metrics())
         snap = metrics().snapshot()
         assert snap["counters"]["kernels.vector_lanes"] > 0
         assert "compile.cache_hit_rate" in snap["gauges"]
@@ -405,18 +448,19 @@ class TestEngineIntegration:
         assert "kernels.vector_lanes=" in text
         assert "compile.cache_hit_rate=" in text
 
-    def test_engine_footer_absent_without_registry(self, obs_on):
+    def test_engine_footer_absent_without_registry(self, obs_on,
+                                                   span_records):
         analyze_system(build_system("hem"))
-        assert "engine:" not in ConvergenceReport.from_tracer(
-            get_tracer()).render()
+        assert "engine:" not in ConvergenceReport.from_records(
+            span_records).render()
 
 
 class TestDisabledFastPath:
-    def test_disabled_run_collects_nothing(self):
+    def test_disabled_run_collects_nothing(self, span_records):
         configure(enabled=False, reset=True)
         result = analyze_system(build_system("hem"))
         assert result.converged
-        assert len(get_tracer()) == 0
+        assert get_tracer().finished_count == 0 and span_records == []
         assert metrics().is_empty()
 
     def test_disabled_run_allocates_nothing_in_obs(self):

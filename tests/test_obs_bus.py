@@ -1,4 +1,5 @@
-"""Event bus, sinks, tracer ring buffer, and worker trace lanes."""
+"""Event bus, sinks, the tracer's span records, and worker trace
+lanes."""
 
 import json
 import threading
@@ -19,9 +20,7 @@ def clean_obs():
     obs.configure(enabled=False, reset=True)
     yield
     obs.get_bus().clear()
-    obs.configure(enabled=False, reset=True,
-                  max_spans=obs.trace.DEFAULT_MAX_FINISHED,
-                  ship_worker_spans=False)
+    obs.configure(enabled=False, reset=True)
 
 
 class Collector:
@@ -150,44 +149,6 @@ class TestEventBus:
         assert len(sink.events) == 800
 
 
-class TestTracerRingBuffer:
-    def test_cap_evicts_oldest_and_counts(self):
-        tracer = Tracer(max_finished=5)
-        for i in range(8):
-            tracer.start(f"s{i}").finish()
-        assert len(tracer) == 5
-        assert tracer.dropped == 3
-        assert [s.name for s in tracer.spans()] == [
-            "s3", "s4", "s5", "s6", "s7"]
-
-    def test_unbounded_when_none(self):
-        tracer = Tracer(max_finished=None)
-        for i in range(50):
-            tracer.start(f"s{i}").finish()
-        assert len(tracer) == 50 and tracer.dropped == 0
-
-    def test_reset_zeroes_dropped(self):
-        tracer = Tracer(max_finished=1)
-        tracer.start("a").finish()
-        tracer.start("b").finish()
-        assert tracer.dropped == 1
-        tracer.reset()
-        assert tracer.dropped == 0 and len(tracer) == 0
-
-    def test_global_tracer_eviction_bumps_counter(self):
-        obs.configure(enabled=True, reset=True, max_spans=3)
-        tracer = obs.get_tracer()
-        for i in range(7):
-            tracer.start(f"s{i}").finish()
-        assert tracer.dropped == 4
-        counters = obs.metrics().snapshot()["counters"]
-        assert counters["trace.spans_dropped"] == 4
-
-    def test_configure_zero_means_unbounded(self):
-        obs.configure(enabled=True, reset=True, max_spans=0)
-        assert obs.get_tracer().max_finished is None
-
-
 class TestTracerBusEvents:
     def test_span_lifecycle_published(self):
         sink = Collector()
@@ -203,6 +164,30 @@ class TestTracerBusEvents:
         assert finished["status"] == "ok"
         assert finished["attributes"] == {"resource": "cpu", "tasks": 2}
         assert finished["end"] >= finished["start"]
+        # the record is span_to_dict's, span events included
+        assert finished["events"][0]["name"] == "tick"
+        assert finished["events"][0]["n"] == 1
+        assert tracer.finished_count == 1
+
+    def test_span_interest_flag(self):
+        bus = EventBus()
+        jobs = bus.subscribe(Collector(interests={"job"}))
+        assert bus.active and not bus.span_interest
+        spans = bus.subscribe(Collector(interests={"span"}))
+        assert bus.span_interest
+        bus.unsubscribe(spans)
+        assert not bus.span_interest
+        bus.subscribe(Collector())  # None interests = everything
+        assert bus.span_interest
+        bus.unsubscribe(jobs)
+
+    def test_no_record_built_without_a_span_sink(self):
+        sink = Collector(interests={"span_start", "job"})
+        obs.get_bus().subscribe(sink)
+        tracer = Tracer()
+        tracer.start("quiet").finish()
+        assert [e["type"] for e in sink.events] == ["span_start"]
+        assert tracer.finished_count == 1
 
     def test_error_span_carries_error(self):
         sink = Collector(interests={"span"})
@@ -221,12 +206,13 @@ class TestAdoptAndChromeLanes:
         parent = tracer.start("parent")
         parent.finish()
         ident = parent.thread_id  # fork: workers report the same ident
+        records = [obs.span_to_dict(parent)]
         for worker in ("101", "102"):
-            tracer.adopt({"name": "job", "span_id": 0,
-                          "parent_id": None, "thread_id": ident,
-                          "start": 1.0, "end": 2.0, "status": "ok",
-                          "attributes": {}}, worker=worker)
-        payload = obs.spans_to_chrome(tracer.spans())
+            records.append({"name": "job", "span_id": 0,
+                            "parent_id": None, "thread_id": ident,
+                            "start": 1.0, "end": 2.0, "status": "ok",
+                            "attributes": {}, "worker": worker})
+        payload = records_to_chrome(records)
         complete = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert len({e["tid"] for e in complete}) == 3
         names = {e["args"]["name"]
@@ -235,22 +221,6 @@ class TestAdoptAndChromeLanes:
         assert f"thread-{ident}" in names
         assert f"worker-101 thread-{ident}" in names
         assert f"worker-102 thread-{ident}" in names
-
-    def test_adopt_preserves_record_fields(self):
-        tracer = Tracer()
-        span = tracer.adopt({
-            "name": "local_analysis", "span_id": 7, "parent_id": 3,
-            "thread_id": 42, "start": 5.0, "end": 6.5,
-            "status": "error", "error": "ValueError('x')",
-            "attributes": {"resource": "bus"},
-            "events": [{"name": "tick", "time": 5.5}],
-        }, worker="77")
-        assert span.worker == "77"
-        assert span.duration == pytest.approx(1.5)
-        record = obs.span_to_dict(span)
-        assert record["worker"] == "77"
-        assert record["error"] == "ValueError('x')"
-        assert record["events"][0]["name"] == "tick"
 
     def test_records_to_chrome_skips_unfinished(self):
         payload = records_to_chrome([
@@ -277,27 +247,33 @@ class TestSinks:
         assert sink.written == 2
 
     def test_jsonl_span_only_matches_posthoc_exporter(self, tmp_path):
+        """The span-only stream is span_to_dict over the finished spans,
+        origin-relative: span events included and rebased too."""
         live = tmp_path / "live.jsonl"
-        sink = JsonlEventSink(str(live), span_only=True)
-        obs.get_bus().subscribe(sink)
         tracer = Tracer()
-        sink._t0 = tracer.t0
-        with tracer.span("outer"):
-            tracer.start("inner").finish()
+        sink = JsonlEventSink(str(live), span_only=True, t0=tracer.t0)
+        obs.get_bus().subscribe(sink)
+        with tracer.span("outer") as outer:
+            tracer.event("checkpoint", junction="F1")
+            inner = tracer.start("inner")
+            inner.finish()
         sink.close()
-        posthoc = tmp_path / "posthoc.jsonl"
-        obs.tracer_to_jsonl(tracer, str(posthoc))
-        live_records = obs.read_jsonl(str(live))
-        post_records = obs.read_jsonl(str(posthoc))
-        assert len(live_records) == len(post_records) == 2
-        for lr, pr in zip(
-                sorted(live_records, key=lambda r: r["span_id"]),
-                sorted(post_records, key=lambda r: r["span_id"])):
-            assert lr["name"] == pr["name"]
-            assert lr["span_id"] == pr["span_id"]
-            assert lr["parent_id"] == pr["parent_id"]
-            assert lr["start"] == pytest.approx(pr["start"])
-            assert lr["end"] == pytest.approx(pr["end"])
+        records = obs.read_jsonl(str(live))
+        assert len(records) == 2
+        expected = [obs.span_to_dict(span, tracer.t0)
+                    for span in (inner, outer)]
+        for record, want in zip(records, expected):
+            assert record["name"] == want["name"]
+            assert record["span_id"] == want["span_id"]
+            assert record["parent_id"] == want["parent_id"]
+            assert record["start"] == pytest.approx(want["start"])
+            assert record["end"] == pytest.approx(want["end"])
+            assert record.get("events") == want.get("events")
+        checkpoint = records[1]["events"][0]
+        assert checkpoint["name"] == "checkpoint"
+        assert checkpoint["junction"] == "F1"
+        assert records[1]["start"] <= checkpoint["time"] \
+            <= records[1]["end"]
 
     def test_chrome_sink_payload(self, tmp_path):
         path = tmp_path / "trace.json"

@@ -157,6 +157,6 @@ class TestLiveScrape:
         # the scrape-time serve gauges and engine metrics are present
         for expected in ("repro_serve_queue_depth",
                          "repro_serve_uptime_seconds",
-                         "repro_trace_spans_retained",
+                         "repro_bus_swallowed_sink_errors",
                          "repro_bus_sinks"):
             assert expected in families, expected

@@ -16,7 +16,7 @@ import pytest
 from repro import obs
 from repro.obs.context import (TraceContext, current_request_id,
                                new_request_id, request_context)
-from repro.obs.export import records_to_chrome, span_to_dict
+from repro.obs.export import records_to_chrome
 from repro.serve import RequestRejected, ServeClient, daemon_in_thread
 
 
@@ -43,6 +43,12 @@ class _Recorder:
     def all(self):
         with self._lock:
             return list(self.events)
+
+    def spans(self, request_id, name=None):
+        """The request's span records (optionally of one name)."""
+        return [e for e in self.all()
+                if e["type"] == "span" and e.get("request_id") == request_id
+                and name in (None, e["name"])]
 
 
 # ----------------------------------------------------------------------
@@ -87,13 +93,11 @@ class TestEndToEndCorrelation:
             client = ServeClient(port=handle.port)
             client.wait_healthy()
             resp = client.analyze(example="pipeline")
-            tracer = obs.get_tracer()
-            spans = [s for s in tracer.spans()
-                     if s.request_id == resp.request_id]
             record = handle.daemon.store.get(resp.key)
         finally:
-            obs.get_bus().unsubscribe(recorder)
             handle.stop()
+            obs.get_bus().unsubscribe(recorder)
+        spans = recorder.spans(resp.request_id)
 
         # (1) HTTP header (ServeClient copies the echoed header in).
         rid = resp.request_id
@@ -112,22 +116,22 @@ class TestEndToEndCorrelation:
         # serve.request: every span's parent is another span of the
         # same request.
         assert spans, "no spans stamped with the request id"
-        by_id = {s.span_id: s for s in spans}
-        roots = [s for s in spans if s.parent_id is None]
+        by_id = {s["span_id"]: s for s in spans}
+        roots = [s for s in spans if s["parent_id"] is None]
         assert len(roots) == 1
-        assert roots[0].name == "serve.request"
+        assert roots[0]["name"] == "serve.request"
         for span in spans:
-            if span.parent_id is not None:
-                assert span.parent_id in by_id, (
-                    f"{span.name} parented outside the request tree")
-        names = {s.name for s in spans}
+            if span["parent_id"] is not None:
+                assert span["parent_id"] in by_id, (
+                    f"{span['name']} parented outside the request tree")
+        names = {s["name"] for s in spans}
         assert {"serve.request", "serve.queue_wait",
                 "serve.execute"} <= names
         assert "global_iteration" in names, (
             "analysis spans not stitched under the request")
 
         # ... and the Chrome export keeps the id on every event.
-        chrome = records_to_chrome([span_to_dict(s) for s in spans])
+        chrome = records_to_chrome(spans)
         complete = [e for e in chrome["traceEvents"]
                     if e.get("ph") == "X"]
         assert len(complete) == len(spans)
@@ -164,17 +168,17 @@ class TestEndToEndCorrelation:
         assert excinfo.value.request_id
 
     def test_distinct_requests_get_distinct_trees(self, tmp_path):
+        recorder = _Recorder()
+        obs.get_bus().subscribe(recorder)
         handle = daemon_in_thread(cache_dir=str(tmp_path / "cache"))
         try:
             client = ServeClient(port=handle.port)
             client.wait_healthy()
             first = client.analyze(example="pipeline")
             second = client.explain(example="pipeline")
-            tracer = obs.get_tracer()
-            assert first.request_id != second.request_id
-            for rid in (first.request_id, second.request_id):
-                roots = [s for s in tracer.spans("serve.request")
-                         if s.request_id == rid]
-                assert len(roots) == 1
         finally:
             handle.stop()
+            obs.get_bus().unsubscribe(recorder)
+        assert first.request_id != second.request_id
+        for rid in (first.request_id, second.request_id):
+            assert len(recorder.spans(rid, "serve.request")) == 1

@@ -214,7 +214,7 @@ class TestStructuralErrorsStillRaise:
 
 
 class TestObsSurface:
-    def test_quarantine_counters_and_report_footer(self):
+    def test_quarantine_counters_and_report_footer(self, span_records):
         from repro import obs
         from repro.viz import ConvergenceReport
 
@@ -224,35 +224,40 @@ class TestObsSurface:
             counters = obs.metrics().snapshot()["counters"]
             assert counters.get("resilience.quarantines") == 1
             assert counters.get("resilience.widenings") == 1
-            report = ConvergenceReport.from_tracer(
-                obs.get_tracer(), registry=obs.metrics())
+            report = ConvergenceReport.from_records(
+                span_records, registry=obs.metrics())
             rendered = report.render()
             assert "resilience:" in rendered
             assert "resilience.quarantines=1" in rendered
         finally:
             obs.disable(reset=True)
 
-    def test_degraded_iteration_spans_match_strict(self):
+    def test_degraded_iteration_spans_match_strict(self, span_records):
         # Degraded spans used to lack the model-stability attributes,
         # so the report showed "?" under "unstable" on every row.
         from repro import obs
         from repro.viz import ConvergenceReport
 
+        def iterations():
+            found = [r["attributes"] for r in span_records
+                     if r["name"] == "global_iteration"]
+            span_records.clear()
+            return found
+
         obs.configure(enabled=True, reset=True)
         try:
             analyze_system(build_overloaded(), on_failure="degrade")
-            degraded = obs.get_tracer().spans("global_iteration")
-            report = ConvergenceReport.from_tracer(obs.get_tracer())
-            obs.configure(enabled=True, reset=True)
+            report = ConvergenceReport.from_records(span_records)
+            degraded = iterations()
             analyze_system(build_system("hem"))
-            strict = obs.get_tracer().spans("global_iteration")
+            strict = iterations()
         finally:
             obs.disable(reset=True)
         assert degraded and strict
-        assert {frozenset(s.attributes) for s in degraded + strict} \
-            == {frozenset(strict[0].attributes)}
-        assert {s.attributes["mode"] for s in strict} == {"strict"}
-        assert {s.attributes["mode"] for s in degraded} == {"degraded"}
+        assert {frozenset(a) for a in degraded + strict} \
+            == {frozenset(strict[0])}
+        assert {a["mode"] for a in strict} == {"strict"}
+        assert {a["mode"] for a in degraded} == {"degraded"}
         rows = report.render().splitlines()[3:3 + len(degraded)]
         unstable = [row.split("|")[4].strip() for row in rows]
         assert all(cell.isdigit() for cell in unstable), unstable

@@ -358,3 +358,36 @@ class TestProtocol:
         assert "requests" in health and "compile_cache" in health
         states = [h["state"] for h in health["state_history"]]
         assert states == ["starting", "serving"]
+
+
+# ----------------------------------------------------------------------
+# uptime: a warm daemon's telemetry holds nothing per request
+# ----------------------------------------------------------------------
+class TestUptime:
+    def test_warm_daemon_telemetry_stays_flat(self, tmp_path):
+        """Cached hits with telemetry on (the aggregator keeps the bus
+        active) leave no per-request state in repro/obs: 200 of them
+        grow what obs/ still holds by less than 32 KiB."""
+        import tracemalloc
+        from pathlib import Path
+
+        obs_dir = str(Path(obs.__file__).parent)
+        handle = daemon_in_thread(cache_dir=str(tmp_path / "cache"),
+                                  workers=2)
+        try:
+            client = ServeClient(port=handle.port)
+            client.wait_healthy()
+            for _ in range(20):
+                client.analyze(example="rox08")
+            tracemalloc.start()
+            try:
+                for _ in range(200):
+                    assert client.analyze(example="rox08").ok
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+        finally:
+            handle.stop()
+        held = sum(stat.size for stat in snapshot.statistics("filename")
+                   if stat.traceback[0].filename.startswith(obs_dir))
+        assert held < 32 * 1024, f"{held / 1024:.1f} KiB held in obs/"

@@ -14,7 +14,8 @@ from repro.eventmodels import (
     periodic,
     trace_within_bounds,
 )
-from repro.obs import Tracer, read_jsonl, tracer_to_jsonl
+from repro import obs
+from repro.obs import JsonlEventSink, Tracer, read_jsonl
 
 
 CSV_TEXT = """time,stream,extra
@@ -108,7 +109,7 @@ class TestTracerThreadSafety:
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
-    def test_concurrent_nested_spans(self):
+    def test_concurrent_nested_spans(self, span_records):
         tracer = Tracer()
         barrier = threading.Barrier(self.THREADS)
         errors = []
@@ -121,28 +122,33 @@ class TestTracerThreadSafety:
             t.join()
         assert errors == []
 
-        spans = tracer.spans()
+        spans = span_records
         assert len(spans) == self.THREADS * self.REPEATS * self.DEPTH
+        assert tracer.finished_count == len(spans)
         # span ids are unique despite concurrent allocation
-        ids = [s.span_id for s in spans]
+        ids = [s["span_id"] for s in spans]
         assert len(set(ids)) == len(ids)
         # every span's recorded parent lives on the same thread
-        by_id = {s.span_id: s for s in spans}
+        by_id = {s["span_id"]: s for s in spans}
         for span in spans:
-            if span.parent_id is not None:
-                assert by_id[span.parent_id].thread_id == span.thread_id
+            if span["parent_id"] is not None:
+                assert by_id[span["parent_id"]]["thread_id"] \
+                    == span["thread_id"]
         # each thread contributed a full, correctly-shaped tree
         by_thread = {}
         for span in spans:
-            by_thread.setdefault(span.thread_id, []).append(span)
+            by_thread.setdefault(span["thread_id"], []).append(span)
         assert len(by_thread) == self.THREADS
         for spans_of_thread in by_thread.values():
             assert len(spans_of_thread) == self.REPEATS * self.DEPTH
-            roots = [s for s in spans_of_thread if s.parent_id is None]
+            roots = [s for s in spans_of_thread if s["parent_id"] is None]
             assert len(roots) == self.REPEATS
 
     def test_jsonl_round_trip_preserves_thread_identity(self, tmp_path):
         tracer = Tracer()
+        path = tmp_path / "threads.jsonl"
+        sink = obs.get_bus().subscribe(
+            JsonlEventSink(str(path), span_only=True, t0=tracer.t0))
         barrier = threading.Barrier(self.THREADS)
         errors = []
         threads = [threading.Thread(target=self._worker,
@@ -154,10 +160,10 @@ class TestTracerThreadSafety:
             t.join()
         assert errors == []
 
-        path = tmp_path / "threads.jsonl"
-        tracer_to_jsonl(tracer, str(path))
+        obs.get_bus().unsubscribe(sink)
+        sink.close()
         records = read_jsonl(str(path))
-        assert len(records) == len(tracer.spans())
+        assert len(records) == self.THREADS * self.REPEATS * self.DEPTH
         by_id = {r["span_id"]: r for r in records}
         for record in records:
             assert record["thread_id"] == \
