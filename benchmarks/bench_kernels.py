@@ -4,8 +4,9 @@ Three case families, each verifying **bit-identical** results before
 reporting a speedup:
 
 * **local** — whole-resource ``scheduler.analyze`` on synthetic
-  high-utilization SPP and EDF task sets, scalar loops vs the numpy
-  kernels (reported as unavailable when numpy is not installed);
+  high-utilization SPP and EDF task sets (one EDF set activated by
+  Θ_τ output streams, whose η⁺ is a table search), scalar loops vs the
+  numpy kernels (reported as unavailable when numpy is not installed);
 * **e2e** — ``analyze_system`` end-to-end on the RoX08 gateway (flat and
   hierarchical) and the synthetic COM-layer space, scalar vs vectorized;
 * **incremental** — a single-axis WCET sweep over a two-resource system
@@ -47,6 +48,7 @@ from repro.analysis.edf import EDFScheduler  # noqa: E402
 from repro.analysis.interface import TaskSpec  # noqa: E402
 from repro.analysis.memo import AnalysisMemo  # noqa: E402
 from repro.analysis.spp import SPPScheduler  # noqa: E402
+from repro.eventmodels.operations import TaskOutputModel  # noqa: E402
 from repro.eventmodels.standard import StandardEventModel  # noqa: E402
 from repro.examples_lib.rox08 import build_system as build_rox08  # noqa: E402
 from repro.examples_lib.synth import synth_system  # noqa: E402
@@ -60,12 +62,19 @@ BENCH_OUT_DIR = Path(os.environ.get(
 SYNTH_SIZES = [(16, 2, 800.0), (24, 3, 1400.0), (32, 4, 2000.0)]
 SYNTH_SIZES_QUICK = [(16, 2, 800.0)]
 
-#: Local whole-resource cases: (case name, policy, n tasks).  High
-#: utilization (0.85) keeps busy windows spanning many activations —
-#: the regime the kernels are built for.
-LOCAL_CASES = [("spp_24", "spp", 24), ("spp_48", "spp", 48),
-               ("edf_16", "edf", 16), ("edf_24", "edf", 24)]
-LOCAL_CASES_QUICK = [("spp_24", "spp", 24), ("edf_12", "edf", 12)]
+#: Local whole-resource cases: (case name, policy, n tasks, streams).
+#: High utilization (0.85) keeps busy windows spanning many activations —
+#: the regime the kernels are built for.  ``theta`` streams are Θ_τ
+#: outputs of the standard ones, so their η⁺ columns are table-kind (a
+#: search over δ⁻).  The last ``edf`` case is the speed gate.
+LOCAL_CASES = [("spp_24", "spp", 24, "standard"),
+               ("spp_48", "spp", 48, "standard"),
+               ("edf_theta_16", "edf", 16, "theta"),
+               ("edf_16", "edf", 16, "standard"),
+               ("edf_24", "edf", 24, "standard")]
+LOCAL_CASES_QUICK = [("spp_24", "spp", 24, "standard"),
+                     ("edf_theta_12", "edf", 12, "theta"),
+                     ("edf_12", "edf", 12, "standard")]
 
 #: Total utilization of the synthetic local task sets.
 UTILIZATION = 0.85
@@ -75,14 +84,18 @@ SWEEP_FACTORS = [1.0, 1.03, 1.06, 1.09, 1.12, 1.15, 1.18, 1.21]
 SWEEP_FACTORS_QUICK = SWEEP_FACTORS[:4]
 
 
-def make_local_tasks(n: int, policy: str):
-    """``n`` jittery periodic tasks at ~85% total utilization."""
+def make_local_tasks(n: int, policy: str, streams: str = "standard"):
+    """``n`` jittery periodic tasks at ~85% total utilization; with
+    ``streams="theta"`` each is activated by the Θ_τ output of its
+    standard stream instead."""
     tasks = []
     share = UTILIZATION / n
     for i in range(n):
         period = 100.0 * (i + 3) + 7.0 * (i % 5)
         em = StandardEventModel(period=period, jitter=period * 0.4,
                                 d_min=1.0 + 0.1 * i)
+        if streams == "theta":
+            em = TaskOutputModel(em, 0.1 * period, 0.3 * period)
         cmax = share * period
         kw = (dict(deadline=period * 2.0) if policy == "edf"
               else dict(priority=i + 1))
@@ -126,9 +139,10 @@ def scalar_only():
         kernels._np = saved
 
 
-def time_local_case(policy: str, n: int, repeats: int) -> dict:
+def time_local_case(policy: str, n: int, streams: str,
+                    repeats: int) -> dict:
     scheduler = SPPScheduler() if policy == "spp" else EDFScheduler()
-    tasks = make_local_tasks(n, policy)
+    tasks = make_local_tasks(n, policy, streams)
 
     def run():
         return resource_digest(scheduler.analyze(tasks, "bench"))
@@ -136,7 +150,8 @@ def time_local_case(policy: str, n: int, repeats: int) -> dict:
     with scalar_only():
         t_scalar, d_scalar = best_of(run, repeats)
     t_np, d_np = best_of(run, repeats)
-    return {"policy": policy, "tasks": n, "scalar_seconds": t_scalar,
+    return {"policy": policy, "tasks": n, "streams": streams,
+            "scalar_seconds": t_scalar,
             "numpy_seconds": t_np, "numpy_speedup": t_scalar / t_np,
             "identical": d_np == d_scalar}
 
@@ -245,8 +260,8 @@ def main(argv=None) -> int:
         print("local: unavailable (numpy is not installed, so nothing "
               "batches; install the [fast] extra)")
         local_cases = []
-    for case, policy, n in local_cases:
-        row = time_local_case(policy, n, repeats)
+    for case, policy, n, streams in local_cases:
+        row = time_local_case(policy, n, streams, repeats)
         report["local"][case] = row
         flag = "" if row["identical"] else "  RESULTS DIVERGE"
         print(f"local {case:>8}: scalar {row['scalar_seconds']:7.3f}s   "
@@ -289,7 +304,7 @@ def main(argv=None) -> int:
     # large EDF case is the most numpy-friendly and noise-robust).
     speedups = []
     if numpy_available:
-        gate_case = next(c for c, _, _ in reversed(local_cases)
+        gate_case = next(c for c, _, _, _ in reversed(local_cases)
                          if c.startswith("edf"))
         gate_speedup = report["local"][gate_case]["numpy_speedup"]
         if gate_speedup < 1.0:

@@ -28,6 +28,10 @@ MAX_FIXED_POINT_ITER = 100_000
 #: Hard cap on the number of activations examined in one busy window.
 MAX_ACTIVATIONS = 50_000
 
+#: EDF's deadline-tie slack: a job of j whose absolute deadline ties the
+#: analysed job's deadline d counts, via η⁺_j(d − D_j + DEADLINE_EPS).
+DEADLINE_EPS = 1e-6
+
 #: Busy times beyond this multiple of the total WCET budget of the task set
 #: indicate an overload that the utilisation pre-check missed.
 _WINDOW_BLOWUP = 1e12

@@ -32,6 +32,18 @@ Two entry points:
   where the true worst case occurs, so the maximum upper-bounds the
   exact worst-case response time.  Ties in absolute deadline are counted
   as interference (the ``+ ε``), which also covers FIFO tie-breaking.
+
+  The interferers' deadline points ``δ⁻_j(k) + D_j`` are enumerated once
+  per resource (:func:`_deadline_points`) and shared by every analysed
+  task and by both paths: the scalar q-loops and the batched kernels
+  (:func:`repro.analysis.kernels.run_lanes`, one lane per (task,
+  candidate)).  The sweep is complete or it raises: when an interferer
+  still has deadlines inside the busy period after
+  :data:`~repro.analysis.busy_window.MAX_ACTIVATIONS` points, the
+  analysis raises :class:`NotSchedulableError` (``context["reason"] ==
+  "activation_budget"``) instead of returning the optimistic bound of a
+  cut sweep; :func:`edf_demand_schedulable` does the same for its
+  testing points.
 """
 
 from __future__ import annotations
@@ -49,12 +61,10 @@ from ..explain.blame import (
 )
 from ..timebase import EPS
 from . import kernels
-from .busy_window import MAX_ACTIVATIONS, fixed_point, \
+from .busy_window import DEADLINE_EPS, MAX_ACTIVATIONS, fixed_point, \
     multi_activation_loop
 from .interface import Scheduler, TaskSpec
 from .results import ResourceResult, TaskResult
-
-_DEADLINE_EPS = 1e-6
 
 
 def synchronous_busy_period(tasks: Sequence[TaskSpec],
@@ -70,16 +80,20 @@ def synchronous_busy_period(tasks: Sequence[TaskSpec],
                        resource=resource)
 
 
-def edf_demand_schedulable(tasks: Sequence[TaskSpec]) -> bool:
+def edf_demand_schedulable(tasks: Sequence[TaskSpec],
+                           resource: str = None) -> bool:
     """Processor-demand schedulability test for EDF.
 
     Tests every absolute deadline inside the synchronous busy period.
-    Requires every task to carry a relative ``deadline``.
+    Requires every task to carry a relative ``deadline``.  Raises
+    :class:`NotSchedulableError` when a task has more than
+    :data:`MAX_ACTIVATIONS` deadlines inside the busy period, rather
+    than answer for points it never tested.
     """
     for t in tasks:
         if t.deadline is None or t.deadline <= 0:
             raise ModelError(f"EDF task {t.name} needs a positive deadline")
-    horizon = synchronous_busy_period(tasks)
+    horizon = synchronous_busy_period(tasks, resource=resource)
     # Testing points: every absolute deadline of every task within the
     # busy period.
     points = set()
@@ -89,18 +103,82 @@ def edf_demand_schedulable(tasks: Sequence[TaskSpec]) -> bool:
             d = t.event_model.delta_min(k) + t.deadline
             if d > horizon + EPS:
                 break
+            if k > MAX_ACTIVATIONS:
+                raise NotSchedulableError(
+                    f"EDF demand test: deadlines of {t.name} did not pass "
+                    f"the busy period within {MAX_ACTIVATIONS} "
+                    f"activations", resource=resource, task=t.name,
+                    context={"reason": "activation_budget",
+                             "activations": MAX_ACTIVATIONS})
             points.add(d)
             k += 1
-            if k > 100_000:
-                break
     for point in sorted(points):
         demand = 0.0
         for t in tasks:
-            jobs = t.event_model.eta_plus(point - t.deadline + _DEADLINE_EPS)
+            jobs = t.event_model.eta_plus(point - t.deadline + DEADLINE_EPS)
             demand += jobs * t.c_max
         if demand > point + EPS:
             return False
     return True
+
+
+def _deadline_points(j: TaskSpec, todo: Sequence[TaskSpec],
+                     horizon: float) -> "list[float]":
+    """Task j's absolute deadlines δ⁻_j(k) + D_j, k = 1, 2, ..., as far
+    as any analysed task i ≠ j needs them: through the first point p
+    with ``p − D_i ≥ L − EPS`` for the largest such D_i (a smaller D_i
+    stops at or before it), and at most :data:`MAX_ACTIVATIONS` + 1
+    points: the budget bounds the points inside the busy period, and one
+    more shows that the sweep has passed it.
+
+    Computed once per stream per resource, one δ⁻ call per k.
+    """
+    far = max((i.deadline for i in todo if i is not j), default=None)
+    if far is None:
+        return []
+    em, limit = j.event_model, horizon - EPS
+    points: "list[float]" = []
+    for k in range(1, MAX_ACTIVATIONS + 2):
+        p = em.delta_min(k) + j.deadline
+        points.append(p)
+        if p - far >= limit:
+            break
+    return points
+
+
+def _candidates(task: TaskSpec, tasks: Sequence[TaskSpec],
+                points: "list[list[float]]", horizon: float,
+                resource_name: str) -> "list[float]":
+    """Offsets of task i's first job into the busy window at which its
+    absolute deadline aligns with an interferer's deadline (the jump
+    points of the deadline-limited interference bound): ``{0} ∪
+    {p − D_i : EPS < p − D_i < L − EPS}`` over the interferers'
+    deadline points *p* (:func:`_deadline_points`, in *tasks* order).
+
+    Raises :class:`NotSchedulableError` when an interferer has more
+    than :data:`MAX_ACTIVATIONS` points with ``p − D_i < L − EPS``: a
+    sweep cut there would miss alignments and return an optimistic
+    bound.
+    """
+    offsets = {0.0}
+    limit = horizon - EPS
+    for j, pts in zip(tasks, points):
+        if j is task:
+            continue
+        for p in pts:
+            a = p - task.deadline
+            if a >= limit:
+                break  # δ⁻ is non-decreasing, so a only grows
+            if a > EPS:
+                offsets.add(a)
+        else:
+            raise NotSchedulableError(
+                f"{resource_name}/{task.name} EDF: deadlines of {j.name} "
+                f"did not pass the busy period within {MAX_ACTIVATIONS} "
+                f"activations", resource=resource_name, task=task.name,
+                context={"reason": "activation_budget",
+                         "activations": MAX_ACTIVATIONS})
+    return sorted(offsets)
 
 
 class EDFScheduler(Scheduler):
@@ -131,99 +209,78 @@ class EDFScheduler(Scheduler):
         if todo:
             horizon = synchronous_busy_period(tasks,
                                               resource=resource_name)
+            points = [_deadline_points(j, todo, horizon) for j in tasks]
             if kernels.batch_worthwhile(len(todo) * len(tasks), util):
                 computed = self._analyze_batched(todo, tasks,
-                                                 resource_name, horizon)
+                                                 resource_name, horizon,
+                                                 points)
             else:
-                computed = {t.name: self._analyze_task(t, tasks,
-                                                       resource_name,
-                                                       horizon)
-                            for t in todo}
+                computed = {
+                    t.name: self._analyze_task(
+                        t, tasks, resource_name,
+                        _candidates(t, tasks, points, horizon,
+                                    resource_name))
+                    for t in todo}
         results = {t.name: computed.get(t.name, reuse.get(t.name))
                    for t in tasks}
         return ResourceResult(resource_name, util, results)
 
-    @staticmethod
-    def _candidate_offsets(task: TaskSpec, others: Sequence[TaskSpec],
-                           horizon: float) -> "list[float]":
-        """Offsets of task i's first job into the busy window at which
-        its absolute deadline aligns with an interferer's deadline (the
-        jump points of the deadline-limited interference bound)."""
-        offsets = {0.0}
-        for j in others:
-            for k in range(1, MAX_ACTIVATIONS + 1):
-                a = j.event_model.delta_min(k) + j.deadline \
-                    - task.deadline
-                if a >= horizon - EPS:
-                    break  # δ⁻ is non-decreasing, so a only grows
-                if a > EPS:
-                    offsets.add(a)
-        return sorted(offsets)
-
     def _analyze_batched(self, todo: Sequence[TaskSpec],
                          tasks: Sequence[TaskSpec], resource_name: str,
-                         horizon: float) -> dict:
-        """All (task, candidate-offset) q-loops of the resource as one
-        joint chain set: every candidate is an independent busy-window
-        chain whose deadline caps are per-(q, offset) count caps."""
-        tables = kernels.tables_for(tasks)
-        out = {}
-        chains, meta = [], []
+                         horizon: float, points: "list[list[float]]",
+                         ) -> dict:
+        """All (task, candidate-offset) q-loops of the resource as the
+        lanes of one kernel run; lane (i, a) caps interferer j's count
+        at η⁺_j(((a + δ⁻_i(q)) + D_i) − D_j + ε)."""
+        index = {t.name: i for i, t in enumerate(tasks)}
+        lane_task, lane_offset, per_task = [], [], []
+        budget_error = None
         for task in todo:
-            others = [t for t in tasks if t is not task]
-            em = task.event_model
-            candidates = self._candidate_offsets(task, others, horizon)
-            # q-independent, so one list per task: the kernel caches the
-            # numpy coefficient row per list identity across rounds.
-            coeffs = [0.0 if j is task else j.c_max for j in tasks]
-            task_chains = []
-            for a in candidates:
-                def element(q, task=task, a=a, em=em, coeffs=coeffs):
-                    abs_deadline = a + em.delta_min(q) + task.deadline
-                    ccaps = [None if j is task
-                             else j.event_model.eta_plus(
-                                 abs_deadline - j.deadline + _DEADLINE_EPS)
-                             for j in tasks]
-                    return kernels.Element(start=q * task.c_max,
-                                           base=q * task.c_max,
-                                           coeffs=coeffs,
-                                           count_caps=ccaps)
-
-                def context(q, task=task, a=a):
-                    return (f"{resource_name}/{task.name} "
-                            f"EDF a={a} q={q}")
-
-                def closes(q, bq, a=a, em=em):
-                    return a + em.delta_min(q + 1) >= bq - EPS
-
-                chain = kernels.Chain(task.name, em, context,
-                                      element=element, closes=closes)
-                chains.append(chain)
-                task_chains.append((a, chain))
-            meta.append((task, candidates, task_chains))
-        kernels.run_chains(chains, tables, resource_name)
-        for task, candidates, task_chains in meta:
+            try:
+                candidates = _candidates(task, tasks, points, horizon,
+                                         resource_name)
+            except NotSchedulableError as exc:
+                # The scalar loop would first finish the earlier tasks,
+                # whose own errors take precedence.
+                budget_error = exc
+                break
+            lane_task += [index[task.name]] * len(candidates)
+            lane_offset += candidates
+            per_task.append((task, candidates))
+        r_max, busy_times, q_max = kernels.run_lanes(
+            tasks, [[0.0 if j is i else j.c_max for j in tasks]
+                    for i in tasks],
+            lane_task, lane_offset,
+            lambda i, a, q: f"{resource_name}/{tasks[i].name} EDF a={a} "
+                            f"q={q}",
+            resource_name, deadlines=[t.deadline for t in tasks])
+        out = {}
+        lane = 0
+        for task, candidates in per_task:
             best_r = task.c_max
             best_busy = [task.c_max]
             best_q = 1
             best_a = 0.0
-            for a, chain in task_chains:
-                r_a = chain.r_max - a
+            for a in candidates:
+                r_a = r_max[lane] - a
                 if r_a > best_r:
                     best_r = r_a
-                    best_busy = chain.busy_times
-                    best_q = chain.q_max
+                    best_busy = busy_times[lane]
+                    best_q = q_max[lane]
                     best_a = a
+                lane += 1
             out[task.name] = self._task_result(task, len(candidates),
                                                best_r, best_busy, best_q,
                                                best_a)
+        if budget_error is not None:
+            raise budget_error
         return out
 
     def _analyze_task(self, task: TaskSpec, tasks: Sequence[TaskSpec],
-                      resource_name: str, horizon: float) -> TaskResult:
+                      resource_name: str,
+                      candidates: "list[float]") -> TaskResult:
         others = [t for t in tasks if t is not task]
         em = task.event_model
-        candidates = self._candidate_offsets(task, others, horizon)
 
         best_r = task.c_max
         best_busy: "list[float]" = [task.c_max]
@@ -240,7 +297,7 @@ class EDFScheduler(Scheduler):
                     for j in others:
                         n_arrived = j.event_model.eta_plus(w)
                         n_deadline = j.event_model.eta_plus(
-                            abs_deadline - j.deadline + _DEADLINE_EPS)
+                            abs_deadline - j.deadline + DEADLINE_EPS)
                         demand += min(n_arrived, n_deadline) * j.c_max
                     return demand
 
@@ -308,7 +365,7 @@ class EDFScheduler(Scheduler):
                 continue
             n_arrived = j.event_model.eta_plus(bq)
             n_deadline = j.event_model.eta_plus(
-                abs_deadline - j.deadline + _DEADLINE_EPS)
+                abs_deadline - j.deadline + DEADLINE_EPS)
             n = min(n_arrived, n_deadline)
             terms.append(BlameTerm(
                 j.name, KIND_INTERFERENCE, contribution=n * j.c_max,

@@ -3,17 +3,38 @@
 The scalar solvers iterate one ``fixed_point`` per task per activation
 count q, re-walking every interferer's ``eta_plus(w) * c_max`` one
 python call at a time.  For the two policies where that pays
-(:mod:`spp` and :mod:`edf`), this module batches the work:
+(:mod:`spp` and :mod:`edf`), this module batches the work in one
+function, :func:`run_lanes`:
 
-* **one joint vector iteration per resource** — every open busy-window
-  chain (an SPP task, or an EDF (task, candidate-offset) pair)
-  contributes one lane to a shared window vector ``w``; each iteration
-  evaluates every interferer's η⁺ over the whole vector at once
-  (:class:`_TermPlan`), applies per-lane coefficients and deadline caps,
-  and advances all lanes in lockstep, freezing lanes as they converge;
+* **lanes described as arrays** — every busy-window chain (an SPP task,
+  or an EDF (task, candidate-offset) pair) is one lane.  A resource
+  describes its lanes with arrays: each lane's task index and offset
+  ``a``, an n×n coefficient matrix (row i holds the C⁺ of i's
+  interferers, ``0.0`` elsewhere), each task's blocking and start term,
+  and for EDF the relative deadlines.  EDF enumerates its candidate
+  offsets once per resource, for both paths, and raises when the
+  enumeration hits its budget (see :mod:`repro.analysis.edf`);
+* **one round per activation count q** — δ⁻_t(q) and δ⁻_t(q+1) are
+  taken once per task with open lanes; the lanes' bases and starts,
+  the EDF deadline caps (one vector η⁺ query per interferer column),
+  the responses and the window-close tests are vector operations over
+  the round's open lanes;
+* **one joint vector iteration per round** — every open lane
+  contributes one element to a shared window vector ``w``; each
+  iteration evaluates every interferer's η⁺ over the whole vector at
+  once (:class:`_TermPlan`), applies per-lane coefficients and deadline
+  caps, and advances all lanes in lockstep (:func:`solve_round`),
+  freezing lanes as they converge;
 * **warm starts within a q-chain** — the converged q-window seeds the
   (q+1)-window iteration, exactly as the scalar loops do (see
   :data:`repro.analysis.busy_window.WARM_START`).
+
+The convergence tests of :func:`solve_round` (warm-start guard,
+monotonicity, ``time_eq``, blow-up, iteration budget) stay a per-lane
+python loop: a round of the 40-task SPP resource in the
+``sweep-incremental`` benchmark averages about 9 lanes, where numpy
+masks cost more than they save.  Error messages are formatted only for
+lanes that fail.
 
 The batched path needs numpy (``pip install repro[fast]``).  A solver
 takes it only when :func:`batch_worthwhile` says so: numpy importable,
@@ -27,8 +48,9 @@ Bit-identity contract
 Every lane reproduces the *exact* float sequence the scalar solver
 would compute: identical start expression, identical per-interferer
 accumulation order (inactive interferers contribute an exact ``+0.0``),
-identical convergence/limit tests in the same order.  η⁺ vectorization
-dispatches per model type:
+identical deadline-cap arguments (``((a + δ⁻_i(q)) + D_i) − D_j + ε``,
+left to right), identical convergence/limit tests in the same order.
+η⁺ vectorization dispatches per model type:
 
 * :class:`~repro.eventmodels.standard.StandardEventModel` — elementwise
   replica of the closed form (same IEEE-754 ops);
@@ -51,6 +73,7 @@ from ..eventmodels.standard import StandardEventModel
 from ..timebase import EPS, time_eq
 from . import busy_window as _busy_window
 from .busy_window import (
+    DEADLINE_EPS,
     MAX_ACTIVATIONS,
     MAX_FIXED_POINT_ITER,
     _WINDOW_BLOWUP,
@@ -62,7 +85,7 @@ except Exception:  # pragma: no cover - then every analysis runs scalar
     _np = None
 
 #: Below this estimated lane count a resource's batched run loses to the
-#: scalar loops on pure bookkeeping (table/plan/chain setup dominates a
+#: scalar loops on pure bookkeeping (table/plan/lane setup dominates a
 #: handful of short fixed points).
 MIN_BATCH_LANES = 16
 
@@ -159,49 +182,19 @@ class EtaTable:
         return _np.where(xs <= 0.0, 0.0, res)
 
 
-def tables_for(specs: Sequence) -> List[EtaTable]:
-    """One :class:`EtaTable` per task spec (shared across a resource)."""
-    return [EtaTable(t.event_model) for t in specs]
-
-
-# ----------------------------------------------------------------------
-# per-round workload assembly
-# ----------------------------------------------------------------------
-class Element:
-    """One lane of a joint vector fixed point: (chain, q) at one round.
-
-    ``coeffs[j]`` is interferer j's C⁺ for this lane (``0.0`` = not an
-    interferer: the lane then accumulates an exact ``+0.0``, preserving
-    the scalar's per-interferer float addition order).  ``count_caps``
-    (EDF deadline caps) bound the activation count.
-    """
-
-    __slots__ = ("start", "base", "coeffs", "count_caps")
-
-    def __init__(self, start: float, base: float,
-                 coeffs: Sequence[float],
-                 count_caps: Optional[Sequence[Optional[float]]] = None):
-        self.start = start
-        self.base = base
-        self.coeffs = coeffs
-        self.count_caps = count_caps
-
-
 class _TermPlan:
-    """Per-batch numpy preparation shared by every round of a resource.
+    """Per-resource numpy preparation shared by every round.
 
     Groups the interferer terms by :class:`EtaTable` kind so one
-    iteration touches numpy a *constant* number of times instead of a
+    evaluation touches numpy a *constant* number of times instead of a
     few ufuncs per term: all StandardEventModel columns evaluate as one
     2-D closed form, table columns as one ``searchsorted`` each, and
     the accumulation runs as a single row-``cumsum`` (sequential adds —
-    the exact float association the scalar loop performs).  Coefficient
-    rows are cached per identity of a chain's coeff list, which the
-    solvers keep stable across rounds.
+    the exact float association the scalar loop performs).
     """
 
     __slots__ = ("tables", "sem_cols", "table_cols", "scalar_cols",
-                 "sem_p", "sem_j", "sem_d", "sem_has_d", "_rows")
+                 "sem_p", "sem_j", "sem_d", "sem_has_d")
 
     def __init__(self, tables: Sequence[EtaTable]):
         self.tables = tables
@@ -219,34 +212,39 @@ class _TermPlan:
             # Guard the masked columns against divide-by-zero; their
             # quotient is discarded by the mask below.
             self.sem_d = _np.where(self.sem_has_d, d, 1.0)
-        self._rows: Dict[int, Tuple[Any, Any]] = {}
 
-    def coeff_row(self, coeffs: Sequence[float]):
-        key = id(coeffs)
-        hit = self._rows.get(key)
-        # The keep-alive reference in the cache makes the id() key
-        # stable; the identity check guards against a recycled id from
-        # a chain that built fresh lists each round.
-        if hit is not None and hit[0] is coeffs:
-            return hit[1]
-        row = _np.asarray(coeffs, dtype=float)
-        self._rows[key] = (coeffs, row)
-        return row
+    def select(self, used) -> Tuple[tuple, List[int]]:
+        """The columns to evaluate, given which terms are *used* (one
+        bool per term), and the dead columns the caller zero-fills.
 
-    def counts_matrix(self, xs, out, sem_pos, sem_out, table_cols,
-                      scalar_cols):
-        """Fill ``out[:, j]`` with η⁺_j(xs) for the *used* terms only.
-
-        ``sem_pos`` indexes into the stacked SEM parameter arrays,
-        ``sem_out`` holds the matching output columns; untouched columns
-        are the caller's responsibility (it zero-fills them).
+        A column whose coefficient is zero in every lane contributes an
+        exact +0.0 everywhere — skipping its η⁺ evaluation matches the
+        scalar solvers, which never evaluate a non-interferer's model.
         """
+        sem_pos = [k for k, j in enumerate(self.sem_cols) if used[j]]
+        sem_out = [self.sem_cols[k] for k in sem_pos]
+        table_cols = [j for j in self.table_cols if used[j]]
+        scalar_cols = [j for j in self.scalar_cols if used[j]]
+        live = set(sem_out) | set(table_cols) | set(scalar_cols)
+        dead = [j for j in range(len(self.tables)) if j not in live]
+        return (sem_pos, sem_out, table_cols, scalar_cols), dead
+
+    def counts_matrix(self, xs, out, cols) -> None:
+        """Fill ``out[:, j]`` with η⁺_j for the selected columns only.
+
+        *xs* is either one window per lane (every column is evaluated
+        at it) or a (lane x term) matrix (column j at ``xs[:, j]``, the
+        EDF deadline caps).  *cols* comes from :meth:`select`;
+        untouched columns are the caller's responsibility.
+        """
+        sem_pos, sem_out, table_cols, scalar_cols = cols
+        per_column = xs.ndim == 2
         if sem_pos:
             whole = len(sem_pos) == len(self.sem_cols)
             p = self.sem_p if whole else self.sem_p[sem_pos]
             jit = self.sem_j if whole else self.sem_j[sem_pos]
             has_d = self.sem_has_d if whole else self.sem_has_d[sem_pos]
-            dt = xs[:, None]
+            dt = xs[:, sem_out] if per_column else xs[:, None]
             # Elementwise replica of StandardEventModel.eta_plus: the
             # same IEEE-754 divisions/floors, so counts match bit-wise.
             r1 = (dt + jit) / p
@@ -261,60 +259,12 @@ class _TermPlan:
             res = _np.maximum(1.0, bound + 1.0)
             out[:, sem_out] = _np.where(dt <= 0.0, 0.0, res)
         for j in table_cols:
-            out[:, j] = self.tables[j].eta_many(xs)
+            out[:, j] = self.tables[j].eta_many(
+                xs[:, j] if per_column else xs)
         for j in scalar_cols:
             ep = self.tables[j].model.eta_plus
-            out[:, j] = [float(ep(float(x))) for x in xs]
-
-
-def _make_workload(elements: Sequence[Element], plan: _TermPlan):
-    """Build ``eval_fn(ws_active, active_idx) -> next windows``.
-
-    Caps/coefficients are constant across the iterations of one round,
-    so they are baked into matrices once here (coefficient rows come
-    from the per-batch *plan* cache).
-    """
-    nt = len(plan.tables)
-    bases_a = _np.asarray([el.base for el in elements])
-    coeff_m = _np.stack([plan.coeff_row(el.coeffs) for el in elements])
-    ccaps_m = None
-    if any(el.count_caps is not None for el in elements):
-        ccaps_m = _np.asarray(
-            [[_np.inf if el.count_caps is None
-              or el.count_caps[j] is None else float(el.count_caps[j])
-              for j in range(nt)] for el in elements])
-    # A column whose coefficient is zero in every lane contributes an
-    # exact +0.0 everywhere — skip its η⁺ evaluation entirely, matching
-    # the scalar solvers, which never evaluate a non-interferer's model.
-    used = coeff_m.any(axis=0)
-    sem_pos = [k for k, j in enumerate(plan.sem_cols) if used[j]]
-    sem_out = [plan.sem_cols[k] for k in sem_pos]
-    table_cols = [j for j in plan.table_cols if used[j]]
-    scalar_cols = [j for j in plan.scalar_cols if used[j]]
-    live = set(sem_out) | set(table_cols) | set(scalar_cols)
-    dead_cols = [j for j in range(nt) if j not in live]
-
-    def eval_np(ws: Sequence[float], idxs: Sequence[int]) -> List[float]:
-        xs = _np.asarray(ws)
-        sel = _np.asarray(idxs, dtype=_np.intp)
-        # One (lane x term) counts matrix per iteration, then one
-        # sequential row-cumsum: column 0 carries the base, so the
-        # running sum associates exactly like the scalar loop's
-        # ``acc = base; acc += v_j`` (zero-coeff terms add an exact
-        # +0.0, which is identity for the positive partial sums).
-        full = _np.empty((len(idxs), nt + 1))
-        full[:, 0] = bases_a[sel]
-        counts = full[:, 1:]
-        plan.counts_matrix(xs, counts, sem_pos, sem_out, table_cols,
-                           scalar_cols)
-        if dead_cols:
-            counts[:, dead_cols] = 0.0
-        if ccaps_m is not None:
-            _np.minimum(counts, ccaps_m[sel], out=counts)
-        counts *= coeff_m[sel]
-        return _np.cumsum(full, axis=1)[:, -1].tolist()
-
-    return eval_np
+            col = xs[:, j] if per_column else xs
+            out[:, j] = [float(ep(float(x))) for x in col]
 
 
 # ----------------------------------------------------------------------
@@ -334,8 +284,9 @@ def solve_round(starts: Sequence[float], hints: Sequence[Optional[float]],
     Each lane reproduces the scalar :func:`fixed_point` semantics
     (including the warm-start overshoot guard); converged and failed
     lanes are frozen out of subsequent evaluations.  Errors are
-    *recorded*, not raised — the chain driver decides which one the
-    scalar path would have hit first.
+    *recorded*, not raised — :func:`run_lanes` decides which one the
+    scalar path would have hit first.  ``contexts[i]`` and
+    ``task_names[i]`` are read only when lane i fails.
     """
     n = len(starts)
     ws = list(starts)
@@ -409,111 +360,178 @@ def solve_round(starts: Sequence[float], hints: Sequence[Optional[float]],
 
 
 # ----------------------------------------------------------------------
-# chain driver (the batched multi_activation_loop)
+# lanes (the batched multi_activation_loop)
 # ----------------------------------------------------------------------
-class Chain:
-    """One busy-window q-sequence: an SPP task, or an EDF (task, offset)
-    pair.
+class _OnDemand:
+    """Item i is ``fn(i)``, computed when indexed: a round hands
+    :func:`solve_round` its lanes' error prefixes without formatting
+    one for a lane that does not fail."""
 
-    *element(q)* supplies the workload lane; *closes(q, bq)* is the
-    window-closing predicate (default: next activation arrives after
-    the window drains).
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn: Callable[[int], str]):
+        self._fn = fn
+
+    def __getitem__(self, i: int) -> str:
+        return self._fn(i)
+
+
+def run_lanes(tasks: Sequence, coeffs: Sequence[Sequence[float]],
+              lane_task: Sequence[int], lane_offset: Sequence[float],
+              label: Callable[[int, float, int], str], resource_name: str,
+              blocking: Optional[Sequence[float]] = None,
+              start_terms: Optional[Sequence[float]] = None,
+              deadlines: Optional[Sequence[float]] = None,
+              ) -> Tuple[List[float], List[List[float]], List[int]]:
+    """Drive every lane's q-loop jointly, one round per activation count.
+
+    *tasks* are the resource's task specs; every other argument indexes
+    them.  Lane l belongs to task ``i = lane_task[l]`` at offset
+    ``a = lane_offset[l]``.  Its q-th busy time B is the least fixed
+    point of
+
+        w = (blocking_i + q·C⁺_i) + Σ_j min(η⁺_j(w), cap_j) · coeffs[i][j]
+
+    started at ``(blocking_i + q·C⁺_i) + start_terms_i``.  Without
+    *deadlines* every cap is ∞; with them (EDF) ``cap_j =
+    η⁺_j(((a + δ⁻_i(q)) + D_i) − D_j + DEADLINE_EPS)``, ∞ on the lane's
+    own column.  The response is ``B − δ⁻_i(q)`` and the window closes
+    once ``a + δ⁻_i(q+1) ≥ B − EPS`` (for ``a = 0.0`` the scalar's
+    ``δ⁻_i(q+1) ≥ B − EPS``).
+
+    Returns, per lane, the largest response (from 0.0), the busy times
+    and the closing q.  Every lane runs to a terminal state; then the
+    first errored lane *in lane order* raises — the error the scalar
+    loops, which finish every earlier chain before a later one, surface
+    first.  ``label(i, a, q)`` formats a failing lane's error prefix,
+    with *a* as given in *lane_offset* (python floats print as the
+    scalar path prints them).
     """
-
-    __slots__ = ("name", "em", "context", "element", "closes", "r_max",
-                 "busy_times", "q_max", "error", "hint", "done")
-
-    def __init__(self, name: str, em: EventModel,
-                 context: Callable[[int], str],
-                 element: Callable[[int], Element],
-                 closes: Optional[Callable[[int, float], bool]] = None):
-        self.name = name
-        self.em = em
-        self.context = context
-        self.element = element
-        self.closes = closes
-        self.r_max = 0.0
-        self.busy_times: List[float] = []
-        self.q_max = 0
-        self.error: Optional[NotSchedulableError] = None
-        self.hint: Optional[float] = None
-        self.done = False
-
-
-def run_chains(chains: Sequence[Chain], tables: Sequence[EtaTable],
-               resource_name: str) -> None:
-    """Drive every chain's q-loop jointly, one round per activation count.
-
-    Round q advances all still-open chains' q-th windows in one vector
-    fixed point.  Chains record ``(r_max, busy_times, q_max)`` in place.
-    Error ordering matches the scalar path: all chains run to a terminal
-    state, then the first errored chain *in sequence order* raises —
-    exactly the error the sequential solver would have surfaced first
-    (it, too, finishes every earlier chain before touching a later one).
-    """
-    open_chains = [c for c in chains if not c.done]
-    plan = _TermPlan(tables)
+    np = _np
+    n = len(tasks)
+    models = [t.event_model for t in tasks]
+    names = [t.name for t in tasks]
+    plan = _TermPlan([EtaTable(m) for m in models])
+    coeff_m = np.asarray(coeffs, dtype=float).reshape(n, n)
+    c_max = np.asarray([t.c_max for t in tasks], dtype=float)
+    zeros = np.zeros(n)
+    block = zeros if blocking is None else np.asarray(blocking, dtype=float)
+    extra = (zeros if start_terms is None
+             else np.asarray(start_terms, dtype=float))
+    dl = None if deadlines is None else np.asarray(deadlines, dtype=float)
+    task_of = np.asarray(lane_task, dtype=np.intp)
+    offset = np.asarray(lane_offset, dtype=float)
+    n_lanes = len(task_of)
+    r_max = np.zeros(n_lanes)
+    q_max = np.zeros(n_lanes, dtype=np.intp)
+    busy: List[List[float]] = [[] for _ in range(n_lanes)]
+    hints: List[Optional[float]] = [None] * n_lanes
+    errors: List[Optional[NotSchedulableError]] = [None] * n_lanes
+    dq = np.zeros(n)    # δ⁻_t(q), filled for tasks with open lanes
+    dq1 = np.zeros(n)   # δ⁻_t(q + 1)
+    lanes = np.arange(n_lanes)
     q = 0
-    while open_chains:
+    while len(lanes):
         q += 1
-        elems = [c.element(q) for c in open_chains]
-        values, errors, _steps = solve_round(
-            [el.start for el in elems], [c.hint for c in open_chains],
-            _make_workload(elems, plan),
-            [c.context(q) for c in open_chains],
-            [c.name for c in open_chains], resource_name)
-        for c, w, err in zip(open_chains, values, errors):
+        ti = task_of[lanes]
+        live = np.zeros(n, dtype=bool)
+        live[ti] = True
+        for t in np.flatnonzero(live).tolist():
+            dq[t] = models[t].delta_min(q)
+            dq1[t] = models[t].delta_min(q + 1)
+        base = block[ti] + q * c_max[ti]
+        rows = coeff_m[ti]
+        cols, dead = plan.select(rows.any(axis=0))
+        caps = None
+        if dl is not None:
+            # The scalar's association, left to right.
+            x = ((((offset[lanes] + dq[ti]) + dl[ti])[:, None] - dl)
+                 + DEADLINE_EPS)
+            caps = np.full(x.shape, np.inf)
+            plan.counts_matrix(x, caps, cols)
+            caps[np.arange(len(lanes)), ti] = np.inf
+        width = len(lanes)
+
+        def eval_np(ws, idxs, base=base, rows=rows, caps=caps,
+                    cols=cols, dead=dead, width=width):
+            # One (lane x term) counts matrix per iteration, then one
+            # sequential row-cumsum: column 0 carries the base, so the
+            # running sum associates exactly like the scalar loop's
+            # ``acc = base; acc += v_j`` (zero-coeff terms add an exact
+            # +0.0, which is identity for the positive partial sums).
+            if len(idxs) != width:
+                sel = np.asarray(idxs, dtype=np.intp)
+                base, rows = base[sel], rows[sel]
+                if caps is not None:
+                    caps = caps[sel]
+            full = np.empty((len(idxs), n + 1))
+            full[:, 0] = base
+            counts = full[:, 1:]
+            plan.counts_matrix(np.asarray(ws), counts, cols)
+            if dead:
+                counts[:, dead] = 0.0
+            if caps is not None:
+                np.minimum(counts, caps, out=counts)
+            counts *= rows
+            return np.cumsum(full, axis=1)[:, -1].tolist()
+
+        open_list = lanes.tolist()
+        values, errs, _steps = solve_round(
+            (base + extra[ti]).tolist(), [hints[l] for l in open_list],
+            eval_np,
+            _OnDemand(lambda k, q=q, open_list=open_list: label(
+                lane_task[open_list[k]], lane_offset[open_list[k]], q)),
+            _OnDemand(lambda k, open_list=open_list:
+                      names[lane_task[open_list[k]]]),
+            resource_name)
+        done, windows = [], []
+        for l, w, err in zip(open_list, values, errs):
             if err is not None:
-                c.error = err
-                c.done = True
+                errors[l] = err
                 continue
-            c.hint = w
-            _finish_window(c, q, w, resource_name)
-        open_chains = [c for c in open_chains if not c.done]
+            hints[l] = w
+            busy[l].append(w)
+            done.append(l)
+            windows.append(w)
+        lanes = np.asarray(done, dtype=np.intp)
+        bq = np.asarray(windows, dtype=float)
+        ti = task_of[lanes]
+        response = bq - dq[ti]
+        best = r_max[lanes]
+        r_max[lanes] = np.where(response > best, response, best)
+        closed = (offset[lanes] + dq1[ti]) >= (bq - EPS)
+        q_max[lanes[closed]] = q
+        lanes = lanes[~closed]
+        if len(lanes) and q + 1 > MAX_ACTIVATIONS:
+            for l in lanes.tolist():
+                errors[l] = NotSchedulableError(
+                    f"busy window did not close within {MAX_ACTIVATIONS} "
+                    f"activations", resource=resource_name,
+                    task=names[lane_task[l]],
+                    context={"reason": "activation_budget",
+                             "activations": MAX_ACTIVATIONS})
+            lanes = lanes[:0]
+    q_maxes = q_max.tolist()
     if _obs.enabled:
         registry = _obs.metrics()
-        windows = registry.counter("busy_window.windows")
+        windows_closed = registry.counter("busy_window.windows")
         act_hist = registry.histogram("busy_window.activations")
-        for c in chains:
-            if c.error is None:
-                windows.inc()
-                act_hist.observe(c.q_max)
-    for c in chains:
-        if c.error is not None:
-            raise c.error
-
-
-def _finish_window(c: Chain, q: int, bq: float,
-                   resource_name: Optional[str] = None) -> None:
-    c.busy_times.append(bq)
-    response = bq - c.em.delta_min(q)
-    if response > c.r_max:
-        c.r_max = response
-    if c.closes is not None:
-        closed = c.closes(q, bq)
-    else:
-        closed = c.em.delta_min(q + 1) >= bq - EPS
-    if closed:
-        c.q_max = q
-        c.done = True
-    elif q + 1 > MAX_ACTIVATIONS:
-        c.error = NotSchedulableError(
-            f"busy window did not close within {MAX_ACTIVATIONS} "
-            f"activations", resource=resource_name, task=c.name,
-            context={"reason": "activation_budget",
-                     "activations": MAX_ACTIVATIONS})
-        c.done = True
+        for err, lane_q in zip(errors, q_maxes):
+            if err is None:
+                windows_closed.inc()
+                act_hist.observe(lane_q)
+    for err in errors:
+        if err is not None:
+            raise err
+    return r_max.tolist(), busy, q_maxes
 
 
 __all__ = [
-    "Chain",
-    "Element",
     "EtaTable",
     "MIN_BATCH_LANES",
     "MIN_BATCH_LOAD",
     "batch_worthwhile",
-    "run_chains",
+    "run_lanes",
     "solve_round",
     "stats",
-    "tables_for",
 ]

@@ -97,34 +97,28 @@ class SPPScheduler(Scheduler):
     def _analyze_batched(self, todo: Sequence[TaskSpec],
                          tasks: Sequence[TaskSpec],
                          resource_name: str) -> Dict[str, TaskResult]:
-        tables = kernels.tables_for(tasks)
-        chains, meta = [], []
+        """Every task's q-loop as one lane of a kernel run."""
+        index = {t.name: i for i, t in enumerate(tasks)}
+        coeffs = [[0.0] * len(tasks) for _ in tasks]
+        start_terms = [0.0] * len(tasks)
+        interferer_counts = []
         for task in todo:
+            i = index[task.name]
             interferers = self._interferers(task, tasks)
-            coeffs = [t.c_max if (t is not task
-                                  and t.priority <= task.priority) else 0.0
-                      for t in tasks]
-            sum_c = sum(j.c_max for j in interferers)
-
-            def element(q, task=task, coeffs=coeffs, sum_c=sum_c):
-                base = task.blocking + q * task.c_max
-                return kernels.Element(start=base + sum_c, base=base,
-                                       coeffs=coeffs)
-
-            def context(q, task=task):
-                return f"{resource_name}/{task.name} SPP q={q}"
-
-            chains.append(kernels.Chain(task.name, task.event_model,
-                                        context, element=element))
-            meta.append((task, interferers))
-        kernels.run_chains(chains, tables, resource_name)
-        out = {}
-        for chain, (task, interferers) in zip(chains, meta):
-            out[task.name] = TaskResult(
-                name=task.name, r_min=task.c_min, r_max=chain.r_max,
-                busy_times=chain.busy_times, q_max=chain.q_max,
-                details={"interferers": float(len(interferers))})
-        return out
+            for j in interferers:
+                coeffs[i][index[j.name]] = j.c_max
+            start_terms[i] = sum(j.c_max for j in interferers)
+            interferer_counts.append(len(interferers))
+        r_max, busy_times, q_max = kernels.run_lanes(
+            tasks, coeffs, [index[t.name] for t in todo], [0.0] * len(todo),
+            lambda i, a, q: f"{resource_name}/{tasks[i].name} SPP q={q}",
+            resource_name, blocking=[t.blocking for t in tasks],
+            start_terms=start_terms)
+        return {task.name: TaskResult(
+                    name=task.name, r_min=task.c_min, r_max=r_max[k],
+                    busy_times=busy_times[k], q_max=q_max[k],
+                    details={"interferers": float(interferer_counts[k])})
+                for k, task in enumerate(todo)}
 
     def _analyze_task(self, task: TaskSpec, tasks: Sequence[TaskSpec],
                       resource_name: str) -> TaskResult:

@@ -65,15 +65,21 @@ class TestEtaTable:
     XS = [0.0, 0.5, 1.0, 7.0, 49.999, 50.0, 123.4, 9999.0]
 
     def check_matches_model(self, model):
-        """One lane per x with base 0 and coefficient 1 evaluates to
-        exactly η⁺(x)."""
-        pytest.importorskip("numpy")
+        """Each x evaluates to exactly η⁺(x), both as one window per
+        lane (the fixed-point iteration) and as one argument per lane
+        and column (the EDF deadline caps).  A column the plan does not
+        select (the null model) is the caller's zero."""
+        np = pytest.importorskip("numpy")
         plan = kernels._TermPlan([kernels.EtaTable(model)])
-        lanes = [kernels.Element(start=0.0, base=0.0, coeffs=[1.0])
-                 for _ in self.XS]
-        eval_fn = kernels._make_workload(lanes, plan)
-        got = eval_fn(self.XS, list(range(len(self.XS))))
-        assert got == [float(model.eta_plus(x)) for x in self.XS]
+        cols, dead = plan.select([True])
+        xs = np.asarray(self.XS)
+        expect = [float(model.eta_plus(x)) for x in self.XS]
+        for arg in (xs, xs[:, None]):
+            out = np.empty((len(self.XS), 1))
+            plan.counts_matrix(arg, out, cols)
+            if dead:
+                out[:, dead] = 0.0
+            assert out[:, 0].tolist() == expect
 
     def test_null_kind(self):
         tab = kernels.EtaTable(NullEventModel())

@@ -10,6 +10,7 @@ reproduce the from-scratch results exactly after single-axis edits.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,10 @@ from hypothesis import strategies as st
 from repro import Fault, FaultPlan, analyze_system, inject_faults
 from repro._errors import NotSchedulableError
 from repro.analysis import EDFScheduler, SPPScheduler, TaskSpec
-from repro.analysis import kernels
+from repro.analysis import busy_window, kernels
 from repro.analysis.memo import AnalysisMemo
-from repro.eventmodels import StandardEventModel
+from repro.eventmodels import StandardEventModel, TaskOutputModel, or_join
+from repro.eventmodels.base import EventModel
 from repro.examples_lib.rox08 import build_system as build_rox08
 from repro.system import System
 
@@ -42,8 +44,8 @@ def system_digest(result):
 
 def run_modes(fn):
     """Run *fn* on the scalar loops, then with every SPP/EDF resource
-    forced through the numpy kernels; both outcomes (value or error)
-    must match exactly.
+    forced through the numpy kernels; both outcomes (value, or error
+    with its resource, task, message and context) must match exactly.
 
     Forcing ignores the lane/load gate even on the deliberately tiny
     randomized systems; the gate is a pure speed heuristic, so that must
@@ -61,7 +63,8 @@ def run_modes(fn):
             try:
                 outcomes[mode] = ("ok", fn())
             except NotSchedulableError as exc:
-                outcomes[mode] = ("notsched", exc.resource, exc.task)
+                outcomes[mode] = ("notsched", exc.resource, exc.task,
+                                  str(exc), exc.context)
     assert outcomes["numpy"] == outcomes["scalar"], \
         "numpy diverges from scalar"
     return outcomes["scalar"]
@@ -86,7 +89,21 @@ def task_sets(draw, policy):
             st.none(), st.floats(min_value=0.5, max_value=5.0)))
         em = StandardEventModel(period=period, jitter=jitter,
                                 d_min=d_min)
-        cmax = max(1e-3, share * period)
+        # Table-kind streams too (η⁺ by a search over δ⁻): a Θ_τ output
+        # of the source, or an OR-join of it with a second source.
+        rate = 1.0 / period
+        shape = draw(st.sampled_from(("standard", "output", "or_join")))
+        if shape == "output":
+            r_max = draw(st.floats(min_value=0.0, max_value=1.0)) * period
+            em = TaskOutputModel(em, draw(st.floats(min_value=0.0,
+                                                    max_value=1.0)) * r_max,
+                                 r_max)
+        elif shape == "or_join":
+            other = draw(st.floats(min_value=20.0, max_value=400.0))
+            em = or_join([em, StandardEventModel(period=other,
+                                                 jitter=0.5 * other)])
+            rate += 1.0 / other
+        cmax = max(1e-3, share / rate)
         if policy == "spp":
             kw = {"priority": i + 1}
         else:
@@ -113,6 +130,56 @@ def test_resource_bit_identity(policy, data):
     tasks = data.draw(task_sets(policy))
     scheduler = SCHEDULERS[policy]()
     run_modes(lambda: resource_digest(scheduler.analyze(tasks, "res")))
+
+
+class _DropsAt60(EventModel):
+    """δ⁻(n) = 7(n − 1), but η⁺ falls back to 1 from 60 on: an SPP
+    workload over it stops being monotone (scalar-kind column)."""
+
+    def delta_min(self, n):
+        return max(0.0, (n - 1) * 7.0)
+
+    def delta_plus(self, n):
+        return max(0.0, (n - 1) * 7.0)
+
+    def eta_plus(self, dt):
+        if dt <= 0:
+            return 0
+        return 1 if dt >= 60.0 else int(math.ceil(dt / 7.0))
+
+
+def non_monotone_spp():
+    return SPPScheduler().analyze([
+        TaskSpec("a", 2.0, 2.0, _DropsAt60(), priority=1),
+        TaskSpec("b", 3.0, 3.0, StandardEventModel(period=10.0, jitter=20.0),
+                 priority=2),
+        TaskSpec("c", 4.0, 4.0, StandardEventModel(period=16.0, jitter=16.0),
+                 priority=3)], "cpu")
+
+
+def edf_budget_set():
+    return EDFScheduler().analyze([
+        TaskSpec(name, c, c, StandardEventModel(period=p, jitter=p),
+                 deadline=d)
+        for name, c, p, d in (("t0", 4.0, 12.0, 12.0),
+                              ("t1", 10.0, 25.0, 12.0),
+                              ("t2", 5.0, 40.0, 20.0))], "cpu")
+
+
+@pytest.mark.parametrize("case, budget, message", [
+    (non_monotone_spp, None,
+     "cpu/c SPP q=5: workload function not monotone (46.0 < 60.0)"),
+    (edf_budget_set, 2, "busy window did not close within 2 activations"),
+], ids=["spp-non-monotone", "edf-activation-budget"])
+def test_forced_error_bit_identity(monkeypatch, case, budget, message):
+    """Both paths raise the same error, message and context included:
+    the batched path formats its messages only for failing lanes."""
+    if budget is not None:
+        monkeypatch.setattr(busy_window, "MAX_ACTIVATIONS", budget)
+        monkeypatch.setattr(kernels, "MAX_ACTIVATIONS", budget)
+    outcome = run_modes(lambda: resource_digest(case()))
+    assert outcome[0] == "notsched"
+    assert outcome[3] == message
 
 
 # ----------------------------------------------------------------------

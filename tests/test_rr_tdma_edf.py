@@ -11,6 +11,7 @@ from repro.analysis import (
     edf_demand_schedulable,
     synchronous_busy_period,
 )
+from repro.analysis import edf, kernels
 from repro.analysis.tdma import tdma_supply, tdma_supply_inverse
 from repro.eventmodels import periodic, periodic_with_jitter
 
@@ -181,3 +182,54 @@ class TestEdf:
         ]
         with pytest.raises(NotSchedulableError):
             EDFScheduler().analyze(tasks, "cpu")
+
+    @staticmethod
+    def _budget_tasks():
+        # Cut after 1 or 2 deadlines per interferer, the candidate sweep
+        # misses an alignment and reports t2 at 38.0 instead of 39.0.
+        return [
+            TaskSpec(name, c, c, periodic_with_jitter(p, p), deadline=d)
+            for name, c, p, d in (("t0", 4.0, 12.0, 12.0),
+                                  ("t1", 10.0, 25.0, 12.0),
+                                  ("t2", 5.0, 40.0, 20.0))]
+
+    @pytest.mark.parametrize("path", ["scalar", "batched"])
+    def test_candidate_budget_raises(self, monkeypatch, path):
+        expected = EDFScheduler().analyze(self._budget_tasks(), "cpu")
+        assert expected["t2"].r_max == 39.0
+        if path == "batched":
+            pytest.importorskip("numpy")
+            monkeypatch.setattr(kernels, "MIN_BATCH_LANES", 0)
+            monkeypatch.setattr(kernels, "MIN_BATCH_LOAD", 0.0)
+        else:
+            monkeypatch.setattr(kernels, "_np", None)
+        # L = 174.  t2 (D 20) needs t0's deadlines up to 192, the 17th:
+        # a budget of 17 sweeps every one inside the busy period.
+        monkeypatch.setattr(edf, "MAX_ACTIVATIONS", 17)
+        got = EDFScheduler().analyze(self._budget_tasks(), "cpu")
+        assert all(got[t].r_max == expected[t].r_max
+                   for t in ("t0", "t1", "t2"))
+        for budget, task in ((16, "t2"), (2, "t0")):
+            monkeypatch.setattr(edf, "MAX_ACTIVATIONS", budget)
+            with pytest.raises(NotSchedulableError) as info:
+                EDFScheduler().analyze(self._budget_tasks(), "cpu")
+            assert (info.value.resource, info.value.task) == ("cpu", task)
+            assert info.value.context["reason"] == "activation_budget"
+
+    def test_demand_budget_raises(self, monkeypatch):
+        # t0 has 15 deadlines inside the busy period (L = 174): a budget
+        # of 15 tests them all and answers.
+        expected = edf_demand_schedulable(self._budget_tasks())
+        monkeypatch.setattr(edf, "MAX_ACTIVATIONS", 15)
+        assert edf_demand_schedulable(self._budget_tasks()) is expected
+        # Cut any earlier, the test used to answer for points it never
+        # tested.
+        for budget in (14, 1):
+            monkeypatch.setattr(edf, "MAX_ACTIVATIONS", budget)
+            with pytest.raises(NotSchedulableError) as info:
+                edf_demand_schedulable(self._budget_tasks())
+            assert info.value.task == "t0"
+            assert info.value.context["reason"] == "activation_budget"
+        with pytest.raises(NotSchedulableError) as info:
+            edf_demand_schedulable(self._budget_tasks(), resource="cpu")
+        assert info.value.resource == "cpu"
