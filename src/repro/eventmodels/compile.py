@@ -12,15 +12,17 @@ This module lets equal chains share one object:
 * :func:`fingerprint` computes a canonical recursive key of a chain
   (operation parameters + input fingerprints).  Fingerprints are
   *semantically exact*: two chains with equal fingerprints have identical
-  δ functions.
+  δ functions.  A model carries its key once computed, so the key of a
+  new node over already-keyed inputs costs that one node.
 
 * :func:`maybe_compile` interns a chain in the process-global
   :class:`CompilationCache`.  On a fingerprint hit it returns the chain
   first stored under that key, whose δ memos (Θ_τ and the OR-join keep
   theirs as prefix lists) are already filled; on a miss it stores and
-  returns the model itself.  Sharing changes which object answers a
-  query, never the answer, so analysis results are bit-identical with
-  sharing on or off.
+  returns the model itself, marked as the shared representative, so
+  interning it again returns it with no lookup.  Sharing changes which
+  object answers a query, never the answer, so analysis results are
+  bit-identical with sharing on or off.
 
 Setting the module attribute :data:`enabled` to False makes
 :func:`maybe_compile` return every model unchanged: the unshared
@@ -28,7 +30,8 @@ reference path that the ``compiled-lazy-identical`` contract and the
 tests compare against.
 
 Observability (when :mod:`repro.obs` is enabled): the
-``compile.cache.hits`` / ``compile.cache.misses`` counters.
+``compile.cache.hits`` / ``compile.cache.misses`` counters, one per
+cache lookup.
 """
 
 from __future__ import annotations
@@ -132,20 +135,50 @@ def register_fingerprint(cls: "Type[EventModel]",
 
     The function must return a hashable tuple that canonically encodes
     everything the model's δ functions depend on (operation parameters
-    plus the fingerprints of input models), or None if the model cannot
-    be fingerprinted — None poisons the whole chain, which then is never
-    shared.
+    plus the fingerprints of input models, taken with
+    :func:`fingerprint`), or None if the model cannot be fingerprinted —
+    None poisons the whole chain, which then is never shared.
+
+    :func:`fingerprint` calls *fn* once per object and carries the key
+    on it (in ``_fp``), so the type must write every attribute the key
+    reads in ``__init__`` only, never later.  A slotted type carries the
+    key only if it declares the ``_fp`` slot (and, to be stored as a
+    shared chain, ``_shared``); without them its key is recomputed at
+    every call.
     """
     _FP_REGISTRY[cls] = fn
 
 
+_UNKEYED = object()
+
+
 def fingerprint(model: EventModel) -> Optional[tuple]:
-    """Canonical structural key of a (derived) event model, or None."""
+    """Canonical structural key of a (derived) event model, or None.
+
+    Computed once per object and carried on it afterwards: a chain's
+    key reuses the carried keys of its inputs."""
+    key = getattr(model, "_fp", _UNKEYED)
+    if key is not _UNKEYED:
+        return key
     for klass in type(model).__mro__:
         fn = _FP_REGISTRY.get(klass)
         if fn is not None:
-            return fn(model)
-    return None
+            key = fn(model)
+            break
+    else:
+        return None
+    _carry(model, "_fp", key)
+    return key
+
+
+def _carry(model: EventModel, attr: str, value) -> None:
+    """Write *attr* on *model*: through ``object.__setattr__``, because
+    frozen dataclasses (the standard model) refuse a plain assignment;
+    a slotted type without the slot simply carries nothing."""
+    try:
+        object.__setattr__(model, attr, value)
+    except AttributeError:
+        pass
 
 
 def _all_or_none(tag: str, parts) -> Optional[tuple]:
@@ -220,11 +253,12 @@ def maybe_compile(model: EventModel) -> EventModel:
     """The chain equal to *model* that every caller shares.
 
     Returns the chain first stored under *model*'s fingerprint, or
-    stores and returns *model* itself.  Leaf models, chains without a
-    fingerprint and every model while :data:`enabled` is False come back
-    unchanged; hierarchies go through their structural hook.
+    stores, marks and returns *model* itself.  A marked model (the
+    shared chain, or one the LRU has evicted since), leaf models, chains
+    without a fingerprint and every model while :data:`enabled` is False
+    come back unchanged; hierarchies go through their structural hook.
     """
-    if not enabled:
+    if not enabled or getattr(model, "_shared", False):
         return model
     for klass in type(model).__mro__:
         structural = _STRUCTURAL.get(klass)
@@ -241,5 +275,6 @@ def maybe_compile(model: EventModel) -> EventModel:
                                else "compile.cache.hits").inc()
     if shared is None:
         _cache.put(fp, model)
+        _carry(model, "_shared", True)
         return model
     return shared

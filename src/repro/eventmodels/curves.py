@@ -81,7 +81,8 @@ class CurveEventModel(EventModel):
         the conservative additive extension is used.
     """
 
-    __slots__ = ("_dmin", "_dplus", "_n_period", "_t_period", "name")
+    # _fp: the carried fingerprint (see repro.eventmodels.compile).
+    __slots__ = ("_dmin", "_dplus", "_n_period", "_t_period", "name", "_fp")
 
     def __init__(self, delta_min_prefix: Sequence[float],
                  delta_plus_prefix: Sequence[float],
@@ -188,7 +189,10 @@ class CachedModel(EventModel):
     evaluations O(1) after first touch without changing semantics.
     """
 
-    __slots__ = ("_inner", "_dmin_cache", "_dplus_cache", "name")
+    # _fp, _shared: the carried fingerprint and shared-chain mark (see
+    # repro.eventmodels.compile).
+    __slots__ = ("_inner", "_dmin_cache", "_dplus_cache", "name", "_fp",
+                 "_shared")
 
     def __init__(self, inner: EventModel, name: Optional[str] = None):
         self._inner = inner

@@ -73,10 +73,11 @@ class PrefixMemoModel(EventModel):
     geometrically, so a walk over n costs amortised O(1) per point (a
     subclass with an O(1) pointwise δ⁻ may answer points directly, as
     :class:`~repro.core.update.InnerJitterSpacingModel` does), and η⁺
-    is one bisect over the memo.
+    is one bisect over the memo.  ``_fp`` and ``_shared`` carry the
+    fingerprint and the shared-chain mark of :mod:`.compile`.
     """
 
-    __slots__ = ("_dmin_memo",)
+    __slots__ = ("_dmin_memo", "_fp", "_shared")
 
     @abstractmethod
     def _fill_min(self, n_max: int) -> list:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .._errors import ModelError
-from ..timebase import INF, strict_ceil, strict_floor
+from ..timebase import INF, is_finite, strict_ceil, strict_floor
 from .base import EventModel
 
 
@@ -43,7 +43,8 @@ class StandardEventModel(EventModel):
         coincide (a "burst" of simultaneous arrivals).
     sporadic:
         If True the stream may stall: δ⁺(n) = inf for n >= 2.  The δ⁻
-        bound (and hence η⁺ / worst-case load) is unchanged.
+        bound (and hence η⁺ / worst-case load) is unchanged.  Must be a
+        bool; every number must be finite.
     """
 
     period: float
@@ -53,6 +54,15 @@ class StandardEventModel(EventModel):
     name: str = "sem"
 
     def __post_init__(self):
+        for key in ("period", "jitter", "d_min"):
+            value = getattr(self, key)
+            if not is_finite(value) and not (key == "d_min"
+                                             and value is None):
+                raise ModelError(
+                    f"{key} must be a finite number, got {value!r}")
+        if not isinstance(self.sporadic, bool):
+            raise ModelError(
+                f"sporadic must be a bool, got {self.sporadic!r}")
         if self.period <= 0:
             raise ModelError(f"period must be > 0, got {self.period}")
         if self.jitter < 0:

@@ -31,6 +31,7 @@ from .._errors import ModelError
 from ..analysis.interface import Scheduler, TaskSpec
 from ..core.constructors import TransferProperty
 from ..eventmodels.base import EventModel
+from ..timebase import is_finite
 
 
 class JunctionKind(enum.Enum):
@@ -77,6 +78,9 @@ class Task:
     activation:
         How multiple inputs combine: "or" or "and" (single-input tasks
         ignore this).
+
+    Every number must be finite; ``slot`` and ``deadline`` may also be
+    None.
     """
 
     name: str
@@ -91,6 +95,16 @@ class Task:
     blocking: float = 0.0
 
     def __post_init__(self):
+        for key in ("c_min", "c_max", "blocking", "priority", "slot",
+                    "deadline"):
+            value = getattr(self, key)
+            if not is_finite(value) and not (key in ("slot", "deadline")
+                                             and value is None):
+                raise ModelError(
+                    f"task {self.name!r}: {key}: expected a finite "
+                    f"number, got {value!r}",
+                    context={"task": self.name, "resource": self.resource,
+                             "field": key})
         if self.c_min < 0 or self.c_max < self.c_min:
             raise ModelError(
                 f"task {self.name} on resource {self.resource!r}: need "

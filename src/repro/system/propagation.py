@@ -25,7 +25,7 @@ from .. import obs as _obs
 from .._errors import ConvergenceError, ModelError
 from ..obs.bus import BUS as _BUS
 from ..analysis.interface import TaskSpec
-from ..analysis.memo import AnalysisMemo
+from ..analysis.memo import AnalysisMemo, spec_fingerprint
 from ..analysis.results import ResourceResult, SystemResult, TaskResult
 from ..core.constructors import hsc_and, hsc_or, hsc_pack
 from ..core.deconstruct import unpack_signal
@@ -68,6 +68,9 @@ class _StreamResolver:
     :class:`~repro.explain.lineage.LineageNode` per resolved port: the
     derivation step that produced its model.  Without it nothing is
     recorded.
+
+    ``read_seed`` turns True once a dependency cycle was cut with a
+    model of ``initial_outputs``.
     """
 
     def __init__(self, system: System,
@@ -82,6 +85,7 @@ class _StreamResolver:
         self._lineage = lineage
         self._cache: "Dict[str, EventModel]" = {}
         self._visiting: Set[str] = set()
+        self.read_seed = False
 
     def _record(self, port: str, kind: str, inputs=(), **attrs) -> None:
         self._lineage[port] = LineageNode(port, kind, tuple(inputs), attrs)
@@ -210,6 +214,7 @@ class _StreamResolver:
                     context={"task": task.name,
                              "resource": task.resource,
                              "reason": "dependency_cycle"})
+            self.read_seed = True
             return fallback
         self._visiting.add(key)
         try:
@@ -485,6 +490,13 @@ def _traced_local_analysis(resource, specs,
     return rr, info
 
 
+def _specs_key(specs: "List[TaskSpec]") -> Optional[tuple]:
+    """What a local analysis depends on besides its scheduler: the
+    specs' fingerprints in order, or None when one has none."""
+    key = tuple(spec_fingerprint(s) for s in specs)
+    return None if None in key else key
+
+
 def _iterate(system: System, policy, max_iterations: int,
              initial_outputs: "Optional[Dict[str, EventModel]]",
              guard, memo: "Optional[AnalysisMemo]"):
@@ -494,7 +506,11 @@ def _iterate(system: System, policy, max_iterations: int,
     prev_models: "Dict[str, EventModel]" = {}
     cycle_seeds: "Dict[str, EventModel]" = dict(initial_outputs or {})
     resource_results: "Dict[str, ResourceResult]" = {}
+    # The spec keys of last iteration's successful local analyses
+    # (without a memo; the memo keeps its own).
+    spec_keys: "Dict[str, tuple]" = {}
     substitutes = policy.substitutes
+    handoff: "Optional[_StreamResolver]" = None
     iteration = 0
     converged = False
 
@@ -506,30 +522,48 @@ def _iterate(system: System, policy, max_iterations: int,
         resolver_type = (_StreamResolver if iter_span is None
                          else _TracedStreamResolver)
         try:
-            resolver = resolver_type(system, responses, cycle_seeds,
-                                     substitutes)
+            # Last iteration's propagation resolver, when it serves
+            # exactly what a fresh one would (see below), already holds
+            # every port of these responses.
+            if type(handoff) is resolver_type:
+                resolver = handoff
+            else:
+                resolver = resolver_type(system, responses, cycle_seeds,
+                                         substitutes)
 
             # Local analysis per resource (through the incremental memo
             # when one is attached — same inputs, reused outputs).  A
-            # quarantined resource keeps its substituted outputs.
+            # quarantined resource keeps its substituted outputs, and
+            # without a memo a resource whose specs fingerprint as last
+            # iteration's keeps last iteration's result.
             analyze = (_local_analysis if iter_span is None
                        else _traced_local_analysis)
             new_resource_results: "Dict[str, ResourceResult]" = {}
-            dirty_resources = reused_tasks = 0
+            new_spec_keys: "Dict[str, tuple]" = {}
+            dirty_resources = reused_tasks = kept_resources = 0
             for resource in system.resources.values():
                 tasks = system.tasks_on(resource.name)
                 if not tasks or tasks[0].name in substitutes:
                     continue
                 try:
-                    rr, info = analyze(resource, resolver.task_specs(tasks),
-                                       memo)
+                    specs = resolver.task_specs(tasks)
+                    key = _specs_key(specs) if memo is None else None
+                    if key is not None \
+                            and spec_keys.get(resource.name) == key:
+                        rr, info = resource_results[resource.name], None
+                        kept_resources += 1
+                    else:
+                        rr, info = analyze(resource, specs, memo)
                 except policy.errors as exc:
                     policy.analysis_failed(resource.name, exc)
                     continue
                 if info is not None:
                     reused_tasks += info["reused_tasks"]
                     dirty_resources += not info["resource_hit"]
+                if key is not None:
+                    new_spec_keys[resource.name] = key
                 new_resource_results[resource.name] = rr
+            spec_keys = new_spec_keys
 
             # Gather new responses and check convergence.
             new_responses: "Dict[str, TaskResult]" = {}
@@ -559,6 +593,14 @@ def _iterate(system: System, policy, max_iterations: int,
                 new_models[task_name] = out
                 # Cycle seeds advance with the iteration.
                 cycle_seeds[task_name] = out
+            # Hand this resolver to the next iteration's local analysis
+            # only where a fresh one would serve the same models: it read
+            # no cycle seed (it resolved every task port, so it crossed
+            # every cycle: the graph has none), and the policy catches
+            # nothing (no substitute can appear while the next iteration
+            # analyses).
+            handoff = (resolver if not policy.errors
+                       and not resolver.read_seed else None)
 
             if iter_span is None:
                 models_stable = _models_stable(prev_models, new_models)
@@ -578,6 +620,7 @@ def _iterate(system: System, policy, max_iterations: int,
                     "unstable_models": len(changed),
                     "changed_ports": changed,
                     "widened_ports": sorted(substitutes),
+                    "kept_resources": kept_resources,
                 }
                 if memo is not None:
                     record["dirty_resources"] = dirty_resources

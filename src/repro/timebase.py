@@ -25,8 +25,15 @@ INF = math.inf
 
 
 def is_finite(t: float) -> bool:
-    """Return True if *t* is a finite time value."""
-    return math.isfinite(t)
+    """Return True if *t* is a finite time value: False for NaN, ±inf
+    and anything that is not a real number.
+
+    Input validation reads this rather than comparing with ``<``: NaN
+    fails every comparison, so a range check alone lets it through."""
+    try:
+        return math.isfinite(t)
+    except TypeError:
+        return False
 
 
 def time_eq(a: float, b: float, eps: float = EPS) -> bool:

@@ -374,6 +374,42 @@ def test_cache_shares_equal_chains():
     assert stats["hits"] == 1 and stats["misses"] == 1
 
 
+def test_interning_costs_one_node(monkeypatch):
+    """A chain carries its key: interning level 21 of a Θ_τ chain whose
+    levels were interned as they were built calls the registered
+    fingerprint functions once (a re-walk calls them 21 times), and
+    interning the shared chain again is no lookup at all.  The frozen
+    standard model at the bottom carries its key too."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(model):
+            calls.append(type(model).__name__)
+            return fn(model)
+        return wrapped
+
+    for cls, fn in list(emc._FP_REGISTRY.items()):
+        monkeypatch.setitem(emc._FP_REGISTRY, cls, counting(fn))
+    chain = periodic(100.0)  # level 1
+    for level in range(2, 21):
+        chain = maybe_compile(TaskOutputModel(chain, 1.0, float(level)))
+    assert calls == (["TaskOutputModel", "StandardEventModel"]
+                     + ["TaskOutputModel"] * 18)
+    calls.clear()
+    top = maybe_compile(TaskOutputModel(chain, 1.0, 21.0))
+    assert calls == ["TaskOutputModel"]
+    assert top is not chain and top.input_model is chain
+
+    before = emc.cache().stats()
+    assert maybe_compile(top) is top
+    after = emc.cache().stats()
+    assert (after["hits"], after["misses"]) \
+        == (before["hits"], before["misses"])
+    # an equal chain built anew still finds the shared one
+    assert maybe_compile(TaskOutputModel(chain, 1.0, 21.0)) is top
+    assert emc.cache().stats()["hits"] == before["hits"] + 1
+
+
 def test_cache_lru_eviction(monkeypatch):
     monkeypatch.setattr(emc, "_cache", emc.CompilationCache(2))
     built = [TaskOutputModel(periodic(100.0 + i), 1.0, 2.0)
@@ -383,6 +419,8 @@ def test_cache_lru_eviction(monkeypatch):
     # the oldest chain was evicted: an equal chain is stored anew
     again = TaskOutputModel(periodic(100.0), 1.0, 2.0)
     assert maybe_compile(again) is again
+    # the evicted chain is still marked: interning it returns it
+    assert maybe_compile(built[0]) is built[0]
 
 
 def test_leaf_models_never_compiled():

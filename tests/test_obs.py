@@ -356,15 +356,21 @@ class TestChromeExport:
         assert all(e["dur"] >= 0.0 for e in complete)
 
     def test_rox08_trace_carries_junction_instants(self, obs_on, tmp_path):
-        """The sink carries span events: the 30 junction instants of
-        RoX08 HEM, beside its 9 spans."""
+        """The sink carries span events: the 20 junction instants of
+        RoX08 HEM, one per junction resolution, beside its 6 spans
+        (3 global iterations, 3 local analyses: the resources an
+        iteration keeps have none)."""
         payload = chrome_trace(
             tmp_path / "t.json",
             lambda: analyze_system(build_system("hem")),
             t0=get_tracer().t0)
         phases = [e["ph"] for e in payload["traceEvents"]]
-        assert phases.count("X") == 9
-        assert phases.count("i") == 30
+        assert phases.count("X") == 6
+        assert phases.count("i") == 20
+        counters = metrics().snapshot()["counters"]
+        assert phases.count("i") == sum(
+            v for k, v in counters.items()
+            if k.startswith("propagation.junction."))
 
 
 class TestEngineIntegration:

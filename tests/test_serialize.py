@@ -1,6 +1,7 @@
 """Unit tests for system serialisation (round trips and golden shapes)."""
 
 import json
+import math
 
 import pytest
 
@@ -161,10 +162,46 @@ class TestSystemRoundTrip:
          "resource 'CPU1': utilization_limit: expected a number"),
         (lambda d: d["tasks"]["T1"].update(priority="x"),
          "task 'T1': priority: expected a number"),
+        # NaN fails every comparison, so a range check alone lets it
+        # through: T1's NaN priority returned T3 r⁺ 72.0 (not 120.0),
+        # T3's 40.0, both silently optimistic, and T2's NaN c_min a NaN
+        # r⁻.
+        (lambda d: d["tasks"]["T1"].update(priority=math.nan),
+         "task 'T1': priority: expected a finite number, got nan"),
+        (lambda d: d["tasks"]["T3"].update(priority=math.nan),
+         "task 'T3': priority: expected a finite number, got nan"),
+        (lambda d: d["tasks"]["T2"].update(c_min=math.nan),
+         "task 'T2': c_min: expected a finite number, got nan"),
+        (lambda d: d["tasks"]["T2"].update(c_max=math.inf),
+         "task 'T2': c_max: expected a finite number, got inf"),
+        # An infinite blocking term escaped strict mode as an
+        # UnboundedStreamError.
+        (lambda d: d["tasks"]["T2"].update(blocking=math.inf),
+         "task 'T2': blocking: expected a finite number, got inf"),
+        (lambda d: d["tasks"]["T1"].update(deadline=math.nan),
+         "task 'T1': deadline: expected a finite number, got nan"),
+        (lambda d: d["tasks"]["T1"].update(slot=-math.inf),
+         "task 'T1': slot: expected a finite number, got -inf"),
+        (lambda d: d["sources"]["S1"].update(period=math.nan),
+         "source 'S1': period must be a finite number, got nan"),
+        (lambda d: d["sources"]["S1"].update(jitter=math.inf),
+         "source 'S1': jitter must be a finite number, got inf"),
+        (lambda d: d["sources"]["S1"].update(d_min=math.nan),
+         "source 'S1': d_min must be a finite number, got nan"),
+        # A truthy string loaded as a sporadic stream (δ⁺(2) = ∞); a list
+        # loaded, then failed the analysis with an unhashable-type
+        # TypeError.
+        (lambda d: d["sources"]["S2"].update(sporadic="no"),
+         "source 'S2': sporadic must be a bool, got 'no'"),
+        (lambda d: d["sources"]["S2"].update(sporadic=[]),
+         "source 'S2': sporadic must be a bool, got []"),
     ], ids=["task-without-resource", "bogus-junction-kind", "tasks-as-list",
             "hspp-without-budget", "string-period", "unknown-model-type",
             "list-task-input", "list-junction-input", "list-junction-timer",
-            "string-utilization-limit", "string-priority"])
+            "string-utilization-limit", "string-priority", "nan-priority-T1",
+            "nan-priority-T3", "nan-c-min", "inf-c-max", "inf-blocking",
+            "nan-deadline", "inf-slot", "nan-period", "inf-jitter",
+            "nan-d-min", "string-sporadic", "list-sporadic"])
     def test_malformed_input_names_the_node(self, mutate, message):
         payload = system_to_dict(build_system("hem"))
         mutate(payload)

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro._errors import ConvergenceError, ModelError
+from repro import obs
+from repro._errors import ConvergenceError, ModelError, NotSchedulableError
 from repro.analysis import SPNPScheduler, SPPScheduler
 from repro.core import TransferProperty, is_hierarchical
 from repro.eventmodels import periodic, periodic_with_jitter
+from repro.examples_lib.rox08 import build_system as build_rox08
 from repro.system import (
     JunctionKind,
     System,
@@ -226,6 +228,79 @@ class TestPropagation:
     def test_iteration_limit(self):
         with pytest.raises(ConvergenceError):
             analyze_system(simple_chain(), max_iterations=0)
+
+
+def feedback_pair(c_a, c_b):
+    """A feedback loop across two SPP resources: ``a`` (cpuA) is
+    activated by ``src`` or by ``b`` (cpuB), which ``a`` activates;
+    ``x`` (cpuB, 30–50% of b's C⁺) and ``y`` (cpuA, fed by ``b``)
+    interfere."""
+    s = System("feedback")
+    s.add_source("src", periodic(100.0))
+    s.add_source("src2", periodic(170.0))
+    s.add_resource("cpuA", SPPScheduler())
+    s.add_resource("cpuB", SPPScheduler())
+    s.add_task("a", "cpuA", c_a, ["src", "b"], priority=1)
+    s.add_task("b", "cpuB", c_b, ["a"], priority=2)
+    s.add_task("x", "cpuB", (0.3 * c_b[1], 0.5 * c_b[1]), ["src2"],
+               priority=1)
+    s.add_task("y", "cpuA", (3.0, 6.0), ["b"], priority=2)
+    return s
+
+
+def feedback_seeds():
+    return {"a": periodic(100.0), "b": periodic(100.0)}
+
+
+class TestIterationReuse:
+    """One global iteration does each piece of work once: the
+    propagation resolver serves the next iteration's local analysis
+    where a fresh resolver would serve the same models, and a resource
+    whose specs did not move keeps its result."""
+
+    def test_cycle_gets_a_fresh_resolver(self):
+        # The propagation pass cut the cycle with the previous seeds; a
+        # fresh resolver reads this iteration's.  Handing the
+        # propagation resolver over anyway names cpuB (1.2882).
+        with pytest.raises(NotSchedulableError,
+                           match=r"^cpuA: utilization 1\.2400 exceeds 1\.0"):
+            analyze_system(feedback_pair((10.0, 20.0), (15.0, 30.0)),
+                           initial_outputs=feedback_seeds())
+
+    def test_degraded_run_gets_a_fresh_resolver(self):
+        # Degraded and cyclic, so neither handoff condition holds: a
+        # quarantine adds substitutes mid-iteration, which a handed-over
+        # cache would not see.  Handing it over anyway takes 11
+        # iterations instead of 10.
+        outcome = analyze_system(
+            feedback_pair((2.5, 5.0), (2.5, 5.0)),
+            initial_outputs=feedback_seeds(), on_failure="degrade")
+        assert outcome.converged
+        assert outcome.iterations == 10
+        assert set(outcome.failed_resources()) == {"cpuA", "cpuB"}
+
+    def test_rox08_hem_resolves_and_analyses_once(self):
+        """RoX08 HEM: 20 junction resolutions (one resolver per
+        iteration, 30 with two) and 3 local analyses of 6 (the
+        resources whose inputs did not move keep their result)."""
+        obs.configure(enabled=True, reset=True)
+        records = []
+        bus = obs.get_bus()
+        sink = bus.subscribe(records.append, interests={"iteration"})
+        try:
+            result = analyze_system(build_rox08("hem"))
+            snap = obs.metrics().snapshot()
+        finally:
+            bus.unsubscribe(sink)
+            obs.disable(reset=True)
+        assert result.iterations == 3
+        assert sum(v for k, v in snap["counters"].items()
+                   if k.startswith("propagation.junction.")) == 20
+        local = snap["histograms"]["propagation.local_analysis_seconds"]
+        assert local["count"] == 3
+        kept = [r["kept_resources"] for r in records]
+        assert len(kept) == 3
+        assert sum(kept) == 2 * 3 - 3
 
 
 class TestHierarchicalStreamInSystem:
