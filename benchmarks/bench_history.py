@@ -6,7 +6,7 @@ cross-commit comparison needs::
 
     {
       "schema": "repro-bench/1",
-      "bench": "compile",            # compile | batch | suite | e2e | ...
+      "bench": "e2e",                # e2e | batch | suite | soak | ...
       "host": "runner-3",
       "git_sha": "3f4dab3...",
       "timestamp": 1754640000.0,
@@ -32,14 +32,9 @@ higher-is-better metric drops more than ``--threshold`` (fractional)
 below that baseline, or a lower-is-better one rises more than its bound
 above it.  Higher is better for:
 
-* ``compile.min_speedup``      — worst-case shared/unshared speedup
-                                 across the ``BENCH_compile.json`` cases
 * ``batch.throughput``         — points / pool wall seconds
 * ``batch.warm_cache_hit_rate``— warm-rerun store hit rate
 * ``serve.throughput``         — daemon sustained warm requests / second
-* ``kernels.speedup``          — best whole-resource vectorized speedup
-                                 from ``BENCH_kernels.json``
-* ``incremental.reuse_rate``   — dirty-set sweep task reuse rate
 * ``soak.samples_per_sec``     — burn-in campaign sample throughput
                                  from ``BENCH_soak.json``
 
@@ -82,11 +77,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Artefact file per bench name.
 ARTIFACTS = {
-    "compile": "BENCH_compile.json",
     "batch": "BENCH_batch.json",
     "suite": "BENCH_suite.json",
     "serve": "BENCH_serve.json",
-    "kernels": "BENCH_kernels.json",
     "soak": "BENCH_soak.json",
     "e2e": "BENCH_e2e.json",
 }
@@ -182,16 +175,6 @@ def load_artifact(path: Path) -> Optional[Dict[str, Any]]:
 # tracked metrics
 
 
-def _metric_compile_min_speedup(payload: Dict[str, Any]) -> Optional[float]:
-    cases = payload.get("cases")
-    if not isinstance(cases, dict) or not cases:
-        return None
-    speedups = [row.get("speedup") for row in cases.values()
-                if isinstance(row, dict)
-                and isinstance(row.get("speedup"), (int, float))]
-    return min(speedups) if speedups else None
-
-
 def _metric_batch_throughput(payload: Dict[str, Any]) -> Optional[float]:
     points = payload.get("points")
     wall = payload.get("pool_wall_seconds")
@@ -213,27 +196,11 @@ def _metric_serve_throughput(payload: Dict[str, Any]) -> Optional[float]:
     return None
 
 
-def _metric_kernels_speedup(payload: Dict[str, Any]) -> Optional[float]:
-    summary = payload.get("summary")
-    if not isinstance(summary, dict):
-        return None
-    best = summary.get("best_local_speedup")
-    return float(best) if isinstance(best, (int, float)) else None
-
-
 def _metric_soak_throughput(payload: Dict[str, Any]) -> Optional[float]:
     rate = payload.get("samples_per_sec")
     if isinstance(rate, (int, float)) and rate > 0:
         return float(rate)
     return None
-
-
-def _metric_incremental_reuse(payload: Dict[str, Any]) -> Optional[float]:
-    summary = payload.get("summary")
-    if not isinstance(summary, dict):
-        return None
-    rate = summary.get("incremental_reuse_rate")
-    return float(rate) if isinstance(rate, (int, float)) else None
 
 
 def _e2e_results(payload: Dict[str, Any], traced: bool
@@ -296,12 +263,9 @@ def e2e_metrics(benchmark: Dict[str, Any]) -> Dict[str, Metric]:
 #: name -> (bench artefact it reads, extractor, "higher" | "lower",
 #: bound or None).
 TRACKED_METRICS: Dict[str, Metric] = {
-    "compile.min_speedup": Metric("compile", _metric_compile_min_speedup),
     "batch.throughput": Metric("batch", _metric_batch_throughput),
     "batch.warm_cache_hit_rate": Metric("batch", _metric_warm_hit_rate),
     "serve.throughput": Metric("serve", _metric_serve_throughput),
-    "kernels.speedup": Metric("kernels", _metric_kernels_speedup),
-    "incremental.reuse_rate": Metric("kernels", _metric_incremental_reuse),
     "soak.samples_per_sec": Metric("soak", _metric_soak_throughput),
 }
 TRACKED_METRICS.update(e2e_metrics(BENCHMARK))

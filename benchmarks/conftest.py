@@ -15,11 +15,13 @@ into a single ``BENCH_suite.json`` map in the repository root, keyed by
 test name — override the directory with the ``BENCH_OUT_DIR``
 environment variable.  The file is read-modify-written per test, so a
 partial run (``pytest benchmarks/ -k table3``) updates only the entries
-it exercised.  The two standalone engine benchmarks
-(``benchmarks/bench_compile.py`` → ``BENCH_compile.json``,
-``benchmarks/bench_batch_speedup.py`` → ``BENCH_batch.json``) keep
-their own files.  These artefacts seed the repo's performance
-trajectory: compare them across commits to catch hot-path regressions.
+it exercised.  The standalone batch-engine benchmark
+(``benchmarks/bench_batch_speedup.py`` → ``BENCH_batch.json``) keeps
+its own file, and the repo benchmark (``benchmarks/e2e``) writes
+``BENCH_e2e.json``.  Chain sharing, the vectorized kernels and the
+incremental memo are checked by counts and bit-identity in the tier-1
+tests instead (``tests/test_compile.py``,
+``tests/test_kernels_properties.py``, ``tests/test_incremental.py``).
 """
 
 from __future__ import annotations

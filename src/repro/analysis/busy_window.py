@@ -9,8 +9,10 @@ All fixed-priority analyses follow the same skeleton:
 3. Stop once the busy window closes: the (q+1)-th activation arrives only
    after the q-event window has drained.
 
-This module provides the fixed-point solver and the q-loop driver; the
-per-policy workload functions live in :mod:`spp`, :mod:`spnp`, etc.
+This module provides the fixed-point solver and the q-loop driver.  SPP
+and EDF state their workloads once as :class:`~repro.analysis.kernels.Lanes`,
+whose scalar evaluator drives these two; SPNP, round-robin and TDMA
+call them from their own loops.
 """
 
 from __future__ import annotations

@@ -35,9 +35,13 @@ Two entry points:
 
   The interferers' deadline points ``δ⁻_j(k) + D_j`` are enumerated once
   per resource (:func:`_deadline_points`) and shared by every analysed
-  task and by both paths: the scalar q-loops and the batched kernels
-  (:func:`repro.analysis.kernels.run_lanes`, one lane per (task,
-  candidate)).  The sweep is complete or it raises: when an interferer
+  task.  Each (task, candidate) q-loop is one lane of the
+  :class:`~repro.analysis.kernels.Lanes` description that
+  :meth:`EDFScheduler._lanes` builds once per resource;
+  :func:`~repro.analysis.kernels.run_lanes` evaluates it (scalar, or
+  numpy rounds for many lanes at high load) and
+  :meth:`EDFScheduler.blame` reads its terms off it.  The sweep is
+  complete or it raises: when an interferer
   still has deadlines inside the busy period after
   :data:`~repro.analysis.busy_window.MAX_ACTIVATIONS` points, the
   analysis raises :class:`NotSchedulableError` (``context["reason"] ==
@@ -48,6 +52,7 @@ Two entry points:
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .. import obs as _obs
@@ -61,8 +66,7 @@ from ..explain.blame import (
 )
 from ..timebase import EPS
 from . import kernels
-from .busy_window import DEADLINE_EPS, MAX_ACTIVATIONS, fixed_point, \
-    multi_activation_loop
+from .busy_window import DEADLINE_EPS, MAX_ACTIVATIONS, fixed_point
 from .interface import Scheduler, TaskSpec
 from .results import ResourceResult, TaskResult
 
@@ -207,123 +211,52 @@ class EDFScheduler(Scheduler):
         todo = [t for t in tasks if t.name not in reuse]
         computed = {}
         if todo:
-            horizon = synchronous_busy_period(tasks,
-                                              resource=resource_name)
-            points = [_deadline_points(j, todo, horizon) for j in tasks]
-            if kernels.batch_worthwhile(len(todo) * len(tasks), util):
-                computed = self._analyze_batched(todo, tasks,
-                                                 resource_name, horizon,
-                                                 points)
-            else:
-                computed = {
-                    t.name: self._analyze_task(
-                        t, tasks, resource_name,
-                        _candidates(t, tasks, points, horizon,
-                                    resource_name))
-                    for t in todo}
+            lanes = self._lanes(todo, tasks, resource_name)
+            out = kernels.run_lanes(lanes, len(todo) * len(tasks), util)
+            # A task's lanes are consecutive, in candidate order; the
+            # first candidate to raise the response keeps the lead.
+            for i, group in groupby(zip(lanes.lane_task, lanes.lane_offset,
+                                        out), key=lambda lane: lane[0]):
+                task = tasks[i]
+                best = (task.c_max, [task.c_max], 1, 0.0)
+                count = 0
+                for _, a, (r_max, busy_times, q_max) in group:
+                    count += 1
+                    r_a = r_max - a  # measured from i's arrival
+                    if r_a > best[0]:
+                        best = (r_a, busy_times, q_max, a)
+                computed[task.name] = self._task_result(task, count, *best)
         results = {t.name: computed.get(t.name, reuse.get(t.name))
                    for t in tasks}
         return ResourceResult(resource_name, util, results)
 
-    def _analyze_batched(self, todo: Sequence[TaskSpec],
-                         tasks: Sequence[TaskSpec], resource_name: str,
-                         horizon: float, points: "list[list[float]]",
-                         ) -> dict:
-        """All (task, candidate-offset) q-loops of the resource as the
-        lanes of one kernel run; lane (i, a) caps interferer j's count
-        at η⁺_j(((a + δ⁻_i(q)) + D_i) − D_j + ε)."""
+    def _lanes(self, todo: Sequence[TaskSpec], tasks: Sequence[TaskSpec],
+               resource_name: str) -> kernels.Lanes:
+        """Every (task, candidate offset) q-loop of *todo* as a lane:
+        B_i(a, q) is the least fixed point of ``w = q·C⁺ + Σ_{j ≠ i}
+        min(η⁺_j(w), n_j(d))·C_j⁺``, started at q·C⁺.  The first task
+        whose candidates hit the budget ends the lanes; its error is
+        raised after the lanes of the tasks before it ran."""
+        horizon = synchronous_busy_period(tasks, resource=resource_name)
+        points = [_deadline_points(j, todo, horizon) for j in tasks]
         index = {t.name: i for i, t in enumerate(tasks)}
-        lane_task, lane_offset, per_task = [], [], []
-        budget_error = None
+        lane_task, lane_offset, error = [], [], None
         for task in todo:
             try:
                 candidates = _candidates(task, tasks, points, horizon,
                                          resource_name)
             except NotSchedulableError as exc:
-                # The scalar loop would first finish the earlier tasks,
-                # whose own errors take precedence.
-                budget_error = exc
+                error = exc
                 break
             lane_task += [index[task.name]] * len(candidates)
             lane_offset += candidates
-            per_task.append((task, candidates))
-        r_max, busy_times, q_max = kernels.run_lanes(
-            tasks, [[0.0 if j is i else j.c_max for j in tasks]
-                    for i in tasks],
+        zeros = [0.0] * len(tasks)
+        return kernels.Lanes(
+            tasks, [[j for j in tasks if j is not i] for i in tasks],
             lane_task, lane_offset,
             lambda i, a, q: f"{resource_name}/{tasks[i].name} EDF a={a} "
                             f"q={q}",
-            resource_name, deadlines=[t.deadline for t in tasks])
-        out = {}
-        lane = 0
-        for task, candidates in per_task:
-            best_r = task.c_max
-            best_busy = [task.c_max]
-            best_q = 1
-            best_a = 0.0
-            for a in candidates:
-                r_a = r_max[lane] - a
-                if r_a > best_r:
-                    best_r = r_a
-                    best_busy = busy_times[lane]
-                    best_q = q_max[lane]
-                    best_a = a
-                lane += 1
-            out[task.name] = self._task_result(task, len(candidates),
-                                               best_r, best_busy, best_q,
-                                               best_a)
-        if budget_error is not None:
-            raise budget_error
-        return out
-
-    def _analyze_task(self, task: TaskSpec, tasks: Sequence[TaskSpec],
-                      resource_name: str,
-                      candidates: "list[float]") -> TaskResult:
-        others = [t for t in tasks if t is not task]
-        em = task.event_model
-
-        best_r = task.c_max
-        best_busy: "list[float]" = [task.c_max]
-        best_q = 1
-        best_a = 0.0
-        for a in candidates:
-            last_w = [None]
-
-            def busy_time(q: int, _a: float = a, last_w=last_w) -> float:
-                abs_deadline = _a + em.delta_min(q) + task.deadline
-
-                def workload(w: float) -> float:
-                    demand = q * task.c_max
-                    for j in others:
-                        n_arrived = j.event_model.eta_plus(w)
-                        n_deadline = j.event_model.eta_plus(
-                            abs_deadline - j.deadline + DEADLINE_EPS)
-                        demand += min(n_arrived, n_deadline) * j.c_max
-                    return demand
-
-                w = fixed_point(workload, q * task.c_max,
-                                context=f"{resource_name}/{task.name} "
-                                        f"EDF a={_a} q={q}",
-                                resource=resource_name, task=task.name,
-                                hint=last_w[0])
-                last_w[0] = w
-                return w
-
-            def window_closes(q: int, bq: float, _a: float = a) -> bool:
-                return _a + em.delta_min(q + 1) >= bq - EPS
-
-            r_a, busy_times, q_max = multi_activation_loop(
-                em, busy_time, window_closes,
-                resource=resource_name, task=task.name)
-            r_a -= a  # responses are measured from task i's arrival
-            if r_a > best_r:
-                best_r = r_a
-                best_busy = busy_times
-                best_q = q_max
-                best_a = a
-
-        return self._task_result(task, len(candidates), best_r, best_busy,
-                                 best_q, best_a)
+            resource_name, zeros, zeros, True, error)
 
     @staticmethod
     def _task_result(task: TaskSpec, candidates: int, r_max: float,
@@ -358,24 +291,18 @@ class EDFScheduler(Scheduler):
                     for q in range(1, len(busy_times) + 1)]
         q = critical_activation(busy_times, arrivals)
         bq = busy_times[q - 1]
-        abs_deadline = a + em.delta_min(q) + task.deadline
-        terms = []
-        for j in tasks:
-            if j is task:
-                continue
-            n_arrived = j.event_model.eta_plus(bq)
-            n_deadline = j.event_model.eta_plus(
-                abs_deadline - j.deadline + DEADLINE_EPS)
-            n = min(n_arrived, n_deadline)
-            terms.append(BlameTerm(
-                j.name, KIND_INTERFERENCE, contribution=n * j.c_max,
-                activations=n, c_max=j.c_max,
-                note=("deadline-limited" if n_deadline < n_arrived
-                      else "")))
+        lanes = self._lanes([task], tasks, resource_name)
+        lane = lanes.lane_offset.index(a)
+        terms = [BlameTerm(j.name, KIND_INTERFERENCE,
+                           contribution=n * j.c_max, activations=n,
+                           c_max=j.c_max,
+                           note="deadline-limited" if n < arrived else "")
+                 for j, arrived, n in lanes.counts(lane, q, bq)]
         return Blame(
             task=task.name, resource=resource_name, policy="edf", q=q,
             busy_time=bq, arrival=arrivals[q - 1], wcrt=result.r_max,
             own=BlameTerm(task.name, KIND_OWN, contribution=q * task.c_max,
                           activations=q, c_max=task.c_max),
             interference=terms,
-            candidate={"offset": a, "abs_deadline": abs_deadline})
+            candidate={"offset": a,
+                       "abs_deadline": lanes.abs_deadline(lane, q)})

@@ -1,56 +1,52 @@
-"""Batched busy-window kernels: numpy joint fixed points for SPP and EDF.
+"""Busy-window lanes: one description of a resource's q-loops, two
+evaluators.
 
-The scalar solvers iterate one ``fixed_point`` per task per activation
-count q, re-walking every interferer's ``eta_plus(w) * c_max`` one
-python call at a time.  For the two policies where that pays
-(:mod:`spp` and :mod:`edf`), this module batches the work in one
-function, :func:`run_lanes`:
+SPP and EDF state their busy-window recurrences once, as the lanes of a
+:class:`Lanes` description each builds per resource.  Lane l is one
+q-loop: task ``i = lane_task[l]`` at offset ``a = lane_offset[l]`` (an
+SPP task at 0.0, an EDF (task, candidate offset) pair).  Its q-th busy
+time B is the least fixed point of
 
-* **lanes described as arrays** — every busy-window chain (an SPP task,
-  or an EDF (task, candidate-offset) pair) is one lane.  A resource
-  describes its lanes with arrays: each lane's task index and offset
-  ``a``, an n×n coefficient matrix (row i holds the C⁺ of i's
-  interferers, ``0.0`` elsewhere), each task's blocking and start term,
-  and for EDF the relative deadlines.  EDF enumerates its candidate
-  offsets once per resource, for both paths, and raises when the
-  enumeration hits its budget (see :mod:`repro.analysis.edf`);
-* **one round per activation count q** — δ⁻_t(q) and δ⁻_t(q+1) are
-  taken once per task with open lanes; the lanes' bases and starts,
-  the EDF deadline caps (one vector η⁺ query per interferer column),
-  the responses and the window-close tests are vector operations over
-  the round's open lanes;
-* **one joint vector iteration per round** — every open lane
-  contributes one element to a shared window vector ``w``; each
-  iteration evaluates every interferer's η⁺ over the whole vector at
-  once (:class:`_TermPlan`), applies per-lane coefficients and deadline
-  caps, and advances all lanes in lockstep (:func:`solve_round`),
-  freezing lanes as they converge;
-* **warm starts within a q-chain** — the converged q-window seeds the
-  (q+1)-window iteration, exactly as the scalar loops do (see
-  :data:`repro.analysis.busy_window.WARM_START`).
+    w = (blocking_i + q·C⁺_i) + Σ_{j ∈ interferers_i} min(η⁺_j(w), cap_j)·C⁺_j
 
-The convergence tests of :func:`solve_round` (warm-start guard,
-monotonicity, ``time_eq``, blow-up, iteration budget) stay a per-lane
-python loop: a round of the 40-task SPP resource in the
-``sweep-incremental`` benchmark averages about 9 lanes, where numpy
-masks cost more than they save.  Error messages are formatted only for
-lanes that fail.
+started at ``(blocking_i + q·C⁺_i) + start_i``.  Without deadlines every
+cap is ∞; with them (EDF) ``cap_j = η⁺_j(((a + δ⁻_i(q)) + D_i) − D_j +
+DEADLINE_EPS)``.  The q-th response is ``B − δ⁻_i(q)``, and the window
+closes once ``a + δ⁻_i(q+1) ≥ B − EPS``.  The schedulers' ``blame``
+reads its terms off the same description (:meth:`Lanes.counts`).
 
-The batched path needs numpy (``pip install repro[fast]``).  A solver
-takes it only when :func:`batch_worthwhile` says so: numpy importable,
-at least :data:`MIN_BATCH_LANES` lanes and at least
-:data:`MIN_BATCH_LOAD` utilization.  Everything else — and every SPNP,
-round-robin and TDMA resource — runs the scalar loops, which stay the
-reference the tests compare against.
+:func:`run_lanes` evaluates a description one of two ways:
 
-Bit-identity contract
----------------------
-Every lane reproduces the *exact* float sequence the scalar solver
-would compute: identical start expression, identical per-interferer
-accumulation order (inactive interferers contribute an exact ``+0.0``),
-identical deadline-cap arguments (``((a + δ⁻_i(q)) + D_i) − D_j + ε``,
-left to right), identical convergence/limit tests in the same order.
-η⁺ vectorization dispatches per model type:
+* **scalar** — each lane in turn through
+  :func:`~repro.analysis.busy_window.fixed_point` and
+  :func:`~repro.analysis.busy_window.multi_activation_loop`, warm-started
+  from the previous q (:data:`~repro.analysis.busy_window.WARM_START`),
+  with EDF's caps taken once per (lane, q).  It is the reference, the
+  only evaluator without numpy, and it builds no array;
+* **numpy** — one round per activation count q over every open lane.
+  δ⁻_t(q) and δ⁻_t(q+1) are taken once per task with open lanes; the
+  bases, starts, EDF caps (one vector η⁺ query per interferer column),
+  responses and close tests are vector operations; and one joint vector
+  fixed point per round (:func:`solve_round`) evaluates every
+  interferer's η⁺ over the whole window vector at once
+  (:class:`_TermPlan`), warm-starts each lane from its previous q and
+  freezes lanes as they converge.
+
+:func:`batch_worthwhile` picks the numpy rounds: numpy importable, at
+least :data:`MIN_BATCH_LANES` estimated lanes and at least
+:data:`MIN_BATCH_LOAD` utilization.  SPNP, round-robin and TDMA keep
+their own loops over the :mod:`busy_window` helpers.
+
+The convergence tests of :func:`solve_round` stay a per-lane python
+loop (rounds average about 9 lanes, where numpy masks cost more than
+they save; see ``docs/performance.md``).
+
+Every numpy lane reproduces the *exact* float sequence of the scalar
+evaluator: the same start, the same per-interferer accumulation order
+(non-interferers add an exact ``+0.0``), the same deadline-cap
+arguments, left to right, and the same convergence tests and budgets
+(read from :mod:`busy_window` when they run) in the same order.  η⁺
+vectorization dispatches per model type:
 
 * :class:`~repro.eventmodels.standard.StandardEventModel` — elementwise
   replica of the closed form (same IEEE-754 ops);
@@ -63,20 +59,22 @@ left to right), identical convergence/limit tests in the same order.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .. import obs as _obs
-from .._errors import NotSchedulableError, UnboundedStreamError
-from ..eventmodels.base import MAX_EVENTS, EventModel, NullEventModel
+from .._errors import NotSchedulableError
+from ..eventmodels import base as _base
+from ..eventmodels.base import EventModel, NullEventModel, unbounded_eta
 from ..eventmodels.operations import PrefixMemoModel
 from ..eventmodels.standard import StandardEventModel
 from ..timebase import EPS, time_eq
 from . import busy_window as _busy_window
 from .busy_window import (
     DEADLINE_EPS,
-    MAX_ACTIVATIONS,
-    MAX_FIXED_POINT_ITER,
     _WINDOW_BLOWUP,
+    fixed_point,
+    multi_activation_loop,
 )
 
 try:  # optional accelerator (the [fast] extra); absence is fully supported
@@ -85,7 +83,7 @@ except Exception:  # pragma: no cover - then every analysis runs scalar
     _np = None
 
 #: Below this estimated lane count a resource's batched run loses to the
-#: scalar loops on pure bookkeeping (table/plan/lane setup dominates a
+#: scalar evaluator on pure bookkeeping (table/plan/lane setup dominates a
 #: handful of short fixed points).
 MIN_BATCH_LANES = 16
 
@@ -100,9 +98,9 @@ _STATS = {"batches": 0, "lanes": 0, "iterations": 0}
 
 def batch_worthwhile(estimated_lanes: int, load: float) -> bool:
     """True when a resource with ~this many busy-window chains at ~this
-    utilization should take the batched path.
+    utilization should take the numpy evaluator.
 
-    A pure speed decision — either path is bit-identical.
+    A pure speed decision — either evaluator is bit-identical.
     """
     return (_np is not None and estimated_lanes >= MIN_BATCH_LANES
             and load >= MIN_BATCH_LOAD)
@@ -111,6 +109,59 @@ def batch_worthwhile(estimated_lanes: int, load: float) -> bool:
 def stats() -> Dict[str, Any]:
     """Snapshot of kernel activity for /healthz and ``repro top``."""
     return dict(_STATS)
+
+
+# ----------------------------------------------------------------------
+# the description
+# ----------------------------------------------------------------------
+class Lanes(NamedTuple):
+    """One resource's busy-window recurrences (see the module docstring).
+
+    Lane l is task ``tasks[lane_task[l]]`` at offset ``lane_offset[l]``.
+    The per-task lists index *tasks*: ``interferers[i]`` holds the specs
+    whose C⁺ enters task i's workload, in *tasks* order;
+    ``blocking[i]`` and ``start_terms[i]`` open its windows.  With
+    *capped* (EDF), each count is capped at the interferer's deadline
+    count, the deadlines D being the specs'.  ``label(i, a, q)``
+    prefixes a failing lane's error.  *error* is raised once every lane
+    ran cleanly: EDF's enumeration budget error for the first task whose
+    candidates hit it, after the q-loops of the tasks before it.
+    """
+
+    tasks: Sequence
+    interferers: Sequence[Sequence]
+    lane_task: List[int]
+    lane_offset: List[float]
+    label: Callable[[int, float, int], str]
+    resource: str
+    blocking: Sequence[float]
+    start_terms: Sequence[float]
+    capped: bool = False
+    error: Optional[NotSchedulableError] = None
+
+    def abs_deadline(self, lane: int, q: int) -> float:
+        """``(a + δ⁻_i(q)) + D_i``: the absolute deadline of the lane's
+        q-th job (EDF)."""
+        task = self.tasks[self.lane_task[lane]]
+        return ((self.lane_offset[lane] + task.event_model.delta_min(q))
+                + task.deadline)
+
+    def caps(self, lane: int, q: int) -> List[int]:
+        """Each interferer's deadline count ``η⁺_j(d − D_j + ε)`` at the
+        absolute deadline d of the lane's q-th job (EDF)."""
+        d = self.abs_deadline(lane, q)
+        return [j.event_model.eta_plus(d - j.deadline + DEADLINE_EPS)
+                for j in self.interferers[self.lane_task[lane]]]
+
+    def counts(self, lane: int, q: int, w: float) -> list:
+        """``(j, η⁺_j(w), admitted)`` for each interferer j of the lane's
+        q-th busy window at *w*, admitted being η⁺_j(w) capped at j's
+        deadline count (EDF).  At w = B(q) the base plus Σ admitted·C⁺_j
+        is B(q): the interference terms of ``blame``."""
+        js = self.interferers[self.lane_task[lane]]
+        arrived = [j.event_model.eta_plus(w) for j in js]
+        caps = self.caps(lane, q) if self.capped else arrived
+        return [(j, n, min(n, cap)) for j, n, cap in zip(js, arrived, caps)]
 
 
 # ----------------------------------------------------------------------
@@ -159,25 +210,29 @@ class EtaTable:
             self.kind = _KIND_SCALAR
 
     def _ensure(self, hi: float) -> None:
+        """Grow the samples geometrically until the last one reaches
+        *hi* or the table holds δ⁻(MAX_EVENTS + 1)."""
         dmin = self._dmin
-        while dmin[-1] < hi:
-            top = len(dmin) - 1
-            if top > MAX_EVENTS:
-                raise UnboundedStreamError(
-                    f"eta_plus({hi!r}) exceeds {MAX_EVENTS} events for "
-                    f"{self.model!r}; the stream has no effective rate limit")
-            dmin = list(self.model.delta_min_block(2 * top))
+        cap = _base.MAX_EVENTS + 1
+        while dmin[-1] < hi and len(dmin) <= cap:
+            dmin = list(self.model.delta_min_block(
+                min(2 * (len(dmin) - 1), cap)))
             self._dmin = dmin
             self._arr = None
 
     def eta_many(self, xs):  # xs: float64 ndarray
         """η⁺ of a ``table``-kind model at every element of *xs*, as
-        float64 exact counts."""
+        float64 exact counts; raises as ``eta_plus`` does at the first
+        element whose count exceeds :data:`MAX_EVENTS`."""
         mx = float(xs.max()) if len(xs) else 0.0
         self._ensure(mx)
         if self._arr is None:
             self._arr = _np.asarray(self._dmin, dtype=float)
         ins = _np.searchsorted(self._arr, xs, side="left") - 1
+        if len(self._dmin) > _base.MAX_EVENTS + 1:  # else ins <= the bound
+            over = ins > _base.MAX_EVENTS
+            if over.any():
+                raise unbounded_eta(self.model, float(xs[over.argmax()]))
         res = _np.maximum(1, ins).astype(float)
         return _np.where(xs <= 0.0, 0.0, res)
 
@@ -190,7 +245,7 @@ class _TermPlan:
     few ufuncs per term: all StandardEventModel columns evaluate as one
     2-D closed form, table columns as one ``searchsorted`` each, and
     the accumulation runs as a single row-``cumsum`` (sequential adds —
-    the exact float association the scalar loop performs).
+    the exact float association the scalar evaluator performs).
     """
 
     __slots__ = ("tables", "sem_cols", "table_cols", "scalar_cols",
@@ -285,7 +340,7 @@ def solve_round(starts: Sequence[float], hints: Sequence[Optional[float]],
     (including the warm-start overshoot guard); converged and failed
     lanes are frozen out of subsequent evaluations.  Errors are
     *recorded*, not raised — :func:`run_lanes` decides which one the
-    scalar path would have hit first.  ``contexts[i]`` and
+    scalar evaluator would have hit first.  ``contexts[i]`` and
     ``task_names[i]`` are read only when lane i fails.
     """
     n = len(starts)
@@ -301,7 +356,8 @@ def solve_round(starts: Sequence[float], hints: Sequence[Optional[float]],
     active = list(range(n))
     _STATS["batches"] += 1
     _STATS["lanes"] += n
-    for step in range(1, MAX_FIXED_POINT_ITER + 1):
+    budget = _busy_window.MAX_FIXED_POINT_ITER
+    for step in range(1, budget + 1):
         if not active:
             break
         _STATS["iterations"] += 1
@@ -341,10 +397,10 @@ def solve_round(starts: Sequence[float], hints: Sequence[Optional[float]],
         active = still
     for i in active:
         errors[i] = NotSchedulableError(
-            f"{contexts[i]}: no fixed point within {MAX_FIXED_POINT_ITER} "
+            f"{contexts[i]}: no fixed point within {budget} "
             f"iterations", resource=resource_name, task=task_names[i],
             context={"reason": "fixed_point_budget",
-                     "iterations": MAX_FIXED_POINT_ITER})
+                     "iterations": budget})
     if _obs.enabled:
         registry = _obs.metrics()
         registry.counter("kernel.batches").inc()
@@ -360,8 +416,70 @@ def solve_round(starts: Sequence[float], hints: Sequence[Optional[float]],
 
 
 # ----------------------------------------------------------------------
-# lanes (the batched multi_activation_loop)
+# the two evaluators
 # ----------------------------------------------------------------------
+def run_lanes(lanes: Lanes, estimated_lanes: int, load: float,
+              ) -> List[Tuple[float, List[float], int]]:
+    """Evaluate every lane of *lanes*: the numpy rounds when
+    :func:`batch_worthwhile` admits (*estimated_lanes*, *load*), each
+    lane the scalar way otherwise.
+
+    Returns, per lane, its largest response (from 0.0), busy times and
+    closing q.  A failing lane raises its error: the first errored lane
+    *in lane order*, which is the one the scalar evaluator, finishing
+    every earlier lane before a later one, meets first.  Then
+    ``lanes.error`` raises, if set.
+    """
+    batched = lanes.lane_task and batch_worthwhile(estimated_lanes, load)
+    out = (_run_numpy if batched else _run_scalar)(lanes)
+    if lanes.error is not None:
+        raise lanes.error
+    return out
+
+
+def _run_scalar(lanes: Lanes):
+    return [_scalar_lane(lanes, lane) for lane in range(len(lanes.lane_task))]
+
+
+def _scalar_lane(lanes: Lanes, lane: int):
+    """One lane's q-loop through :func:`multi_activation_loop`, each
+    busy time a :func:`fixed_point` warm-started from the last."""
+    i, a = lanes.lane_task[lane], lanes.lane_offset[lane]
+    task, others = lanes.tasks[i], lanes.interferers[i]
+    em, c_own, block = task.event_model, task.c_max, lanes.blocking[i]
+    extra, capped, label = lanes.start_terms[i], lanes.capped, lanes.label
+    resource = lanes.resource
+    last: List[Optional[float]] = [None]
+
+    def busy_time(q: int) -> float:
+        base = block + q * c_own
+        if capped:
+            bounded = list(zip(others, lanes.caps(lane, q)))
+
+            def workload(w: float) -> float:
+                demand = base
+                for j, cap in bounded:
+                    demand += min(j.event_model.eta_plus(w), cap) * j.c_max
+                return demand
+        else:
+            def workload(w: float) -> float:
+                demand = base
+                for j in others:
+                    demand += j.event_model.eta_plus(w) * j.c_max
+                return demand
+
+        last[0] = fixed_point(workload, base + extra,
+                              context=label(i, a, q), resource=resource,
+                              task=task.name, hint=last[0])
+        return last[0]
+
+    def window_closes(q: int, bq: float) -> bool:
+        return a + em.delta_min(q + 1) >= bq - EPS
+
+    return multi_activation_loop(em, busy_time, window_closes,
+                                 resource=resource, task=task.name)
+
+
 class _OnDemand:
     """Item i is ``fn(i)``, computed when indexed: a round hands
     :func:`solve_round` its lanes' error prefixes without formatting
@@ -376,49 +494,25 @@ class _OnDemand:
         return self._fn(i)
 
 
-def run_lanes(tasks: Sequence, coeffs: Sequence[Sequence[float]],
-              lane_task: Sequence[int], lane_offset: Sequence[float],
-              label: Callable[[int, float, int], str], resource_name: str,
-              blocking: Optional[Sequence[float]] = None,
-              start_terms: Optional[Sequence[float]] = None,
-              deadlines: Optional[Sequence[float]] = None,
-              ) -> Tuple[List[float], List[List[float]], List[int]]:
-    """Drive every lane's q-loop jointly, one round per activation count.
-
-    *tasks* are the resource's task specs; every other argument indexes
-    them.  Lane l belongs to task ``i = lane_task[l]`` at offset
-    ``a = lane_offset[l]``.  Its q-th busy time B is the least fixed
-    point of
-
-        w = (blocking_i + q·C⁺_i) + Σ_j min(η⁺_j(w), cap_j) · coeffs[i][j]
-
-    started at ``(blocking_i + q·C⁺_i) + start_terms_i``.  Without
-    *deadlines* every cap is ∞; with them (EDF) ``cap_j =
-    η⁺_j(((a + δ⁻_i(q)) + D_i) − D_j + DEADLINE_EPS)``, ∞ on the lane's
-    own column.  The response is ``B − δ⁻_i(q)`` and the window closes
-    once ``a + δ⁻_i(q+1) ≥ B − EPS`` (for ``a = 0.0`` the scalar's
-    ``δ⁻_i(q+1) ≥ B − EPS``).
-
-    Returns, per lane, the largest response (from 0.0), the busy times
-    and the closing q.  Every lane runs to a terminal state; then the
-    first errored lane *in lane order* raises — the error the scalar
-    loops, which finish every earlier chain before a later one, surface
-    first.  ``label(i, a, q)`` formats a failing lane's error prefix,
-    with *a* as given in *lane_offset* (python floats print as the
-    scalar path prints them).
-    """
+def _run_numpy(lanes: Lanes):
+    """Every lane's q-loop jointly, one round per activation count."""
     np = _np
+    tasks, resource_name, label = lanes.tasks, lanes.resource, lanes.label
+    lane_task, lane_offset = lanes.lane_task, lanes.lane_offset
     n = len(tasks)
     models = [t.event_model for t in tasks]
     names = [t.name for t in tasks]
     plan = _TermPlan([EtaTable(m) for m in models])
-    coeff_m = np.asarray(coeffs, dtype=float).reshape(n, n)
     c_max = np.asarray([t.c_max for t in tasks], dtype=float)
-    zeros = np.zeros(n)
-    block = zeros if blocking is None else np.asarray(blocking, dtype=float)
-    extra = (zeros if start_terms is None
-             else np.asarray(start_terms, dtype=float))
-    dl = None if deadlines is None else np.asarray(deadlines, dtype=float)
+    position = {id(t): k for k, t in enumerate(tasks)}
+    coeff_m = np.zeros((n, n))
+    for i, others in enumerate(lanes.interferers):
+        cols = [position[id(j)] for j in others]
+        coeff_m[i, cols] = c_max[cols]
+    block = np.asarray(lanes.blocking, dtype=float)
+    extra = np.asarray(lanes.start_terms, dtype=float)
+    dl = (np.asarray([t.deadline for t in tasks], dtype=float)
+          if lanes.capped else None)
     task_of = np.asarray(lane_task, dtype=np.intp)
     offset = np.asarray(lane_offset, dtype=float)
     n_lanes = len(task_of)
@@ -429,11 +523,11 @@ def run_lanes(tasks: Sequence, coeffs: Sequence[Sequence[float]],
     errors: List[Optional[NotSchedulableError]] = [None] * n_lanes
     dq = np.zeros(n)    # δ⁻_t(q), filled for tasks with open lanes
     dq1 = np.zeros(n)   # δ⁻_t(q + 1)
-    lanes = np.arange(n_lanes)
+    open_lanes = np.arange(n_lanes)
     q = 0
-    while len(lanes):
+    while len(open_lanes):
         q += 1
-        ti = task_of[lanes]
+        ti = task_of[open_lanes]
         live = np.zeros(n, dtype=bool)
         live[ti] = True
         for t in np.flatnonzero(live).tolist():
@@ -445,18 +539,18 @@ def run_lanes(tasks: Sequence, coeffs: Sequence[Sequence[float]],
         caps = None
         if dl is not None:
             # The scalar's association, left to right.
-            x = ((((offset[lanes] + dq[ti]) + dl[ti])[:, None] - dl)
+            x = ((((offset[open_lanes] + dq[ti]) + dl[ti])[:, None] - dl)
                  + DEADLINE_EPS)
             caps = np.full(x.shape, np.inf)
             plan.counts_matrix(x, caps, cols)
-            caps[np.arange(len(lanes)), ti] = np.inf
-        width = len(lanes)
+            caps[np.arange(len(open_lanes)), ti] = np.inf
+        width = len(open_lanes)
 
         def eval_np(ws, idxs, base=base, rows=rows, caps=caps,
                     cols=cols, dead=dead, width=width):
             # One (lane x term) counts matrix per iteration, then one
             # sequential row-cumsum: column 0 carries the base, so the
-            # running sum associates exactly like the scalar loop's
+            # running sum associates exactly like the scalar evaluator's
             # ``acc = base; acc += v_j`` (zero-coeff terms add an exact
             # +0.0, which is identity for the positive partial sums).
             if len(idxs) != width:
@@ -475,7 +569,7 @@ def run_lanes(tasks: Sequence, coeffs: Sequence[Sequence[float]],
             counts *= rows
             return np.cumsum(full, axis=1)[:, -1].tolist()
 
-        open_list = lanes.tolist()
+        open_list = open_lanes.tolist()
         values, errs, _steps = solve_round(
             (base + extra[ti]).tolist(), [hints[l] for l in open_list],
             eval_np,
@@ -493,24 +587,25 @@ def run_lanes(tasks: Sequence, coeffs: Sequence[Sequence[float]],
             busy[l].append(w)
             done.append(l)
             windows.append(w)
-        lanes = np.asarray(done, dtype=np.intp)
+        open_lanes = np.asarray(done, dtype=np.intp)
         bq = np.asarray(windows, dtype=float)
-        ti = task_of[lanes]
+        ti = task_of[open_lanes]
         response = bq - dq[ti]
-        best = r_max[lanes]
-        r_max[lanes] = np.where(response > best, response, best)
-        closed = (offset[lanes] + dq1[ti]) >= (bq - EPS)
-        q_max[lanes[closed]] = q
-        lanes = lanes[~closed]
-        if len(lanes) and q + 1 > MAX_ACTIVATIONS:
-            for l in lanes.tolist():
+        best = r_max[open_lanes]
+        r_max[open_lanes] = np.where(response > best, response, best)
+        closed = (offset[open_lanes] + dq1[ti]) >= (bq - EPS)
+        q_max[open_lanes[closed]] = q
+        open_lanes = open_lanes[~closed]
+        if len(open_lanes) and q + 1 > _busy_window.MAX_ACTIVATIONS:
+            budget = _busy_window.MAX_ACTIVATIONS
+            for l in open_lanes.tolist():
                 errors[l] = NotSchedulableError(
-                    f"busy window did not close within {MAX_ACTIVATIONS} "
+                    f"busy window did not close within {budget} "
                     f"activations", resource=resource_name,
                     task=names[lane_task[l]],
                     context={"reason": "activation_budget",
-                             "activations": MAX_ACTIVATIONS})
-            lanes = lanes[:0]
+                             "activations": budget})
+            open_lanes = open_lanes[:0]
     q_maxes = q_max.tolist()
     if _obs.enabled:
         registry = _obs.metrics()
@@ -523,11 +618,12 @@ def run_lanes(tasks: Sequence, coeffs: Sequence[Sequence[float]],
     for err in errors:
         if err is not None:
             raise err
-    return r_max.tolist(), busy, q_maxes
+    return list(zip(r_max.tolist(), busy, q_maxes))
 
 
 __all__ = [
     "EtaTable",
+    "Lanes",
     "MIN_BATCH_LANES",
     "MIN_BATCH_LOAD",
     "batch_worthwhile",

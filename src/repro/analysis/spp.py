@@ -19,16 +19,16 @@ strict ``<`` the analysis would certify response times that a real
 tie-losing execution can exceed.  This is pinned by a regression test
 (``test_spp_ties.py``), not just this comment.
 
-A resource with many tasks at high load (:func:`kernels.batch_worthwhile`)
-runs its per-task q-loops through the numpy kernel driver: one joint
-vector fixed point per activation round across all tasks of the
-resource, bit-identical to the scalar loop.  The scalar loop is the test
-reference and the only path when numpy is not installed.
+Each task's q-loop is one lane of a :class:`~repro.analysis.kernels.Lanes`
+description, built once per resource by :meth:`SPPScheduler._lanes`;
+:func:`~repro.analysis.kernels.run_lanes` evaluates it (scalar, or numpy
+rounds for many tasks at high load) and :meth:`SPPScheduler.blame`
+reads its terms off it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .._errors import NotSchedulableError
 from ..explain.blame import (
@@ -40,7 +40,6 @@ from ..explain.blame import (
     critical_activation,
 )
 from . import kernels
-from .busy_window import fixed_point, multi_activation_loop
 from .interface import Scheduler, TaskSpec
 from .results import ResourceResult, TaskResult
 
@@ -66,22 +65,26 @@ class SPPScheduler(Scheduler):
                 utilization=util)
         reuse = reuse or {}
         todo = [t for t in tasks if t.name not in reuse]
-        if kernels.batch_worthwhile(len(todo), util) and todo:
-            computed = self._analyze_batched(todo, tasks, resource_name)
-        else:
-            computed = {t.name: self._analyze_task(t, tasks, resource_name)
-                        for t in todo}
+        lanes = self._lanes(todo, tasks, resource_name)
+        computed = {task.name: TaskResult(
+                        name=task.name, r_min=task.c_min, r_max=r_max,
+                        busy_times=busy_times, q_max=q_max,
+                        details={"interferers": float(len(
+                            lanes.interferers[i]))})
+                    for task, i, (r_max, busy_times, q_max) in zip(
+                        todo, lanes.lane_task,
+                        kernels.run_lanes(lanes, len(todo), util))}
         results = {t.name: computed.get(t.name, reuse.get(t.name))
                    for t in tasks}
         return ResourceResult(resource_name, util, results)
 
     @staticmethod
     def _interferers(task: TaskSpec,
-                     tasks: Sequence[TaskSpec]) -> Sequence[TaskSpec]:
+                     tasks: Sequence[TaskSpec]) -> List[TaskSpec]:
         # <= not <: equal-priority ties conservatively interfere (see
         # module docstring).
-        return [t for t in tasks
-                if t is not task and t.priority <= task.priority]
+        priority = task.priority
+        return [t for t in tasks if t.priority <= priority and t is not task]
 
     def influence_fingerprint(self, task, tasks):
         """SPP result for *task* depends only on tasks at the same or
@@ -94,81 +97,43 @@ class SPPScheduler(Scheduler):
             return None
         return tuple(parts)
 
-    def _analyze_batched(self, todo: Sequence[TaskSpec],
-                         tasks: Sequence[TaskSpec],
-                         resource_name: str) -> Dict[str, TaskResult]:
-        """Every task's q-loop as one lane of a kernel run."""
+    def _lanes(self, todo: Sequence[TaskSpec], tasks: Sequence[TaskSpec],
+               resource_name: str) -> kernels.Lanes:
+        """One lane per task of *todo*, at offset 0: B(q) is the least
+        fixed point of ``w = (blocking + q·C⁺) + Σ_{j ∈ hp(i)}
+        η⁺_j(w)·C_j⁺``, started with one activation of each
+        interferer."""
         index = {t.name: i for i, t in enumerate(tasks)}
-        coeffs = [[0.0] * len(tasks) for _ in tasks]
+        interferers: List[Sequence[TaskSpec]] = [()] * len(tasks)
         start_terms = [0.0] * len(tasks)
-        interferer_counts = []
         for task in todo:
             i = index[task.name]
-            interferers = self._interferers(task, tasks)
-            for j in interferers:
-                coeffs[i][index[j.name]] = j.c_max
-            start_terms[i] = sum(j.c_max for j in interferers)
-            interferer_counts.append(len(interferers))
-        r_max, busy_times, q_max = kernels.run_lanes(
-            tasks, coeffs, [index[t.name] for t in todo], [0.0] * len(todo),
+            interferers[i] = others = self._interferers(task, tasks)
+            start_terms[i] = sum([j.c_max for j in others])
+        return kernels.Lanes(
+            tasks, interferers, [index[t.name] for t in todo],
+            [0.0] * len(todo),
             lambda i, a, q: f"{resource_name}/{tasks[i].name} SPP q={q}",
-            resource_name, blocking=[t.blocking for t in tasks],
-            start_terms=start_terms)
-        return {task.name: TaskResult(
-                    name=task.name, r_min=task.c_min, r_max=r_max[k],
-                    busy_times=busy_times[k], q_max=q_max[k],
-                    details={"interferers": float(interferer_counts[k])})
-                for k, task in enumerate(todo)}
-
-    def _analyze_task(self, task: TaskSpec, tasks: Sequence[TaskSpec],
-                      resource_name: str) -> TaskResult:
-        interferers = self._interferers(task, tasks)
-        last_w = [None]
-
-        def busy_time(q: int) -> float:
-            def workload(w: float) -> float:
-                demand = task.blocking + q * task.c_max
-                for j in interferers:
-                    demand += j.event_model.eta_plus(w) * j.c_max
-                return demand
-
-            start = task.blocking + q * task.c_max \
-                + sum(j.c_max for j in interferers)
-            w = fixed_point(workload, start,
-                            context=f"{resource_name}/{task.name} "
-                                    f"SPP q={q}",
-                            resource=resource_name, task=task.name,
-                            hint=last_w[0])
-            last_w[0] = w
-            return w
-
-        r_max, busy_times, q_max = multi_activation_loop(
-            task.event_model, busy_time,
-            resource=resource_name, task=task.name)
-        return TaskResult(name=task.name, r_min=task.c_min, r_max=r_max,
-                          busy_times=busy_times, q_max=q_max,
-                          details={"interferers": float(len(interferers))})
+            resource_name, [t.blocking for t in tasks], start_terms)
 
     def blame(self, task: TaskSpec, tasks: Sequence[TaskSpec],
               resource_name: str, result: TaskResult) -> Blame:
         """Decompose the WCRT at the critical activation.
 
         At the least fixed point ``B(q*) = blocking + q*·C⁺ +
-        Σ η⁺_j(B(q*))·C_j⁺`` holds with equality, so re-evaluating each
-        interferer's activation count at B(q*) recovers the exact
-        additive split.
+        Σ η⁺_j(B(q*))·C_j⁺`` holds with equality, so the task's lane
+        read at B(q*) gives the exact additive split.
         """
         busy_times = result.busy_times
         arrivals = [task.event_model.delta_min(q)
                     for q in range(1, len(busy_times) + 1)]
         q = critical_activation(busy_times, arrivals)
         bq = busy_times[q - 1]
+        lanes = self._lanes([task], tasks, resource_name)
         terms = [BlameTerm(j.name, KIND_INTERFERENCE,
-                           contribution=j.event_model.eta_plus(bq)
-                           * j.c_max,
-                           activations=j.event_model.eta_plus(bq),
+                           contribution=n * j.c_max, activations=n,
                            c_max=j.c_max)
-                 for j in self._interferers(task, tasks)]
+                 for j, _, n in lanes.counts(0, q, bq)]
         blocking = (BlameTerm(task.name, KIND_BLOCKING,
                               contribution=task.blocking)
                     if task.blocking else None)

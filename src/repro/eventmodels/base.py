@@ -36,11 +36,20 @@ from abc import ABC, abstractmethod
 from .._errors import ModelError, UnboundedStreamError
 from ..timebase import EPS, INF
 
-#: Safety cap for the generic pseudo-inverse searches: a single ``eta_plus``
-#: evaluation never considers more events than this.  Windows that would
-#: contain more events indicate a modelling error (zero-distance unbounded
-#: stream) and raise :class:`UnboundedStreamError`.
+#: Safety cap for the η⁺ searches: ``eta_plus(dt)`` raises
+#: :class:`UnboundedStreamError` exactly when η⁺(dt) would exceed this many
+#: events (δ⁻(MAX_EVENTS + 1) < dt), a modelling error such as a
+#: zero-distance unbounded stream.  Every search (the generic one below,
+#: the prefix memo's bisect, the kernels' vector tables) reads the bound
+#: from here when it runs.
 MAX_EVENTS = 1_000_000
+
+
+def unbounded_eta(model: "EventModel", dt: float) -> UnboundedStreamError:
+    """The error of an η⁺ query past :data:`MAX_EVENTS`."""
+    return UnboundedStreamError(
+        f"eta_plus({dt!r}) exceeds {MAX_EVENTS} events for {model!r}; "
+        f"the stream has no effective rate limit")
 
 
 class EventModel(ABC):
@@ -77,16 +86,14 @@ class EventModel(ABC):
         # followed by binary search is exact.
         if not self.delta_min(2) < dt:
             return 1
+        cap = MAX_EVENTS + 1
         lo = 2  # delta_min(lo) < dt holds
-        hi = 4
+        hi = min(4, cap)
         while self.delta_min(hi) < dt:
+            if hi == cap:
+                raise unbounded_eta(self, dt)
             lo = hi
-            hi *= 2
-            if hi > MAX_EVENTS:
-                raise UnboundedStreamError(
-                    f"eta_plus({dt!r}) exceeds {MAX_EVENTS} events for "
-                    f"{self!r}; the stream has no effective rate limit"
-                )
+            hi = min(2 * hi, cap)
         # invariant: delta_min(lo) < dt <= delta_min(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2

@@ -45,9 +45,10 @@ from abc import abstractmethod
 from bisect import bisect_left
 from typing import List, Sequence
 
-from .._errors import ModelError, UnboundedStreamError
+from .._errors import ModelError
 from ..timebase import INF
-from .base import MAX_EVENTS, EventModel, NullEventModel
+from . import base as _base
+from .base import EventModel, NullEventModel, unbounded_eta
 from .curves import CachedModel
 
 
@@ -101,18 +102,19 @@ class PrefixMemoModel(EventModel):
         if dt <= 0:
             return 0
         memo = self._dmin_memo
-        while memo[-1] < dt:
-            top = 2 * (len(memo) - 1)
-            if top > MAX_EVENTS:
-                raise UnboundedStreamError(
-                    f"eta_plus({dt!r}) exceeds {MAX_EVENTS} events for "
-                    f"{self!r}; the stream has no effective rate limit")
-            memo = self._fill_min(top)
+        if memo[-1] < dt:
+            cap = _base.MAX_EVENTS + 1
+            while memo[-1] < dt and len(memo) <= cap:
+                memo = self._fill_min(min(2 * (len(memo) - 1), cap))
         # Largest n with δ⁻(n) < dt.  Entries 0 and 1 are 0 < dt, so the
         # insertion point is >= 2 and the result >= 1: the generic
         # exponential + binary search of EventModel.eta_plus in one
-        # bisect.
-        return bisect_left(memo, dt) - 1
+        # bisect.  The bound is tested on the answer, so a memo that an
+        # earlier query filled past it changes nothing.
+        n = bisect_left(memo, dt) - 1
+        if n > _base.MAX_EVENTS:
+            raise unbounded_eta(self, dt)
+        return n
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent
 import bench_history  # noqa: E402
 
 
-def write_compile(out_dir, speedups, enveloped=True):
-    payload = {"cases": {f"case{i}": {"speedup": s, "identical": True}
-                         for i, s in enumerate(speedups)}}
-    doc = bench_history.envelope(payload, "compile",
+def write_soak(out_dir, rate, enveloped=True):
+    payload = {"samples_per_sec": rate, "samples": 100}
+    doc = bench_history.envelope(payload, "soak",
                                  host="h", git_sha="sha",
                                  timestamp=1.0) if enveloped else payload
-    (out_dir / "BENCH_compile.json").write_text(json.dumps(doc))
+    (out_dir / "BENCH_soak.json").write_text(json.dumps(doc))
 
 
 def write_batch(out_dir, points=64, wall=2.0, hit_rate=1.0,
@@ -33,10 +32,10 @@ def write_batch(out_dir, points=64, wall=2.0, hit_rate=1.0,
 
 class TestEnvelope:
     def test_explicit_provenance(self):
-        env = bench_history.envelope({"a": 1}, "compile", host="ci-3",
+        env = bench_history.envelope({"a": 1}, "soak", host="ci-3",
                                      git_sha="abc", timestamp=42.0)
         assert env["schema"] == bench_history.SCHEMA
-        assert env["bench"] == "compile"
+        assert env["bench"] == "soak"
         assert env["host"] == "ci-3"
         assert env["git_sha"] == "abc"
         assert env["timestamp"] == 42.0
@@ -61,13 +60,12 @@ class TestEnvelope:
         assert payload == {"x": 2} and meta == {}
 
     def test_load_artifact_tolerates_both(self, tmp_path):
-        write_compile(tmp_path, [3.0], enveloped=True)
+        write_soak(tmp_path, 3.0, enveloped=True)
         write_batch(tmp_path, enveloped=False)
-        comp = bench_history.load_artifact(
-            tmp_path / "BENCH_compile.json")
+        soak = bench_history.load_artifact(tmp_path / "BENCH_soak.json")
         batch = bench_history.load_artifact(
             tmp_path / "BENCH_batch.json")
-        assert comp["cases"]["case0"]["speedup"] == 3.0
+        assert soak["samples_per_sec"] == 3.0
         assert batch["points"] == 64
         assert bench_history.load_artifact(
             tmp_path / "missing.json") is None
@@ -111,14 +109,14 @@ def write_e2e(out_dir, **kwargs):
 
 class TestMetrics:
     def test_extractors(self):
-        comp = {"cases": {"a": {"speedup": 5.0}, "b": {"speedup": 2.0}}}
+        soak = {"samples_per_sec": 2.0}
         batch = {"points": 64, "pool_wall_seconds": 4.0,
                  "warm_cache_hit_rate": 0.95}
         metrics = bench_history.TRACKED_METRICS
-        assert metrics["compile.min_speedup"][1](comp) == 2.0
+        assert metrics["soak.samples_per_sec"][1](soak) == 2.0
         assert metrics["batch.throughput"][1](batch) == 16.0
         assert metrics["batch.warm_cache_hit_rate"][1](batch) == 0.95
-        assert metrics["compile.min_speedup"][1]({}) is None
+        assert metrics["soak.samples_per_sec"][1]({}) is None
         assert metrics["batch.throughput"][1](
             {"points": 1, "pool_wall_seconds": 0}) is None
 
@@ -136,7 +134,7 @@ class TestMetrics:
             # a smoke run is too short to compare with full runs
             assert p10.extract(e2e_document(smoke=True)) is None
         assert metrics["e2e.serve-mix.input_p10_ms"].extract({}) is None
-        assert metrics["compile.min_speedup"].better == "higher"
+        assert metrics["soak.samples_per_sec"].better == "higher"
 
     def test_e2e_metrics_follow_benchmark_definition(self):
         """Every workload x end-to-end metric of a BENCHMARK.json
@@ -174,7 +172,7 @@ class TestRecordAndCheck:
             ["--dir", str(tmp_path), "check", *extra])
 
     def test_record_appends_envelopes(self, tmp_path):
-        write_compile(tmp_path, [3.0])
+        write_soak(tmp_path, 3.0)
         write_batch(tmp_path)
         assert self.record(tmp_path) == 0
         assert self.record(tmp_path) == 0  # append, not overwrite
@@ -182,29 +180,29 @@ class TestRecordAndCheck:
             .strip().splitlines()
         assert len(lines) == 4
         benches = [json.loads(line)["bench"] for line in lines]
-        assert benches.count("compile") == 2
+        assert benches.count("soak") == 2
         assert benches.count("batch") == 2
 
     def test_check_passes_without_baseline(self, tmp_path):
-        write_compile(tmp_path, [3.0])
+        write_soak(tmp_path, 3.0)
         write_batch(tmp_path)
         assert self.check(tmp_path) == 0
         assert self.check(tmp_path, "--require-baseline") == 1
 
     def test_check_ok_within_threshold(self, tmp_path):
-        write_compile(tmp_path, [10.0])
+        write_soak(tmp_path, 10.0)
         write_batch(tmp_path, wall=2.0)
         assert self.record(tmp_path) == 0
         # 20% slower: inside the default 25% noise threshold
-        write_compile(tmp_path, [8.0])
+        write_soak(tmp_path, 8.0)
         write_batch(tmp_path, wall=2.5)
         assert self.check(tmp_path) == 0
 
     def test_check_fails_on_regression(self, tmp_path, capsys):
-        write_compile(tmp_path, [10.0])
+        write_soak(tmp_path, 10.0)
         write_batch(tmp_path, wall=2.0)
         assert self.record(tmp_path) == 0
-        write_compile(tmp_path, [10.0])
+        write_soak(tmp_path, 10.0)
         write_batch(tmp_path, wall=20.0)  # 10x slower sweep
         assert self.check(tmp_path) == 1
         err = capsys.readouterr().err
@@ -247,12 +245,12 @@ class TestRecordAndCheck:
         assert self.check(tmp_path, "--threshold", "0.5") == 1
 
     def test_baseline_is_median_of_window(self, tmp_path):
-        # history: speedups 2, 100, 100 -> median 100; current 60
+        # history: rates 2, 100, 100 -> median 100; current 60
         # regresses vs median even though it beats the oldest entry
-        for speedup in (2.0, 100.0, 100.0):
-            write_compile(tmp_path, [speedup])
+        for rate in (2.0, 100.0, 100.0):
+            write_soak(tmp_path, rate)
             assert self.record(tmp_path) == 0
-        write_compile(tmp_path, [60.0])
+        write_soak(tmp_path, 60.0)
         assert self.check(tmp_path) == 1
         # a shorter window of 1 sees only the newest entry (100)
         assert self.check(tmp_path, "--window", "1") == 1
@@ -260,9 +258,9 @@ class TestRecordAndCheck:
         assert self.check(tmp_path, "--threshold", "0.5") == 0
 
     def test_skip_last_excludes_just_recorded(self, tmp_path):
-        write_compile(tmp_path, [10.0])
+        write_soak(tmp_path, 10.0)
         assert self.record(tmp_path) == 0
-        write_compile(tmp_path, [1.0])  # big regression...
+        write_soak(tmp_path, 1.0)  # big regression...
         assert self.record(tmp_path) == 0  # ...already recorded
         # without --skip-last the regressed entry pollutes the baseline
         # (median of 10 and 1 = 5.5; 1 < 5.5*0.75 -> still fails here)
@@ -272,18 +270,18 @@ class TestRecordAndCheck:
         assert self.check(tmp_path) == 0  # nothing to check: vacuous
 
     def test_history_ignores_garbage_lines(self, tmp_path):
-        write_compile(tmp_path, [10.0])
+        write_soak(tmp_path, 10.0)
         (tmp_path / "BENCH_HISTORY.jsonl").write_text(
             "not json\n"
             '{"bench": "unknown-kind"}\n'
             + json.dumps(bench_history.envelope(
-                {"cases": {"a": {"speedup": 9.0}}}, "compile",
+                {"samples_per_sec": 9.0}, "soak",
                 host="h", git_sha="s", timestamp=1.0)) + "\n")
         history = bench_history.load_history(
             tmp_path / "BENCH_HISTORY.jsonl")
         assert len(history) == 1
         assert bench_history.baseline_for(
-            "compile.min_speedup", history) == 9.0
+            "soak.samples_per_sec", history) == 9.0
 
 
 class TestSuiteEnvelope:

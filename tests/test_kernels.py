@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro._errors import NotSchedulableError
+from repro._errors import NotSchedulableError, UnboundedStreamError
 from repro.analysis import SPPScheduler, TaskSpec
 from repro.analysis import busy_window, kernels
 from repro.eventmodels import (
@@ -22,6 +22,7 @@ from repro.eventmodels import (
     periodic,
     periodic_with_jitter,
 )
+from repro.eventmodels import base as _base
 from repro.eventmodels.base import EventModel, NullEventModel
 
 
@@ -121,6 +122,97 @@ class TestEtaTable:
         big = 10.0 * (kernels._TABLE_SEED * 8) + 5.0
         assert tab.eta_many(np.asarray([big])).tolist() == \
             [float(model.eta_plus(big))]
+
+
+# ----------------------------------------------------------------------
+# the η⁺ event budget
+# ----------------------------------------------------------------------
+#: A bound that is not a power of two: the searches' doubling brackets
+#: pass it well before η⁺ does.
+SMALL_BOUND = 3000
+
+
+def unit_stream():
+    """Θ_τ of a period-1 stream with r = [0, 0]: δ⁻(n) = n − 1, so
+    η⁺(dt) = ⌈dt⌉, and η⁺ is a search over a prefix memo."""
+    return TaskOutputModel(periodic(1.0), 0.0, 0.0)
+
+
+class TestEtaBudget:
+    """Every η⁺ search raises exactly when η⁺(dt) exceeds MAX_EVENTS,
+    whatever an earlier query left in the shared δ⁻ memo."""
+
+    @pytest.fixture(autouse=True)
+    def _small_bound(self, monkeypatch):
+        monkeypatch.setattr(_base, "MAX_EVENTS", SMALL_BOUND)
+
+    @staticmethod
+    def searches():
+        """The three searches, each as a fresh-model query."""
+        yield "generic", lambda dt: EventModel.eta_plus(unit_stream(), dt)
+        yield "prefix memo", lambda dt: unit_stream().eta_plus(dt)
+
+        def prefilled(dt):
+            model = unit_stream()
+            model.delta_min_block(2 * SMALL_BOUND)
+            return model.eta_plus(dt)
+        yield "prefix memo, filled past the bound", prefilled
+        if kernels._np is not None:
+            yield "vector table", lambda dt: int(kernels.EtaTable(
+                unit_stream()).eta_many(kernels._np.asarray([dt]))[0])
+
+    @pytest.mark.parametrize("dt, expect", [
+        (2048.5, 2049), (2999.5, SMALL_BOUND), (3000.0, SMALL_BOUND)])
+    def test_answers_up_to_the_bound(self, dt, expect):
+        for name, search in self.searches():
+            assert search(dt) == expect, name
+
+    @pytest.mark.parametrize("dt", [3000.5, 3001.0, 5000.5])
+    def test_raises_past_the_bound(self, dt):
+        for name, search in self.searches():
+            with pytest.raises(UnboundedStreamError,
+                               match=f"exceeds {SMALL_BOUND} events"):
+                search(dt)
+                pytest.fail(name)
+
+    @staticmethod
+    def resource(c_max):
+        """A unit-stream task over a long-period one: B = 2·C⁺ with
+        η⁺ = 2·C⁺ activations of the interferer."""
+        return [TaskSpec("j", 0.5, 0.5, unit_stream(), priority=1),
+                TaskSpec("i", c_max, c_max,
+                         StandardEventModel(period=1e7, jitter=0.0),
+                         priority=2)]
+
+    @staticmethod
+    def outcome(tasks, monkeypatch, numpy):
+        with monkeypatch.context() as mp:
+            if numpy:
+                mp.setattr(kernels, "MIN_BATCH_LANES", 0)
+                mp.setattr(kernels, "MIN_BATCH_LOAD", 0.0)
+            else:
+                mp.setattr(kernels, "_np", None)
+            try:
+                return SPPScheduler().analyze(tasks, "cpu")["i"].r_max
+            except UnboundedStreamError as exc:
+                return str(exc)
+
+    @pytest.mark.parametrize("c_max, expect", [
+        (1200.0, 2400.0),
+        (1600.0, f"eta_plus(3000.5) exceeds {SMALL_BOUND} events for "
+                 f"<TaskOutputModel out>; the stream has no effective "
+                 f"rate limit")])
+    def test_scalar_and_numpy_agree_in_every_order(self, monkeypatch,
+                                                   c_max, expect):
+        """Scalar alone, numpy alone, and scalar after numpy on the same
+        streams: a numpy query fills the shared memo and must not change
+        a later scalar answer."""
+        pytest.importorskip("numpy")
+        assert self.outcome(self.resource(c_max), monkeypatch,
+                            numpy=False) == expect
+        shared = self.resource(c_max)
+        assert self.outcome(shared, monkeypatch, numpy=True) == expect
+        assert self.outcome(shared, monkeypatch, numpy=False) == expect
 
 
 # ----------------------------------------------------------------------

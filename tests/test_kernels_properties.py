@@ -2,11 +2,12 @@
 dirty-set incremental re-analysis.
 
 The contract under test is exact equality, not approximation: for any
-SPP or EDF task set, the scalar loops and the numpy kernels must
-produce the same floats bit-for-bit — including busy-window sequences,
-q_max, global iteration counts, degraded-mode health maps, and
-fault-injected variants.  Likewise an incremental (memoised) sweep must
-reproduce the from-scratch results exactly after single-axis edits.
+SPP or EDF task set, the scalar and the numpy evaluators of its lane
+description must produce the same floats bit-for-bit — including
+busy-window sequences, q_max, blame terms, global iteration counts,
+degraded-mode health maps, and fault-injected variants.  Likewise an
+incremental (memoised) sweep must reproduce the from-scratch results
+exactly after single-axis edits.
 """
 
 import json
@@ -43,8 +44,8 @@ def system_digest(result):
 
 
 def run_modes(fn):
-    """Run *fn* on the scalar loops, then with every SPP/EDF resource
-    forced through the numpy kernels; both outcomes (value, or error
+    """Run *fn* on the scalar evaluator, then with every SPP/EDF resource
+    forced through the numpy evaluator; both outcomes (value, or error
     with its resource, task, message and context) must match exactly.
 
     Forcing ignores the lane/load gate even on the deliberately tiny
@@ -128,8 +129,47 @@ SCHEDULERS = {
 @given(data=st.data())
 def test_resource_bit_identity(policy, data):
     tasks = data.draw(task_sets(policy))
-    scheduler = SCHEDULERS[policy]()
-    run_modes(lambda: resource_digest(scheduler.analyze(tasks, "res")))
+    run_modes(lambda: analyse_and_blame(SCHEDULERS[policy](), tasks))
+
+
+def analyse_and_blame(scheduler, tasks):
+    """The resource digest and every task's blame, each blame checked
+    to sum to B(q*) and to r⁺: both evaluators must agree on all of
+    it."""
+    rr = scheduler.analyze(tasks, "res")
+    blames = {}
+    for task in tasks:
+        blame = scheduler.blame(task, tasks, "res", rr[task.name])
+        blame.check()
+        blames[task.name] = blame.to_dict()
+    return resource_digest(rr), blames
+
+
+def bench_shape(policy, n, theta):
+    """*n* jittery periodic tasks at 0.85 load, the large resources the
+    drawn sets above stay below; with *theta* each is activated by the
+    Θ_τ output of its stream, so every η⁺ column is a table search."""
+    tasks = []
+    for i in range(n):
+        period = 100.0 * (i + 3) + 7.0 * (i % 5)
+        em = StandardEventModel(period=period, jitter=period * 0.4,
+                                d_min=1.0 + 0.1 * i)
+        if theta:
+            em = TaskOutputModel(em, 0.1 * period, 0.3 * period)
+        cmax = 0.85 / n * period
+        kw = ({"deadline": period * 2.0} if policy == "edf"
+              else {"priority": i + 1})
+        tasks.append(TaskSpec(name=f"t{i}", event_model=em,
+                              c_min=cmax * 0.6, c_max=cmax, **kw))
+    return tasks
+
+
+@pytest.mark.parametrize("policy, n, theta", [
+    ("spp", 24, False), ("spp", 24, True), ("edf", 12, True)],
+    ids=["spp-24", "spp-24-theta", "edf-12-theta"])
+def test_large_resource_bit_identity(policy, n, theta):
+    tasks = bench_shape(policy, n, theta)
+    run_modes(lambda: analyse_and_blame(SCHEDULERS[policy](), tasks))
 
 
 class _DropsAt60(EventModel):
@@ -175,8 +215,8 @@ def test_forced_error_bit_identity(monkeypatch, case, budget, message):
     """Both paths raise the same error, message and context included:
     the batched path formats its messages only for failing lanes."""
     if budget is not None:
+        # one attribute sets the budget of both evaluators
         monkeypatch.setattr(busy_window, "MAX_ACTIVATIONS", budget)
-        monkeypatch.setattr(kernels, "MAX_ACTIVATIONS", budget)
     outcome = run_modes(lambda: resource_digest(case()))
     assert outcome[0] == "notsched"
     assert outcome[3] == message

@@ -21,7 +21,6 @@ from repro.eventmodels import (
     sporadic,
 )
 from repro.eventmodels import base as _base
-from repro.eventmodels import operations as _operations
 from repro.eventmodels.base import EventModel
 from repro.eventmodels.curves import FunctionEventModel
 from repro.eventmodels.operations import _PairwiseOrJoin
@@ -333,10 +332,9 @@ class TestPrefixMemoEta:
 
     @pytest.mark.parametrize("kind", ["theta", "or", "ijs"])
     def test_zero_distance_stream_is_unbounded(self, kind, monkeypatch):
-        # a cap of 4096 events keeps the memo small; both searches
-        # read the same cap
+        # a cap of 4096 events keeps the memo small; every search reads
+        # the cap from the base module
         monkeypatch.setattr(_base, "MAX_EVENTS", 4096)
-        monkeypatch.setattr(_operations, "MAX_EVENTS", 4096)
         burst = FunctionEventModel(lambda n: 0.0, lambda n: INF,
                                    name="burst")
         model = {"theta": TaskOutputModel(burst, 0.0, 1.0),
