@@ -6,7 +6,7 @@ cross-commit comparison needs::
 
     {
       "schema": "repro-bench/1",
-      "bench": "e2e",                # e2e | batch | suite | soak | ...
+      "bench": "e2e",                # e2e | suite | soak
       "host": "runner-3",
       "git_sha": "3f4dab3...",
       "timestamp": 1754640000.0,
@@ -30,13 +30,8 @@ from the recorded history: for each tracked metric the baseline is the
 median of the last ``--window`` history entries.  The gate fails when a
 higher-is-better metric drops more than ``--threshold`` (fractional)
 below that baseline, or a lower-is-better one rises more than its bound
-above it.  Higher is better for:
-
-* ``batch.throughput``         — points / pool wall seconds
-* ``batch.warm_cache_hit_rate``— warm-rerun store hit rate
-* ``serve.throughput``         — daemon sustained warm requests / second
-* ``soak.samples_per_sec``     — burn-in campaign sample throughput
-                                 from ``BENCH_soak.json``
+above it.  Higher is better for ``soak.samples_per_sec``, the burn-in
+campaign's sample throughput from ``BENCH_soak.json``.
 
 The repository benchmark's end-to-end metrics are read from
 ``BENCH_e2e.json`` — the document
@@ -77,9 +72,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Artefact file per bench name.
 ARTIFACTS = {
-    "batch": "BENCH_batch.json",
     "suite": "BENCH_suite.json",
-    "serve": "BENCH_serve.json",
     "soak": "BENCH_soak.json",
     "e2e": "BENCH_e2e.json",
 }
@@ -175,27 +168,6 @@ def load_artifact(path: Path) -> Optional[Dict[str, Any]]:
 # tracked metrics
 
 
-def _metric_batch_throughput(payload: Dict[str, Any]) -> Optional[float]:
-    points = payload.get("points")
-    wall = payload.get("pool_wall_seconds")
-    if (isinstance(points, (int, float)) and points
-            and isinstance(wall, (int, float)) and wall > 0):
-        return points / wall
-    return None
-
-
-def _metric_warm_hit_rate(payload: Dict[str, Any]) -> Optional[float]:
-    rate = payload.get("warm_cache_hit_rate")
-    return float(rate) if isinstance(rate, (int, float)) else None
-
-
-def _metric_serve_throughput(payload: Dict[str, Any]) -> Optional[float]:
-    rps = payload.get("sustained_rps")
-    if isinstance(rps, (int, float)) and rps > 0:
-        return float(rps)
-    return None
-
-
 def _metric_soak_throughput(payload: Dict[str, Any]) -> Optional[float]:
     rate = payload.get("samples_per_sec")
     if isinstance(rate, (int, float)) and rate > 0:
@@ -263,9 +235,6 @@ def e2e_metrics(benchmark: Dict[str, Any]) -> Dict[str, Metric]:
 #: name -> (bench artefact it reads, extractor, "higher" | "lower",
 #: bound or None).
 TRACKED_METRICS: Dict[str, Metric] = {
-    "batch.throughput": Metric("batch", _metric_batch_throughput),
-    "batch.warm_cache_hit_rate": Metric("batch", _metric_warm_hit_rate),
-    "serve.throughput": Metric("serve", _metric_serve_throughput),
     "soak.samples_per_sec": Metric("soak", _metric_soak_throughput),
 }
 TRACKED_METRICS.update(e2e_metrics(BENCHMARK))

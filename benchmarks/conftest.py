@@ -10,18 +10,18 @@ hard assertions: a benchmark run that produces the wrong shape fails.
 
 Each benchmark test additionally runs with :mod:`repro.obs` enabled and
 records a machine-readable entry (wall time, global iterations to
-convergence, event-model cache hit rate, and the full metrics snapshot)
-into a single ``BENCH_suite.json`` map in the repository root, keyed by
-test name — override the directory with the ``BENCH_OUT_DIR``
-environment variable.  The file is read-modify-written per test, so a
-partial run (``pytest benchmarks/ -k table3``) updates only the entries
-it exercised.  The standalone batch-engine benchmark
-(``benchmarks/bench_batch_speedup.py`` → ``BENCH_batch.json``) keeps
-its own file, and the repo benchmark (``benchmarks/e2e``) writes
-``BENCH_e2e.json``.  Chain sharing, the vectorized kernels and the
-incremental memo are checked by counts and bit-identity in the tier-1
-tests instead (``tests/test_compile.py``,
-``tests/test_kernels_properties.py``, ``tests/test_incremental.py``).
+convergence, the chain cache's hit rate over the test, and the full
+metrics snapshot) into a single ``BENCH_suite.json`` map in the
+repository root, keyed by test name — override the directory with the
+``BENCH_OUT_DIR`` environment variable.  The file is read-modify-written
+per test, so a partial run (``pytest benchmarks/ -k table3``) updates
+only the entries it exercised.  The repo benchmark (``benchmarks/e2e``)
+writes ``BENCH_e2e.json``.  Chain sharing, the vectorized kernels, the
+incremental memo and the batch and serve paths are checked by counts
+and bit-identity in the tier-1 tests instead
+(``tests/test_compile.py``, ``tests/test_kernels_properties.py``,
+``tests/test_incremental.py``, ``tests/test_batch_executor.py``,
+``tests/test_serve.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import pytest
 
 from bench_history import envelope, unwrap
 from repro import obs
+from repro.eventmodels import compile as _compile
 
 BENCH_OUT_DIR = Path(os.environ.get(
     "BENCH_OUT_DIR", Path(__file__).resolve().parent.parent))
@@ -47,9 +48,14 @@ def emit(title: str, body: str) -> None:
     print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
 
 
-def _cache_hit_rate(counters: dict) -> float:
-    hits = counters.get("eventmodels.cache.hits", 0)
-    misses = counters.get("eventmodels.cache.misses", 0)
+def _cache_hit_rate(before: dict) -> float:
+    """The chain cache's hit rate since its *before* stats (since its
+    last clear, when the test cleared it)."""
+    after = _compile.cache().stats()
+    hits, misses = after["hits"], after["misses"]
+    if hits >= before["hits"] and misses >= before["misses"]:
+        hits -= before["hits"]
+        misses -= before["misses"]
     total = hits + misses
     return hits / total if total else 0.0
 
@@ -70,6 +76,7 @@ def _load_suite(path: Path) -> dict:
 def bench_metrics(request):
     """Instrument every benchmark test and record it in the suite map."""
     obs.configure(enabled=True, reset=True)
+    chains = _compile.cache().stats()
     t0 = time.perf_counter()
     try:
         yield
@@ -84,7 +91,7 @@ def bench_metrics(request):
         "iterations_to_convergence":
             snapshot["gauges"].get("propagation.iterations_to_convergence"),
         "global_iterations": counters.get("propagation.iterations", 0),
-        "cache_hit_rate": _cache_hit_rate(counters),
+        "cache_hit_rate": _cache_hit_rate(chains),
         "sim_events": counters.get("sim.events", 0),
         "metrics": snapshot,
     }

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Tuple
 
-from .. import obs as _obs
 from .._errors import NotSchedulableError
 from ..timebase import EPS, time_eq
 from ..eventmodels.base import EventModel
@@ -75,7 +74,7 @@ def fixed_point(workload: Callable[[float], float], start: float,
     if WARM_START and hint is not None and hint > start:
         w = hint
         guarded = True
-    for step in range(1, MAX_FIXED_POINT_ITER + 1):
+    for _ in range(MAX_FIXED_POINT_ITER):
         w_next = workload(w)
         if w_next < w - EPS:
             if guarded:
@@ -93,11 +92,6 @@ def fixed_point(workload: Callable[[float], float], start: float,
                 context={"reason": "non_monotone_workload"})
         guarded = False
         if time_eq(w_next, w):
-            if _obs.enabled:
-                registry = _obs.metrics()
-                registry.counter("busy_window.fixed_point_calls").inc()
-                registry.histogram(
-                    "busy_window.fixed_point_iterations").observe(step)
             return w_next
         if w_next > limit:
             raise NotSchedulableError(
@@ -160,8 +154,4 @@ def multi_activation_loop(
                 f"activations", resource=resource, task=task,
                 context={"reason": "activation_budget",
                          "activations": MAX_ACTIVATIONS})
-    if _obs.enabled:
-        registry = _obs.metrics()
-        registry.counter("busy_window.windows").inc()
-        registry.histogram("busy_window.activations").observe(q)
     return r_max, busy_times, q

@@ -55,7 +55,6 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Optional, Sequence
 
-from .. import obs as _obs
 from .._errors import ModelError, NotSchedulableError
 from ..explain.blame import (
     KIND_INTERFERENCE,
@@ -219,13 +218,11 @@ class EDFScheduler(Scheduler):
                                         out), key=lambda lane: lane[0]):
                 task = tasks[i]
                 best = (task.c_max, [task.c_max], 1, 0.0)
-                count = 0
                 for _, a, (r_max, busy_times, q_max) in group:
-                    count += 1
                     r_a = r_max - a  # measured from i's arrival
                     if r_a > best[0]:
                         best = (r_a, busy_times, q_max, a)
-                computed[task.name] = self._task_result(task, count, *best)
+                computed[task.name] = self._task_result(task, *best)
         results = {t.name: computed.get(t.name, reuse.get(t.name))
                    for t in tasks}
         return ResourceResult(resource_name, util, results)
@@ -259,17 +256,11 @@ class EDFScheduler(Scheduler):
             resource_name, zeros, zeros, True, error)
 
     @staticmethod
-    def _task_result(task: TaskSpec, candidates: int, r_max: float,
+    def _task_result(task: TaskSpec, r_max: float,
                      busy_times: "list[float]", q_max: int,
                      offset: float) -> TaskResult:
         """The result at the critical candidate offset, which
         :meth:`blame` reads back from ``details["offset"]``."""
-        if _obs.enabled:
-            registry = _obs.metrics()
-            registry.counter("edf.tasks_analyzed").inc()
-            registry.histogram("edf.candidate_offsets").observe(candidates)
-            registry.histogram("edf.busy_window_activations").observe(
-                q_max)
         return TaskResult(name=task.name, r_min=task.c_min, r_max=r_max,
                           busy_times=busy_times, q_max=q_max,
                           details={"offset": offset})

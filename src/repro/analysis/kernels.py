@@ -62,7 +62,6 @@ from __future__ import annotations
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .. import obs as _obs
 from .._errors import NotSchedulableError
 from ..eventmodels import base as _base
 from ..eventmodels.base import EventModel, NullEventModel, unbounded_eta
@@ -401,17 +400,6 @@ def solve_round(starts: Sequence[float], hints: Sequence[Optional[float]],
             f"iterations", resource=resource_name, task=task_names[i],
             context={"reason": "fixed_point_budget",
                      "iterations": budget})
-    if _obs.enabled:
-        registry = _obs.metrics()
-        registry.counter("kernel.batches").inc()
-        registry.counter("kernels.vector_lanes").inc(n)
-        registry.histogram("kernel.batch_lanes").observe(n)
-        converged = registry.counter("busy_window.fixed_point_calls")
-        it_hist = registry.histogram("busy_window.fixed_point_iterations")
-        for i in range(n):
-            if results[i] is not None:
-                converged.inc()
-                it_hist.observe(steps[i])
     return results, errors, steps
 
 
@@ -606,19 +594,10 @@ def _run_numpy(lanes: Lanes):
                     context={"reason": "activation_budget",
                              "activations": budget})
             open_lanes = open_lanes[:0]
-    q_maxes = q_max.tolist()
-    if _obs.enabled:
-        registry = _obs.metrics()
-        windows_closed = registry.counter("busy_window.windows")
-        act_hist = registry.histogram("busy_window.activations")
-        for err, lane_q in zip(errors, q_maxes):
-            if err is None:
-                windows_closed.inc()
-                act_hist.observe(lane_q)
     for err in errors:
         if err is not None:
             raise err
-    return list(zip(r_max.tolist(), busy, q_maxes))
+    return list(zip(r_max.tolist(), busy, q_max.tolist()))
 
 
 __all__ = [

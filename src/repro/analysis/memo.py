@@ -125,7 +125,8 @@ class LocalAnalysisMemo:
                 ) -> Tuple[ResourceResult, Dict[str, int]]:
         """Run (or reuse) the local analysis; returns ``(result, info)``
         with ``info = {"reused_tasks": n, "computed_tasks": m,
-        "resource_hit": 0|1}``."""
+        "resource_hit": 0|1, "activations": a}``, *a* the activations
+        the computed tasks' busy windows examined (Σ ``q_max``)."""
         self.analyses += 1
         self.tasks_total += len(specs)
         fp = resource_fingerprint(scheduler, specs)
@@ -135,7 +136,8 @@ class LocalAnalysisMemo:
             result = self._full[fp]
             self.task_reuses += len(result.task_results)
             return result, {"reused_tasks": len(result.task_results),
-                            "computed_tasks": 0, "resource_hit": 1}
+                            "computed_tasks": 0, "resource_hit": 1,
+                            "activations": 0}
         reuse: Dict[str, Any] = {}
         influence: Dict[str, Tuple] = {}
         if fp is not None:
@@ -165,7 +167,11 @@ class LocalAnalysisMemo:
         self.task_reuses += len(reuse)
         return result, {"reused_tasks": len(reuse),
                         "computed_tasks": len(specs) - len(reuse),
-                        "resource_hit": 0}
+                        "resource_hit": 0,
+                        "activations": sum(
+                            tr.q_max for name, tr
+                            in result.task_results.items()
+                            if name not in reuse)}
 
     def stats(self) -> Dict[str, int]:
         return {"analyses": self.analyses,

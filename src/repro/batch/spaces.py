@@ -12,8 +12,7 @@ DesignSpace`:
   frame-packing axis of the design space.
 * :func:`bench_space` — a mid-cost pipeline system sized so that one
   point costs tens of milliseconds: large enough for process fan-out to
-  win, small enough that a 64-point sweep stays interactive.  Used by
-  ``benchmarks/bench_batch_speedup.py``.
+  win, small enough that a 64-point sweep stays interactive.
 """
 
 from __future__ import annotations

@@ -29,9 +29,11 @@ Setting the module attribute :data:`enabled` to False makes
 reference path that the ``compiled-lazy-identical`` contract and the
 tests compare against.
 
-Observability (when :mod:`repro.obs` is enabled): the
-``compile.cache.hits`` / ``compile.cache.misses`` counters, one per
-cache lookup.
+Observability: the cache counts its own lookups,
+:meth:`CompilationCache.stats` (hits, misses, entries), whether
+telemetry is on or not; the convergence report footer, the trace CLI
+and ``GET /metrics`` read those counts where they show them.  A lookup
+writes no telemetry.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Type
 
-from .. import obs as _obs
 from .base import EventModel, NullEventModel
 from .combinators import _IntersectionModel, _UnionModel
 from .curves import CachedModel, CurveEventModel
@@ -270,9 +271,6 @@ def maybe_compile(model: EventModel) -> EventModel:
     if fp is None:
         return model
     shared = _cache.get(fp)
-    if _obs.enabled:
-        _obs.metrics().counter("compile.cache.misses" if shared is None
-                               else "compile.cache.hits").inc()
     if shared is None:
         _cache.put(fp, model)
         _carry(model, "_shared", True)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
-from .. import obs as _obs
 from .._errors import ModelError
 from ..timebase import INF
 from .base import EventModel
@@ -186,7 +185,9 @@ class CachedModel(EventModel):
     Derived models (OR-joins, Θ_τ outputs, inner updates) recompute their
     δ values recursively; busy-window analyses evaluate the same δ(n) many
     times.  Wrapping a derived model in :class:`CachedModel` makes these
-    evaluations O(1) after first touch without changing semantics.
+    evaluations O(1) after first touch without changing semantics.  A
+    δ query writes no telemetry: the sharing worth counting is the chain
+    cache's (:mod:`repro.eventmodels.compile`), which counts itself.
     """
 
     # _fp, _shared: the carried fingerprint and shared-chain mark (see
@@ -211,23 +212,15 @@ class CachedModel(EventModel):
     def delta_min(self, n: int) -> float:
         v = self._dmin_cache.get(n)
         if v is None:
-            if _obs.enabled:
-                _obs.metrics().counter("eventmodels.cache.misses").inc()
             v = self._inner.delta_min(n)
             self._dmin_cache[n] = v
-        elif _obs.enabled:
-            _obs.metrics().counter("eventmodels.cache.hits").inc()
         return v
 
     def delta_plus(self, n: int) -> float:
         v = self._dplus_cache.get(n)
         if v is None:
-            if _obs.enabled:
-                _obs.metrics().counter("eventmodels.cache.misses").inc()
             v = self._inner.delta_plus(n)
             self._dplus_cache[n] = v
-        elif _obs.enabled:
-            _obs.metrics().counter("eventmodels.cache.hits").inc()
         return v
 
     def delta_min_block(self, n_max: int) -> list:

@@ -7,17 +7,24 @@ The pieces:
   per-iteration convergence spans.  It keeps no finished span: each
   one is published on the bus as a single record.
 * :mod:`repro.obs.metrics` — counters, gauges, and histograms behind a
-  create-on-first-use registry (cache hit rates, fixed-point iteration
-  counts, simulator throughput).
+  create-on-first-use registry; the engine's metrics are derived from
+  its records (:data:`~repro.obs.metrics.RECORD_METRICS`).
 * :mod:`repro.obs.export` — JSONL trace reader, JSON metrics
   exporter, and the Chrome/Perfetto trace-event converter.
 * :mod:`repro.obs.bus` — process-global streaming event bus that span,
-  metric, batch-lifecycle, convergence-residual, and guard-verdict
-  events publish through *while a run is in flight*.
+  metric, batch-lifecycle and engine-record events publish through
+  *while a run is in flight*.
 * :mod:`repro.obs.sinks` / :mod:`repro.obs.aggregate` — pluggable bus
   subscribers: the JSONL/Chrome trace exporters and the
   :class:`LiveAggregator` behind the batch progress line and the
   ``python -m repro top`` monitor (:mod:`repro.obs.top`).
+
+The analysis engine reports each of its events — a global iteration, a
+local analysis, a divergence-guard verdict, a quarantine — as one
+record through :func:`emit`.  It writes no metric, span attribute or bus
+event besides, and it keeps its own effort counts (the chain cache's
+hits, the numpy kernels' lanes, the memos' reuse) where they happen:
+:func:`engine_stats` reads them where they are shown.
 
 Observability is **off by default** and the disabled fast path is a
 single module-attribute check — instrumented call sites are written as::
@@ -25,7 +32,7 @@ single module-attribute check — instrumented call sites are written as::
     from .. import obs as _obs
     ...
     if _obs.enabled:
-        _obs.metrics().counter("eventmodels.cache.hits").inc()
+        _obs.metrics().counter("serve.requests").inc()
 
 so no string is formatted and no dict is allocated unless tracing was
 explicitly requested via :func:`configure`.
@@ -49,6 +56,7 @@ or from the shell: ``python -m repro trace examples/quickstart.py``.
 from __future__ import annotations
 
 import sys
+from typing import Any, Dict, Optional
 
 from .aggregate import LiveAggregator
 from .bus import BUS, EventBus
@@ -123,9 +131,57 @@ def get_bus() -> EventBus:
     return BUS
 
 
+def emit(kind: str, record: Dict[str, Any],
+         span: Optional[Span] = None) -> None:
+    """Emit one engine record, once, to every consumer.
+
+    *kind* is ``"iteration"``, ``"local_analysis"``, ``"guard"`` or
+    ``"quarantine"``.  The record's fields become *span*'s attributes
+    (without a span, a *kind* event on the current span); the registry
+    folds it through :data:`~repro.obs.metrics.RECORD_METRICS`; and
+    while any sink is subscribed it is published as one
+    ``{"type": kind, ...}`` bus event.  The engine calls it only while
+    :data:`enabled` is on.
+    """
+    if span is None:
+        span = _tracer.current()
+        if span is not None:
+            span.event(kind, **record)
+    else:
+        span.set(**record)
+    _metrics.fold(kind, record)
+    if BUS.active:
+        BUS.publish({"type": kind, **record})
+
+
+def engine_stats() -> Dict[str, float]:
+    """The counts the engine keeps itself, read where they are shown
+    (the :class:`~repro.viz.ConvergenceReport` footer, the trace CLI,
+    ``GET /metrics``): the chain cache's hits, misses and entries, the
+    numpy kernels' rounds and lanes, and the named memos' task reuse
+    rate."""
+    from ..analysis import kernels
+    from ..analysis.memo import memo_pool_stats
+    from ..eventmodels.compile import cache
+
+    chains = cache().stats()
+    lanes = kernels.stats()
+    pools = memo_pool_stats().values()
+    tasks = sum(p["tasks_total"] for p in pools)
+    return {"compile.cache.hits": chains["hits"],
+            "compile.cache.misses": chains["misses"],
+            "compile.cache.entries": chains["entries"],
+            "kernels.batches": lanes["batches"],
+            "kernels.lanes": lanes["lanes"],
+            "memo.reuse_rate": (sum(p["task_reuses"] for p in pools) / tasks
+                                if tasks else 0.0)}
+
+
 __all__ = [
     "enabled",
     "configure",
+    "emit",
+    "engine_stats",
     "disable",
     "is_enabled",
     "get_tracer",

@@ -12,8 +12,8 @@ telemetry of a running sweep into one compact aggregate:
 * cache hit rate, throughput over a sliding completion window, and an
   ETA estimator for the remaining points;
 * engine effort of executed points, from the ``JobResult.obs``
-  channel (global iterations, event-model cache hits, span counts;
-  see :func:`effort_summary`);
+  channel (global iterations and span counts; see
+  :func:`effort_summary`);
 * per-system convergence residual trends from ``iteration`` events
   (serial/in-process runs — pool workers publish in their own
   processes, so their residuals arrive post-hoc via the job summary);
@@ -53,9 +53,6 @@ def effort_summary(obs: Mapping[str, Any]) -> Dict[str, int]:
     counters = obs.get("metrics", {}).get("counters", {})
     return {
         "iterations": counters.get("propagation.iterations", 0),
-        "model_cache_hits": counters.get("eventmodels.cache.hits", 0),
-        "model_cache_misses": counters.get(
-            "eventmodels.cache.misses", 0),
         "spans": obs.get("spans", 0),
     }
 
@@ -92,8 +89,6 @@ class LiveAggregator:
         self._recent: "Deque[float]" = deque(maxlen=THROUGHPUT_WINDOW)
         # engine effort (worker deltas + in-process iteration events)
         self.iterations = 0
-        self.model_cache_hits = 0
-        self.model_cache_misses = 0
         self.worker_spans = 0
         # residual trends per system, insertion-ordered with eviction
         self.residuals: "Dict[str, Deque[Tuple[int, float]]]" = {}
@@ -187,9 +182,6 @@ class LiveAggregator:
         summary = event.get("obs")
         if summary:
             self.iterations += summary.get("iterations", 0)
-            self.model_cache_hits += summary.get("model_cache_hits", 0)
-            self.model_cache_misses += summary.get(
-                "model_cache_misses", 0)
             self.worker_spans += summary.get("spans", 0)
 
     def _fold_iteration(self, event: Dict[str, Any]) -> None:
@@ -272,8 +264,6 @@ class LiveAggregator:
                 "duration_sum": self.duration_sum,
                 "duration_max": self.duration_max,
                 "iterations": self.iterations,
-                "model_cache_hits": self.model_cache_hits,
-                "model_cache_misses": self.model_cache_misses,
                 "worker_spans": self.worker_spans,
                 "residuals": residuals,
                 "guard_verdicts": list(self.guard_verdicts),
@@ -351,14 +341,9 @@ class LiveAggregator:
             lines.append(f"job wall: mean {mean:.3f}s  "
                          f"max {snap['duration_max']:.3f}s  "
                          f"({snap['executed']} executed)")
-        if snap["iterations"] or snap["model_cache_hits"]:
-            total_q = (snap["model_cache_hits"]
-                       + snap["model_cache_misses"])
-            rate = (snap["model_cache_hits"] / total_q
-                    if total_q else 0.0)
+        if snap["iterations"] or snap["worker_spans"]:
             lines.append(
                 f"engine: {snap['iterations']} global iterations  "
-                f"model cache {100.0 * rate:.0f}%  "
                 f"worker spans {snap['worker_spans']}")
         for system, trend in list(snap["residuals"].items())[-4:]:
             if not trend:

@@ -1,9 +1,9 @@
 """Process-global event bus: the streaming side of ``repro.obs``.
 
-Spans, metrics, batch-job lifecycles, per-iteration convergence
-residuals, and divergence-guard verdicts all *publish* plain-dict
-events through one :class:`EventBus`; pluggable *sinks* subscribe and
-fold or forward them (see :mod:`repro.obs.sinks`).  Where the metrics
+Spans, metrics, batch-job lifecycles and the analysis engine's
+records all *publish* plain-dict events through one
+:class:`EventBus`; pluggable *sinks* subscribe and fold or forward
+them (see :mod:`repro.obs.sinks`).  Where the metrics
 registry answers "what happened" after a run, the bus answers "what is
 happening" while it runs — it is the seam a live monitor
 (:mod:`repro.obs.top`), a progress line (:mod:`repro.batch.cli`), a
@@ -28,12 +28,13 @@ must skip unknown types so the vocabulary can grow.  The core types:
     sweep start/end envelopes, one ``job`` event per unique point
     (cached or executed, any status), one ``job_retry`` per transient
     failure sent back to the queue.
-``iteration``
-    One global fixed-point iteration of
+``iteration`` / ``local_analysis`` / ``guard`` / ``quarantine``
+    The engine's records (:func:`repro.obs.emit`), one event each: a
+    global fixed-point iteration of
     :func:`repro.system.propagation.analyze_system` with its
-    convergence residuals.
-``guard``
-    A :class:`repro.resilience.guards.DivergenceGuard` verdict.
+    convergence residuals, a local analysis with the busy windows it
+    computed, a :class:`repro.resilience.guards.DivergenceGuard`
+    verdict, a degraded run's quarantine.
 ``soak``
     Burn-in campaign lifecycle from :mod:`repro.soak.campaign`:
     ``phase`` is ``start``/``end`` (campaign envelopes), ``sample``

@@ -4,8 +4,8 @@ Runs an example script (or the built-in paper system) with
 observability enabled and a span-only :class:`JsonlEventSink` attached,
 so every span finished during the run lands in the JSONL trace; then
 prints the convergence report of any global fixed-point runs and
-summarises the headline metrics (iterations, cache hit rate,
-fixed-point effort)::
+summarises the headline figures (the chain cache's hits, the busy
+windows the local analyses computed, batch jobs)::
 
     python -m repro trace examples/quickstart.py
     python -m repro trace rox08 --out rox08.trace.jsonl --metrics m.json
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import configure, get_bus, get_tracer, metrics
+from . import configure, engine_stats, get_bus, get_tracer, metrics
 from .export import metrics_to_json, read_jsonl
 from .sinks import JsonlEventSink
 
@@ -95,17 +95,18 @@ def trace_main(argv: Optional[Sequence[str]] = None) -> int:
     if report.rows:
         print(report.render())
 
-    snapshot = registry.snapshot()
-    counters = snapshot["counters"]
-    hits = counters.get("eventmodels.cache.hits", 0)
-    misses = counters.get("eventmodels.cache.misses", 0)
+    counters = registry.snapshot()["counters"]
+    engine = engine_stats()
+    hits = engine["compile.cache.hits"]
+    misses = engine["compile.cache.misses"]
     if hits + misses:
-        print(f"event-model cache: {hits} hits / {misses} misses "
-              f"({hits / (hits + misses):.1%} hit rate)")
-    fp = snapshot["histograms"].get("busy_window.fixed_point_iterations")
-    if fp and fp["count"]:
-        print(f"busy-window fixed points: {fp['count']} solves, "
-              f"mean {fp['mean']:.1f} iterations, p99 {fp['p99']:.0f}")
+        print(f"chain cache: {hits} hits / {misses} misses "
+              f"({hits / (hits + misses):.1%} hit rate), "
+              f"{engine['compile.cache.entries']} chains")
+    windows = counters.get("busy_window.windows", 0)
+    if windows:
+        print(f"busy windows: {windows} computed, "
+              f"{counters.get('busy_window.activations', 0)} activations")
     submitted = counters.get("batch.jobs.submitted", 0)
     batch_hits = counters.get("batch.cache.hits", 0)
     if submitted or batch_hits:

@@ -4,9 +4,14 @@ All instruments are create-on-first-use through the
 :class:`MetricsRegistry` so call sites never need registration
 boilerplate::
 
-    obs.metrics().counter("eventmodels.cache.hits").inc()
-    with obs.metrics().histogram("propagation.local_seconds").time_block():
-        scheduler.analyze(...)
+    obs.metrics().counter("serve.requests").inc()
+    with obs.metrics().histogram("serve.request_seconds").time_block():
+        handle(request)
+
+The analysis engine writes no instrument by hand: each of its events is
+one record (:func:`repro.obs.emit`), and :meth:`MetricsRegistry.fold`
+derives the engine's metrics from the records through one table,
+:data:`RECORD_METRICS`.
 
 Instrument objects are cheap plain-Python holders; the registry hands
 out the same object for the same name, so hot call sites may keep a
@@ -182,6 +187,44 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count}>"
 
 
+#: How each engine record folds into the registry: per record kind,
+#: ``(instrument, name, value)`` triples, *value* mapping the record to
+#: the amount to add, set or observe (``None``: leave the instrument
+#: alone).  A dict amount updates one instrument per key, named
+#: ``name.format(key)``.  The record fields are listed in
+#: ``docs/observability.md``.
+RECORD_METRICS = {
+    "iteration": (
+        ("counter", "propagation.iterations", lambda r: 1),
+        ("gauge", "propagation.iterations_to_convergence",
+         lambda r: r["iteration"] if r["converged"] else None),
+        ("counter", "propagation.junction.{}", lambda r: r["junctions"]),
+        ("gauge", "resilience.failed_resources",
+         lambda r: (r["failed_resources"] if r["mode"] == "degraded"
+                    else None)),
+    ),
+    "local_analysis": (
+        ("histogram", "propagation.local_analysis_seconds",
+         lambda r: r["duration"]),
+        ("counter", "busy_window.windows", lambda r: r["windows"]),
+        ("counter", "busy_window.activations",
+         lambda r: r["activations"]),
+    ),
+    "guard": (
+        ("counter", "propagation.divergence_detected", lambda r: 1),
+    ),
+    "quarantine": (
+        ("counter", "resilience.quarantines", lambda r: 1),
+        ("counter", "resilience.widenings", lambda r: r["widenings"]),
+        ("gauge", "resilience.failed_resources",
+         lambda r: r["failed_resources"]),
+    ),
+}
+
+#: The update method of each instrument type.
+_UPDATE = {"counter": "inc", "gauge": "set", "histogram": "observe"}
+
+
 class MetricsRegistry:
     """Namespace of instruments, create-on-first-use, kind-checked."""
 
@@ -212,6 +255,20 @@ class MetricsRegistry:
             with self._lock:
                 h = self._histograms.setdefault(name, Histogram(name))
         return h
+
+    def fold(self, kind: str, record: Dict[str, Any]) -> None:
+        """Update the instruments :data:`RECORD_METRICS` maps a *kind*
+        record to."""
+        for instrument, name, value in RECORD_METRICS[kind]:
+            amount = value(record)
+            if amount is None:
+                continue
+            items = (amount.items() if isinstance(amount, dict)
+                     else ((None, amount),))
+            for key, v in items:
+                target = getattr(self, instrument)(
+                    name if key is None else name.format(key))
+                getattr(target, _UPDATE[instrument])(v)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -293,15 +293,10 @@ class _DegradePolicy:
                 resource_results[name] = rr
         result = SystemResult(iterations=iterations, converged=converged,
                               resource_results=resource_results)
-        outcome = AnalysisOutcome(result=result, resources=self.health,
-                                  certificates=self.certificates,
-                                  verdicts=self.verdicts,
-                                  iterations=iterations,
-                                  converged=converged)
-        if _obs.enabled:
-            _obs.metrics().gauge("resilience.failed_resources").set(
-                len(outcome.failed_resources()))
-        return outcome
+        return AnalysisOutcome(result=result, resources=self.health,
+                               certificates=self.certificates,
+                               verdicts=self.verdicts,
+                               iterations=iterations, converged=converged)
 
     # --- quarantine ---------------------------------------------------
     def quarantine(self, resource_name: str, kind: str,
@@ -311,15 +306,12 @@ class _DegradePolicy:
         record.error = str(exc)
         record.error_type = type(exc).__name__
         record.context = dict(getattr(exc, "context", None) or {})
-        if _obs.enabled:
-            _obs.metrics().counter("resilience.quarantines").inc()
-            _obs.get_tracer().event(
-                "resilience.quarantine", resource=resource_name,
-                health=kind, error_type=record.error_type)
+        self._emit(resource_name)
         task_results = {}
         for t in self.system.tasks_on(resource_name):
             model, cert = widen_overload(t, kind)
-            self._substitute(t, model, cert)
+            self.substitutes[t.name] = model
+            self.certificates.append(cert)
             task_results[t.name] = TaskResult(
                 name=t.name, r_min=t.c_min, r_max=INF, degraded=True)
         utilization = getattr(exc, "utilization", None)
@@ -339,16 +331,13 @@ class _DegradePolicy:
         record.context = {"verdict": verdict.verdict,
                           "iteration": verdict.iteration,
                           "detail": verdict.detail}
-        if _obs.enabled:
-            _obs.metrics().counter("resilience.quarantines").inc()
-            _obs.get_tracer().event(
-                "resilience.quarantine", resource=resource_name,
-                health=HEALTH_DIVERGED, verdict=verdict.verdict)
+        self._emit(resource_name)
         task_results = {}
         for t in self.system.tasks_on(resource_name):
             model, cert, r_lo, r_hi = widen_diverged(
                 t, resolver, self.history.get(t.name, []))
-            self._substitute(t, model, cert)
+            self.substitutes[t.name] = model
+            self.certificates.append(cert)
             task_results[t.name] = TaskResult(
                 name=t.name, r_min=r_lo, r_max=r_hi, degraded=True,
                 details={"frozen": 1.0})
@@ -357,9 +346,15 @@ class _DegradePolicy:
             prev_rr.utilization if prev_rr is not None else float("nan"),
             task_results, health=HEALTH_DIVERGED)
 
-    def _substitute(self, task: Task, model: EventModel,
-                    cert: ConservativenessCertificate) -> None:
-        self.substitutes[task.name] = model
-        self.certificates.append(cert)
+    def _emit(self, resource_name: str) -> None:
+        """The record of *resource_name*'s quarantine, with telemetry on:
+        its health, the widenings it is about to install (one per task)
+        and how many resources have failed so far."""
         if _obs.enabled:
-            _obs.metrics().counter("resilience.widenings").inc()
+            record = self.health[resource_name]
+            _obs.emit("quarantine", {
+                "system": self.system.name, "resource": resource_name,
+                "health": record.health, "error_type": record.error_type,
+                "widenings": len(self.system.tasks_on(resource_name)),
+                "failed_resources": sum(not health.ok for health
+                                        in self.health.values())})

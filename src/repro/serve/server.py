@@ -625,7 +625,9 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     def metrics_text(self) -> str:
         """The ``GET /metrics`` body: refresh scrape-time gauges, then
-        render the whole registry as OpenMetrics text."""
+        render the whole registry, plus the engine's own counts
+        (:func:`repro.obs.engine_stats`) as gauges, as OpenMetrics
+        text."""
         if _obs.enabled:
             registry = _obs.metrics()
             gauge = registry.gauge
@@ -637,25 +639,9 @@ class ServeDaemon:
                 time.monotonic() - self.started_at)
             gauge("bus.sinks").set(len(_BUS))
             gauge("bus.swallowed_sink_errors").set(_BUS.sink_errors)
-            try:
-                from ..eventmodels.compile import cache
-                stats = cache().stats()
-                total = stats["hits"] + stats["misses"]
-                gauge("compile.cache_hit_rate").set(
-                    stats["hits"] / total if total else 0.0)
-                gauge("compile.cache_entries").set(stats["entries"])
-            except Exception:
-                pass
-            try:
-                from ..analysis.memo import memo_pool_stats
-                pools = memo_pool_stats().values()
-                tasks = sum(p["tasks_total"] for p in pools)
-                reuses = sum(p["task_reuses"] for p in pools)
-                gauge("memo.reuse_rate").set(
-                    reuses / tasks if tasks else 0.0)
-            except Exception:
-                pass
-        return _openmetrics.render_registry(_obs.metrics())
+        state = _obs.metrics().export_state()
+        state["gauges"].update(_obs.engine_stats())
+        return _openmetrics.render_state(state)
 
     # ------------------------------------------------------------------
     # health

@@ -19,11 +19,12 @@ and propagated event models are stable.
 
 from __future__ import annotations
 
+import time
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Set
 
 from .. import obs as _obs
 from .._errors import ConvergenceError, ModelError
-from ..obs.bus import BUS as _BUS
 from ..analysis.interface import TaskSpec
 from ..analysis.memo import AnalysisMemo, spec_fingerprint
 from ..analysis.results import ResourceResult, SystemResult, TaskResult
@@ -70,7 +71,9 @@ class _StreamResolver:
     recorded.
 
     ``read_seed`` turns True once a dependency cycle was cut with a
-    model of ``initial_outputs``.
+    model of ``initial_outputs``.  ``junctions`` counts the junctions
+    resolved, per kind; the global loop points it at one tally per
+    iteration, which the iteration's record carries.
     """
 
     def __init__(self, system: System,
@@ -86,6 +89,7 @@ class _StreamResolver:
         self._cache: "Dict[str, EventModel]" = {}
         self._visiting: Set[str] = set()
         self.read_seed = False
+        self.junctions: Dict[str, int] = {}
 
     def _record(self, port: str, kind: str, inputs=(), **attrs) -> None:
         self._lineage[port] = LineageNode(port, kind, tuple(inputs), attrs)
@@ -121,6 +125,8 @@ class _StreamResolver:
     # ------------------------------------------------------------------
     def _resolve_junction(self, junction: Junction,
                           port: str) -> EventModel:
+        kind = junction.kind.value
+        self.junctions[kind] = self.junctions.get(kind, 0) + 1
         key = f"junction:{junction.name}"
         if key in self._visiting:
             raise ModelError(
@@ -272,19 +278,6 @@ class _StreamResolver:
                          priority=t.priority, slot=t.slot,
                          deadline=t.deadline, blocking=t.blocking)
                 for t in tasks]
-
-
-class _TracedStreamResolver(_StreamResolver):
-    """A resolver that also counts and traces every junction it
-    resolves (the telemetry of an ``obs``-enabled iteration)."""
-
-    def _resolve_junction(self, junction: Junction,
-                          port: str) -> EventModel:
-        kind = junction.kind.name.lower()
-        _obs.metrics().counter(f"propagation.junction.{kind}").inc()
-        _obs.get_tracer().event("junction", junction=junction.name,
-                                kind=kind, port=port)
-        return super()._resolve_junction(junction, port)
 
 
 def _converged_resolver(system: System, result,
@@ -466,27 +459,31 @@ def _global_fixed_point(system: System, policy, max_iterations: int,
 def _local_analysis(resource, specs, memo: "Optional[AnalysisMemo]"):
     """One resource's local analysis, through the memo when present.
 
+    With telemetry on it runs inside a ``local_analysis`` span and, when
+    it succeeds, emits its record: the analysis, its memo reuse and the
+    busy windows it computed (a memo hit or a reused task adds none).
     Returns ``(ResourceResult, info)`` where ``info`` is the memo's
     reuse accounting (``None`` without a memo).
     """
-    if memo is None:
-        return resource.scheduler.analyze(specs, resource.name), None
-    return memo.resource_memo(resource.name).analyze(
-        resource.scheduler, specs, resource.name)
-
-
-def _traced_local_analysis(resource, specs,
-                           memo: "Optional[AnalysisMemo]"):
-    """:func:`_local_analysis` inside a ``local_analysis`` span."""
-    with _obs.get_tracer().span(
-            "local_analysis", resource=resource.name,
-            policy=resource.scheduler.policy, tasks=len(specs)) as span:
-        rr, info = _local_analysis(resource, specs, memo)
-        span.set(utilization=rr.utilization)
-        if info is not None:
-            span.set(**info)
-    _obs.metrics().histogram(
-        "propagation.local_analysis_seconds").observe(span.duration)
+    with (_obs.get_tracer().span("local_analysis") if _obs.enabled
+          else nullcontext()) as span:
+        if memo is None:
+            rr, info = resource.scheduler.analyze(specs, resource.name), None
+        else:
+            rr, info = memo.resource_memo(resource.name).analyze(
+                resource.scheduler, specs, resource.name)
+        if span is not None:
+            record = {"resource": resource.name,
+                      "policy": resource.scheduler.policy,
+                      "tasks": len(specs), "utilization": rr.utilization,
+                      "duration": time.perf_counter() - span.start}
+            if info is None:
+                record["windows"] = len(specs)
+                record["activations"] = sum(
+                    tr.q_max for tr in rr.task_results.values())
+            else:
+                record.update(info, windows=info["computed_tasks"])
+            _obs.emit("local_analysis", record, span)
     return rr, info
 
 
@@ -501,7 +498,9 @@ def _iterate(system: System, policy, max_iterations: int,
              initial_outputs: "Optional[Dict[str, EventModel]]",
              guard, memo: "Optional[AnalysisMemo]"):
     """Run the loop; returns ``(iterations, converged,
-    resource_results)`` for ``policy.finish``."""
+    resource_results)`` for ``policy.finish``.  With telemetry on, each
+    iteration runs in a ``global_iteration`` span and emits one record,
+    plus one per guard verdict."""
     responses: "Dict[str, TaskResult]" = {}
     prev_models: "Dict[str, EventModel]" = {}
     cycle_seeds: "Dict[str, EventModel]" = dict(initial_outputs or {})
@@ -519,25 +518,23 @@ def _iterate(system: System, policy, max_iterations: int,
                                              system=system.name,
                                              iteration=iteration)
                      if _obs.enabled else None)
-        resolver_type = (_StreamResolver if iter_span is None
-                         else _TracedStreamResolver)
+        # This iteration's junction resolutions, per kind (its record's
+        # ``junctions``): both its resolvers count into it.
+        junctions: Dict[str, int] = {}
         try:
             # Last iteration's propagation resolver, when it serves
             # exactly what a fresh one would (see below), already holds
             # every port of these responses.
-            if type(handoff) is resolver_type:
-                resolver = handoff
-            else:
-                resolver = resolver_type(system, responses, cycle_seeds,
-                                         substitutes)
+            resolver = (handoff if handoff is not None
+                        else _StreamResolver(system, responses, cycle_seeds,
+                                             substitutes))
+            resolver.junctions = junctions
 
             # Local analysis per resource (through the incremental memo
             # when one is attached — same inputs, reused outputs).  A
             # quarantined resource keeps its substituted outputs, and
             # without a memo a resource whose specs fingerprint as last
             # iteration's keeps last iteration's result.
-            analyze = (_local_analysis if iter_span is None
-                       else _traced_local_analysis)
             new_resource_results: "Dict[str, ResourceResult]" = {}
             new_spec_keys: "Dict[str, tuple]" = {}
             dirty_resources = reused_tasks = kept_resources = 0
@@ -553,7 +550,7 @@ def _iterate(system: System, policy, max_iterations: int,
                         rr, info = resource_results[resource.name], None
                         kept_resources += 1
                     else:
-                        rr, info = analyze(resource, specs, memo)
+                        rr, info = _local_analysis(resource, specs, memo)
                 except policy.errors as exc:
                     policy.analysis_failed(resource.name, exc)
                     continue
@@ -582,8 +579,9 @@ def _iterate(system: System, policy, max_iterations: int,
 
             # Propagate: compute every task's output model with the *new*
             # responses and compare with the previous iteration's models.
-            resolver = resolver_type(system, responses, cycle_seeds,
-                                     substitutes)
+            resolver = _StreamResolver(system, responses, cycle_seeds,
+                                       substitutes)
+            resolver.junctions = junctions
             new_models: "Dict[str, EventModel]" = {}
             for task_name, task in system.tasks.items():
                 try:
@@ -602,17 +600,13 @@ def _iterate(system: System, policy, max_iterations: int,
             handoff = (resolver if not policy.errors
                        and not resolver.read_seed else None)
 
-            if iter_span is None:
-                models_stable = _models_stable(prev_models, new_models)
-            else:
-                changed = _changed_ports(prev_models, new_models)
-                models_stable = (not changed
-                                 and set(prev_models) == set(new_models))
+            models_stable = _models_stable(prev_models, new_models)
             converged = stable and models_stable
             if iter_span is not None:
-                # One record per iteration, fanned out to the span, the
-                # iteration counter and the event bus.
+                changed = ([] if models_stable
+                           else _changed_ports(prev_models, new_models))
                 record = {
+                    "system": system.name, "iteration": iteration,
                     "mode": policy.mode, **residual_info,
                     "responses_stable": stable,
                     "models_stable": models_stable,
@@ -620,16 +614,15 @@ def _iterate(system: System, policy, max_iterations: int,
                     "unstable_models": len(changed),
                     "changed_ports": changed,
                     "widened_ports": sorted(substitutes),
+                    "failed_resources": len({system.tasks[port].resource
+                                             for port in substitutes}),
                     "kept_resources": kept_resources,
+                    "junctions": dict(junctions),
                 }
                 if memo is not None:
                     record["dirty_resources"] = dirty_resources
                     record["reused_tasks"] = reused_tasks
-                iter_span.set(**record)
-                _obs.metrics().counter("propagation.iterations").inc()
-                if _BUS.active:
-                    _BUS.publish({"type": "iteration", "system": system.name,
-                                  "iteration": iteration, **record})
+                _obs.emit("iteration", record, iter_span)
             if converged:
                 break
 
@@ -639,17 +632,12 @@ def _iterate(system: System, policy, max_iterations: int,
                     models_stable)
                 if verdict is not None:
                     if iter_span is not None:
-                        record = {"verdict": verdict.verdict,
-                                  "iteration": iteration,
-                                  "detail": verdict.detail,
-                                  "mode": policy.mode}
-                        _obs.metrics().counter(
-                            "propagation.divergence_detected").inc()
-                        _obs.get_tracer().event("divergence_detected",
-                                                **record)
-                        if _BUS.active:
-                            _BUS.publish({"type": "guard",
-                                          "system": system.name, **record})
+                        _obs.emit("guard", {
+                            "system": system.name,
+                            "verdict": verdict.verdict,
+                            "iteration": iteration,
+                            "detail": verdict.detail,
+                            "mode": policy.mode})
                     if policy.diverged(verdict, residual_info, prev_models,
                                        new_models, resolver,
                                        resource_results):
@@ -658,22 +646,6 @@ def _iterate(system: System, policy, max_iterations: int,
         finally:
             if iter_span is not None:
                 iter_span.finish()
-
-    if converged and _obs.enabled:
-        metrics = _obs.metrics()
-        metrics.gauge("propagation.iterations_to_convergence").set(
-            iteration)
-        cache_stats = _compile.cache().stats()
-        cache_total = cache_stats["hits"] + cache_stats["misses"]
-        if cache_total:
-            metrics.gauge("compile.cache_hit_rate").set(
-                cache_stats["hits"] / cache_total)
-        if memo is not None:
-            memo_stats = memo.stats()
-            metrics.gauge("memo.reuse_rate").set(memo_stats["reuse_rate"])
-            if _BUS.active:
-                _BUS.publish({"type": "incremental", "system": system.name,
-                              "iterations": iteration, **memo_stats})
     return iteration, converged, resource_results
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..obs import engine_stats
 from .tables import render_table
 
 #: Span name the propagation loop uses for one global iteration.
@@ -34,15 +35,6 @@ RESILIENCE_COUNTERS = (
     "propagation.divergence_detected",
     "batch.retries",
     "batch.poisoned",
-)
-
-#: Engine-efficiency metrics (counter or gauge) surfaced on their own
-#: footer line: how much work the vector kernels batched, how much the
-#: incremental memo and the shared-chain cache reused.
-ENGINE_METRICS = (
-    "kernels.vector_lanes",
-    "memo.reuse_rate",
-    "compile.cache_hit_rate",
 )
 
 
@@ -61,7 +53,7 @@ class ConvergenceReport:
         #: Resilience/batch counter values captured at build time
         #: (counter name -> value; only nonzero ones are rendered).
         self.counters = dict(counters or {})
-        #: Engine-efficiency metric values (see :data:`ENGINE_METRICS`).
+        #: The engine's own counts (:func:`repro.obs.engine_stats`).
         self.engine = dict(engine or {})
 
     # ------------------------------------------------------------------
@@ -70,8 +62,9 @@ class ConvergenceReport:
                      registry=None) -> "ConvergenceReport":
         """Build from span records (see :func:`repro.obs.read_jsonl`);
         pass a :class:`repro.obs.metrics.MetricsRegistry` as *registry*
-        to also capture the resilience/batch counters and the engine
-        metrics into the report footer."""
+        to also capture its resilience/batch counters and the engine's
+        own counts (:func:`repro.obs.engine_stats`: chain cache, numpy
+        kernels, memo reuse) into the report footer."""
         rows = []
         for record in records:
             if record.get("type") == "span" \
@@ -81,18 +74,11 @@ class ConvergenceReport:
         counters = {}
         engine = {}
         if registry is not None:
-            snapshot = registry.snapshot()
-            counter_values = snapshot.get("counters", {})
+            counter_values = registry.snapshot().get("counters", {})
             counters = {name: counter_values[name]
                         for name in RESILIENCE_COUNTERS
                         if counter_values.get(name)}
-            gauge_values = snapshot.get("gauges", {})
-            for name in ENGINE_METRICS:
-                value = counter_values.get(name)
-                if value is None:
-                    value = gauge_values.get(name)
-                if value is not None:
-                    engine[name] = value
+            engine = engine_stats()
         return cls(rows, counters, engine)
 
     # ------------------------------------------------------------------

@@ -164,7 +164,8 @@ class TestWorkerObsMerging:
         # (they were recorded in child processes whose registries died)
         assert counters["analysis.jobs.analyze"] == 4
         assert counters["propagation.iterations"] > 0
-        assert counters["busy_window.fixed_point_calls"] > 0
+        assert counters["busy_window.windows"] > 0
+        assert counters["busy_window.activations"] > 0
         assert counters["batch.worker.spans"] > 0
         # worker histograms merge as raw samples
         assert snap["histograms"][

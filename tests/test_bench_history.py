@@ -20,16 +20,6 @@ def write_soak(out_dir, rate, enveloped=True):
     (out_dir / "BENCH_soak.json").write_text(json.dumps(doc))
 
 
-def write_batch(out_dir, points=64, wall=2.0, hit_rate=1.0,
-                enveloped=True):
-    payload = {"points": points, "pool_wall_seconds": wall,
-               "warm_cache_hit_rate": hit_rate}
-    doc = bench_history.envelope(payload, "batch", host="h",
-                                 git_sha="sha",
-                                 timestamp=1.0) if enveloped else payload
-    (out_dir / "BENCH_batch.json").write_text(json.dumps(doc))
-
-
 class TestEnvelope:
     def test_explicit_provenance(self):
         env = bench_history.envelope({"a": 1}, "soak", host="ci-3",
@@ -45,28 +35,28 @@ class TestEnvelope:
         monkeypatch.setenv("BENCH_HOST", "runner-7")
         monkeypatch.setenv("BENCH_GIT_SHA", "deadbeef")
         monkeypatch.setenv("BENCH_TIMESTAMP", "123.5")
-        env = bench_history.envelope({}, "batch")
+        env = bench_history.envelope({}, "soak")
         assert env["host"] == "runner-7"
         assert env["git_sha"] == "deadbeef"
         assert env["timestamp"] == 123.5
 
     def test_unwrap_enveloped_and_legacy(self):
-        env = bench_history.envelope({"x": 2}, "batch", host="h",
+        env = bench_history.envelope({"x": 2}, "e2e", host="h",
                                      git_sha="s", timestamp=1.0)
         payload, meta = bench_history.unwrap(env)
         assert payload == {"x": 2}
-        assert meta["bench"] == "batch" and "payload" not in meta
+        assert meta["bench"] == "e2e" and "payload" not in meta
         payload, meta = bench_history.unwrap({"x": 2})
         assert payload == {"x": 2} and meta == {}
 
     def test_load_artifact_tolerates_both(self, tmp_path):
         write_soak(tmp_path, 3.0, enveloped=True)
-        write_batch(tmp_path, enveloped=False)
+        write_e2e(tmp_path, p10=12.5)  # run.py writes it un-enveloped
         soak = bench_history.load_artifact(tmp_path / "BENCH_soak.json")
-        batch = bench_history.load_artifact(
-            tmp_path / "BENCH_batch.json")
+        e2e = bench_history.load_artifact(tmp_path / "BENCH_e2e.json")
         assert soak["samples_per_sec"] == 3.0
-        assert batch["points"] == 64
+        assert e2e["results"][0]["metrics"]["input_p10_ms"]["value"] \
+            == 12.5
         assert bench_history.load_artifact(
             tmp_path / "missing.json") is None
 
@@ -110,15 +100,15 @@ def write_e2e(out_dir, **kwargs):
 class TestMetrics:
     def test_extractors(self):
         soak = {"samples_per_sec": 2.0}
-        batch = {"points": 64, "pool_wall_seconds": 4.0,
-                 "warm_cache_hit_rate": 0.95}
         metrics = bench_history.TRACKED_METRICS
         assert metrics["soak.samples_per_sec"][1](soak) == 2.0
-        assert metrics["batch.throughput"][1](batch) == 16.0
-        assert metrics["batch.warm_cache_hit_rate"][1](batch) == 0.95
         assert metrics["soak.samples_per_sec"][1]({}) is None
-        assert metrics["batch.throughput"][1](
-            {"points": 1, "pool_wall_seconds": 0}) is None
+        assert metrics["soak.samples_per_sec"][1](
+            {"samples_per_sec": 0}) is None
+        assert metrics["soak.samples_per_sec"][1](
+            {"samples_per_sec": "fast"}) is None
+        assert not [name for name in metrics
+                    if name.startswith(("batch.", "serve."))]
 
     def test_e2e_extractors(self):
         metrics = bench_history.TRACKED_METRICS
@@ -173,7 +163,7 @@ class TestRecordAndCheck:
 
     def test_record_appends_envelopes(self, tmp_path):
         write_soak(tmp_path, 3.0)
-        write_batch(tmp_path)
+        write_e2e(tmp_path)
         assert self.record(tmp_path) == 0
         assert self.record(tmp_path) == 0  # append, not overwrite
         lines = (tmp_path / "BENCH_HISTORY.jsonl").read_text() \
@@ -181,32 +171,34 @@ class TestRecordAndCheck:
         assert len(lines) == 4
         benches = [json.loads(line)["bench"] for line in lines]
         assert benches.count("soak") == 2
-        assert benches.count("batch") == 2
+        assert benches.count("e2e") == 2
 
     def test_check_passes_without_baseline(self, tmp_path):
         write_soak(tmp_path, 3.0)
-        write_batch(tmp_path)
+        write_e2e(tmp_path)
         assert self.check(tmp_path) == 0
         assert self.check(tmp_path, "--require-baseline") == 1
 
     def test_check_ok_within_threshold(self, tmp_path):
         write_soak(tmp_path, 10.0)
-        write_batch(tmp_path, wall=2.0)
+        write_e2e(tmp_path, p10=40.0)
         assert self.record(tmp_path) == 0
-        # 20% slower: inside the default 25% noise threshold
+        # 20% slower: inside the default 25% noise threshold and the
+        # e2e metric's 25% bound
         write_soak(tmp_path, 8.0)
-        write_batch(tmp_path, wall=2.5)
+        write_e2e(tmp_path, p10=48.0)
         assert self.check(tmp_path) == 0
 
     def test_check_fails_on_regression(self, tmp_path, capsys):
         write_soak(tmp_path, 10.0)
-        write_batch(tmp_path, wall=2.0)
+        write_e2e(tmp_path, p10=40.0)
         assert self.record(tmp_path) == 0
-        write_soak(tmp_path, 10.0)
-        write_batch(tmp_path, wall=20.0)  # 10x slower sweep
+        write_soak(tmp_path, 1.0)  # 10x fewer samples per second
+        write_e2e(tmp_path, p10=40.0)
         assert self.check(tmp_path) == 1
         err = capsys.readouterr().err
-        assert "batch.throughput" in err
+        assert "soak.samples_per_sec" in err
+        assert "e2e." not in err
 
     def test_check_flags_e2e_rise(self, tmp_path, capsys):
         write_e2e(tmp_path, p10=40.0, rss=80.0)

@@ -124,8 +124,6 @@ class TestAggregateMatchesStore:
         assert aggregator.cache_hit_rate == 1.0
         # a cached point spent no engine effort in this run
         assert aggregator.iterations == 0
-        assert aggregator.model_cache_hits == 0
-        assert aggregator.model_cache_misses == 0
         assert aggregator.worker_spans == 0
 
     def test_failures_streamed(self, tmp_path):

@@ -355,22 +355,35 @@ class TestChromeExport:
             "global_iteration", "local_analysis"}
         assert all(e["dur"] >= 0.0 for e in complete)
 
-    def test_rox08_trace_carries_junction_instants(self, obs_on, tmp_path):
-        """The sink carries span events: the 20 junction instants of
-        RoX08 HEM, one per junction resolution, beside its 6 spans
-        (3 global iterations, 3 local analyses: the resources an
-        iteration keeps have none)."""
+    def test_rox08_trace_carries_junction_counts(self, obs_on, tmp_path):
+        """Each span carries its record: RoX08 HEM's 3 global iterations
+        count its 20 junction resolutions per kind, beside 3 local
+        analyses (the resources an iteration keeps have none); a
+        healthy strict run records no point event."""
         payload = chrome_trace(
             tmp_path / "t.json",
             lambda: analyze_system(build_system("hem")),
             t0=get_tracer().t0)
         phases = [e["ph"] for e in payload["traceEvents"]]
         assert phases.count("X") == 6
-        assert phases.count("i") == 20
+        assert phases.count("i") == 0
+        iterations = [e["args"] for e in payload["traceEvents"]
+                      if e["name"] == "global_iteration"]
+        local = [e["args"] for e in payload["traceEvents"]
+                 if e["name"] == "local_analysis"]
+        assert len(iterations) == len(local) == 3
+        per_kind = {}
+        for args in iterations:
+            for kind, n in args["junctions"].items():
+                per_kind[kind] = per_kind.get(kind, 0) + n
+        assert per_kind == {"pack": 8, "unpack": 12}
         counters = metrics().snapshot()["counters"]
-        assert phases.count("i") == sum(
-            v for k, v in counters.items()
-            if k.startswith("propagation.junction."))
+        assert per_kind == {
+            k[len("propagation.junction."):]: v
+            for k, v in counters.items()
+            if k.startswith("propagation.junction.")}
+        assert sum(args["windows"] for args in local) \
+            == counters["busy_window.windows"] == 8
 
 
 class TestEngineIntegration:
@@ -393,16 +406,20 @@ class TestEngineIntegration:
         assert all(r["parent_id"] is not None for r in local)
 
     def test_analyze_system_emits_metrics(self, obs_on):
+        from repro.eventmodels import compile as emc
+
+        emc.cache().clear()
         analyze_system(build_system("hem"))
         snap = metrics().snapshot()
         assert snap["counters"]["propagation.iterations"] >= 2
-        # With curve compilation on (the default) chain memoisation moves
-        # from CachedModel to the compile fingerprint cache.
-        assert (snap["counters"].get("compile.cache.hits", 0) > 0
-                or snap["counters"].get("eventmodels.cache.hits", 0) > 0)
+        # The chain cache counts its own hits; the engine pushes no copy.
+        assert obs.engine_stats()["compile.cache.hits"] > 0
+        assert not [n for n in snap["counters"]
+                    if n.startswith(("compile.", "eventmodels."))]
         assert snap["counters"]["propagation.junction.pack"] > 0
         assert snap["counters"]["propagation.junction.unpack"] > 0
-        assert snap["counters"]["busy_window.fixed_point_calls"] > 0
+        assert snap["counters"]["busy_window.windows"] > 0
+        assert snap["counters"]["busy_window.activations"] > 0
         assert snap["histograms"][
             "propagation.local_analysis_seconds"]["count"] > 0
         assert snap["gauges"]["propagation.iterations_to_convergence"] \
@@ -443,16 +460,18 @@ class TestEngineIntegration:
 
     def test_engine_metrics_footer(self, obs_on, force_batching,
                                    span_records):
+        lanes = obs.engine_stats()["kernels.lanes"]
         analyze_system(build_system("hem"))
         report = ConvergenceReport.from_records(span_records,
                                                 registry=metrics())
-        snap = metrics().snapshot()
-        assert snap["counters"]["kernels.vector_lanes"] > 0
-        assert "compile.cache_hit_rate" in snap["gauges"]
+        # The footer reads the engine's own counts, fresh.
+        assert report.engine == obs.engine_stats()
+        assert report.engine["kernels.lanes"] > lanes
+        assert report.engine["compile.cache.hits"] > 0
         text = report.render()
         assert "engine:" in text
-        assert "kernels.vector_lanes=" in text
-        assert "compile.cache_hit_rate=" in text
+        assert "kernels.lanes=" in text
+        assert "compile.cache.hits=" in text
 
     def test_engine_footer_absent_without_registry(self, obs_on,
                                                    span_records):

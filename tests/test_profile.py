@@ -70,6 +70,27 @@ class TestSamplingProfiler:
         assert profiler.samples == 0
         assert profiler.collapsed() == ""
 
+    def test_sampling_rate_bounds_its_cost(self):
+        """The sampler's cost is its sample count: one stack walk per
+        tick, so at 100 Hz a busy thread gets at most hz × elapsed + 1
+        samples however hot it runs."""
+        stop = threading.Event()
+        worker = threading.Thread(target=_busy_wait, args=(stop,),
+                                  daemon=True)
+        worker.start()
+        try:
+            with SamplingProfiler(hz=100,
+                                  threads={worker.ident}) as profiler:
+                deadline = time.monotonic() + 10.0
+                while (profiler.samples < 20
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+        finally:
+            stop.set()
+            worker.join()
+        assert 20 <= profiler.samples \
+            <= profiler.hz * profiler.duration + 1
+
     def test_stop_is_clean_and_idempotent(self):
         profiler = SamplingProfiler(hz=500).start()
         assert profiler.running
