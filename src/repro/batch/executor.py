@@ -13,7 +13,9 @@ lists:
 Both enforce the per-job timeout (pre-emptively via ``SIGALRM`` inside
 :func:`~repro.batch.jobs.run_job` where the platform allows, post-hoc
 otherwise) and both capture failures as ``failed`` results instead of
-raising, so a sweep always runs to completion.
+raising, so a sweep always runs to completion.  Both pass every
+finished attempt through :func:`finish_attempt`, so a job's metrics
+reach the process registry one way, whichever backend ran it.
 
 :class:`BatchRunner` ties a backend to a persistent
 :class:`~repro.batch.store.ResultStore`: results stored as ``ok`` are
@@ -86,32 +88,43 @@ def _enforce_budget(job: Job, result: JobResult) -> JobResult:
     return result
 
 
+def finish_attempt(job: Job, result: JobResult) -> JobResult:
+    """The one step every finished attempt takes, on every backend:
+    apply the post-hoc budget, then fold the attempt's ``obs`` into the
+    process registry (its spans as ``batch.worker.spans``) unless it
+    timed out, and re-publish shipped span records under a ``worker``
+    tag (their own Chrome/Perfetto lane)."""
+    result = _enforce_budget(job, result)
+    if not result.obs:
+        return result
+    span_records = result.obs.pop("span_records", ())
+    if result.status != STATUS_TIMEOUT:
+        registry = _obs.metrics()
+        registry.merge_delta(result.obs["metrics"])
+        if result.obs["spans"]:
+            registry.counter("batch.worker.spans").inc(result.obs["spans"])
+    worker = str(result.obs["pid"])
+    for record in span_records:
+        record["worker"] = worker
+        _BUS.publish(record)
+    return result
+
+
 class SerialBackend:
-    """Run jobs one after another in the calling process."""
+    """Run jobs one after another in the calling process, each finished
+    attempt through :func:`finish_attempt`."""
 
     name = "serial"
     workers = 1
-    #: Serial jobs write straight into the parent registry, so their
-    #: ``obs`` deltas must NOT be merged back (double counting).
-    merges_worker_obs = False
 
     def run(self, jobs: Sequence[Job], on_result: OnResult) -> None:
         for job in jobs:
-            # Serial jobs record metrics live in the parent registry.
-            # A timed-out job's side effects must not survive — least
-            # of all on the post-hoc path (no SIGALRM available, e.g.
-            # off the main thread), where the job ran to completion
-            # unguarded before being declared over budget.
-            mark = _obs.metrics().mark() if _obs.enabled else None
-            result = run_job(job)
-            enforced = _enforce_budget(job, result)
-            if mark is not None and enforced.status == STATUS_TIMEOUT:
-                _obs.metrics().discard_since(mark)
-            on_result(enforced)
+            on_result(finish_attempt(job, run_job(job)))
 
 
 class ProcessPoolBackend:
-    """Fan jobs out across worker processes.
+    """Fan jobs out across worker processes; each result carries its
+    job's metrics back, and :func:`finish_attempt` folds them here.
 
     Parameters
     ----------
@@ -124,9 +137,6 @@ class ProcessPoolBackend:
     """
 
     name = "process"
-    #: Worker registries die with their process; the runner folds each
-    #: result's ``obs`` delta into the parent registry.
-    merges_worker_obs = True
 
     def __init__(self, workers: int, mp_context=None):
         if workers < 1:
@@ -142,7 +152,7 @@ class ProcessPoolBackend:
         # Workers ship their span records only when some sink here will
         # take them; a forked worker drops the sinks it inherited, so
         # each record reaches them once, re-published by the parent.
-        ship = _obs.enabled and _BUS.span_interest
+        ship = _obs.enabled and _BUS.wants("span")
         with ProcessPoolExecutor(max_workers=self.workers,
                                  mp_context=self._mp_context,
                                  initializer=_drop_inherited_sinks) as pool:
@@ -159,7 +169,7 @@ class ProcessPoolBackend:
                         job.key, job.kind, job.label, STATUS_FAILED,
                         error=f"{type(exc).__name__}: {exc}",
                         traceback=traceback.format_exc())
-                on_result(_enforce_budget(job, result))
+                on_result(finish_attempt(job, result))
 
 
 def _drop_inherited_sinks() -> None:
@@ -275,7 +285,7 @@ class BatchRunner:
             registry.counter("batch.jobs.submitted").inc(len(to_run))
             registry.gauge("batch.workers").set(
                 getattr(self.backend, "workers", 1))
-            if _BUS.active:
+            if _BUS.wants("sweep"):
                 _BUS.publish({
                     "type": "sweep", "phase": "start",
                     "total": len(unique), "cached": len(report.cached),
@@ -283,6 +293,7 @@ class BatchRunner:
                     "workers": getattr(self.backend, "workers", 1),
                     "backend": getattr(self.backend, "name", "?"),
                 })
+            if _BUS.wants("job"):
                 # Cache hits never reach the backend, so their
                 # lifecycle events are published up front.
                 for key in report.order:
@@ -295,7 +306,6 @@ class BatchRunner:
         retry_queue: "List[Job]" = []
 
         def record(result: JobResult) -> None:
-            span_records = result.obs.pop("span_records", None)
             if self.store is not None:
                 self.store.put(result)
             report.results[result.key] = result
@@ -317,20 +327,7 @@ class BatchRunner:
                     registry.counter("batch.poisoned").inc()
                 registry.histogram("batch.job_seconds").observe(
                     result.duration)
-                if result.obs and getattr(self.backend,
-                                          "merges_worker_obs", False):
-                    registry.merge_delta(result.obs.get("metrics", {}))
-                    spans = result.obs.get("spans", 0)
-                    if spans:
-                        registry.counter("batch.worker.spans").inc(spans)
-                    # The worker tag puts shipped spans on their own
-                    # Chrome/Perfetto lane, apart from the parent's
-                    # threads.
-                    worker = str(result.obs.get("pid", "?"))
-                    for span_record in span_records or ():
-                        span_record["worker"] = worker
-                        _BUS.publish(span_record)
-                if _BUS.active:
+                if _BUS.wants("job"):
                     _publish_job(result, cached=False)
             if progress is not None:
                 progress(result)
@@ -354,7 +351,7 @@ class BatchRunner:
                 retry_queue.append(unique[key])
                 if _obs.enabled:
                     _obs.metrics().counter("batch.retries").inc()
-                    if _BUS.active:
+                    if _BUS.wants("job_retry"):
                         _BUS.publish({
                             "type": "job_retry", "key": key,
                             "label": result.label,
@@ -390,7 +387,7 @@ class BatchRunner:
             report.wall = time.perf_counter() - t0
             if self.store is not None:
                 self.store.close()
-            if _obs.enabled and _BUS.active:
+            if _obs.enabled and _BUS.wants("sweep"):
                 _BUS.publish({
                     "type": "sweep", "phase": "end",
                     "total": report.total, "wall": report.wall,

@@ -118,13 +118,12 @@ class Job:
 class JobResult:
     """Outcome of executing one :class:`Job`.
 
-    ``obs`` carries the worker-side observability delta when the job ran
-    with ``repro.obs`` enabled: a ``"metrics"``
-    :meth:`~repro.obs.metrics.MetricsRegistry.delta_since` payload and a
-    ``"spans"`` count of spans the job finished.  Being a plain dict it
-    crosses the process boundary with the rest of the result; the
-    :class:`~repro.batch.executor.BatchRunner` folds it into the parent
-    registry for pool backends.
+    ``obs`` carries what the job alone recorded when it ran with
+    ``repro.obs`` enabled: its registry's ``"metrics"`` (an
+    :meth:`~repro.obs.metrics.MetricsRegistry.as_delta` payload), the
+    ``"spans"`` it finished and the ``"pid"`` that ran it.  A plain
+    dict, it crosses the process boundary with the rest of the result;
+    :func:`repro.batch.executor.finish_attempt` folds it.
 
     ``attempts``/``history`` are filled in by the retry machinery:
     ``attempts`` counts executions of this job in the producing run, and
@@ -226,68 +225,60 @@ class JobTimeout(Exception):
 def run_job(job: Job, ship_spans: bool = False) -> JobResult:
     """Execute *job*, capturing errors and wall time; never raises.
 
-    With observability enabled, the metrics recorded while the job ran
-    (and the number of spans it finished) are attached to the result as
-    a serialisable ``obs`` delta, so pool workers — whose registries die
-    with the process — still report back to the parent.  With
+    With observability enabled the job runs in a
+    :func:`~repro.obs.context.job_scope`, and the result's ``obs``
+    carries what it recorded there, whichever process ran it.  With
     *ship_spans* the job's span records (collected by a bus sink
     subscribed for this job only) travel along as
     ``obs["span_records"]`` for the parent to re-publish.
     """
-    fn = _JOB_KINDS.get(job.kind)
-    t0 = time.perf_counter()
-    mark = None
-    spans_before = 0
+    if not _obs.enabled:
+        return _run(job)
     span_records: "Optional[list]" = None
-    if _obs.enabled:
-        registry = _obs.metrics()
-        mark = registry.mark()
-        spans_before = _obs.get_tracer().finished_count
-        registry.counter(f"analysis.jobs.{job.kind}").inc()
-        if ship_spans:
-            span_records = []
-            collect = span_records.append
-            _obs.get_bus().subscribe(collect, interests=("span",))
-
-    def finish(result: JobResult) -> JobResult:
-        rid = _obs_context.current_request_id()
-        if rid:
-            result.request_id = rid
+    if ship_spans:
+        span_records = []
+        collect = span_records.append
+        _obs.get_bus().subscribe(collect, interests=("span",))
+    try:
+        with _obs_context.job_scope() as scope:
+            scope.registry.counter(f"analysis.jobs.{job.kind}").inc()
+            result = _run(job)
+    finally:
         if span_records is not None:
             _obs.get_bus().unsubscribe(collect)
-        if mark is not None and _obs.enabled:
-            result.obs = {
-                "metrics": _obs.metrics().delta_since(mark),
-                "spans": _obs.get_tracer().finished_count - spans_before,
-                "pid": os.getpid(),
-            }
-            if span_records:
-                result.obs["span_records"] = span_records
-        return result
+    result.obs = {"metrics": scope.registry.as_delta(),
+                  "spans": scope.spans, "pid": os.getpid()}
+    if span_records:
+        result.obs["span_records"] = span_records
+    return result
 
+
+def _run(job: Job) -> JobResult:
+    """:func:`run_job` without the telemetry."""
+    result = JobResult(job.key, job.kind, job.label, STATUS_OK,
+                       request_id=_obs_context.current_request_id())
+    fn = _JOB_KINDS.get(job.kind)
     if fn is None:
-        return finish(JobResult(
-            job.key, job.kind, job.label, STATUS_FAILED,
-            error=f"unknown job kind {job.kind!r} "
-                  f"(known: {', '.join(job_kinds())})"))
+        result.status = STATUS_FAILED
+        result.error = (f"unknown job kind {job.kind!r} "
+                        f"(known: {', '.join(job_kinds())})")
+        return result
+    t0 = time.perf_counter()
     _JOB_OPTIONS.value = dict(job.options)
     try:
-        data = _call_with_timeout(fn, dict(job.payload), job.timeout)
+        result.data = _call_with_timeout(fn, dict(job.payload),
+                                         job.timeout)
     except JobTimeout:
-        return finish(JobResult(
-            job.key, job.kind, job.label, STATUS_TIMEOUT,
-            error=f"job exceeded timeout of {job.timeout}s",
-            duration=time.perf_counter() - t0))
+        result.status = STATUS_TIMEOUT
+        result.error = f"job exceeded timeout of {job.timeout}s"
     except Exception as exc:
-        return finish(JobResult(
-            job.key, job.kind, job.label, STATUS_FAILED,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback.format_exc(),
-            duration=time.perf_counter() - t0))
+        result.status = STATUS_FAILED
+        result.error = f"{type(exc).__name__}: {exc}"
+        result.traceback = traceback.format_exc()
     finally:
         _JOB_OPTIONS.value = None
-    return finish(JobResult(job.key, job.kind, job.label, STATUS_OK,
-                            data=data, duration=time.perf_counter() - t0))
+    result.duration = time.perf_counter() - t0
+    return result
 
 
 def _call_with_timeout(fn, payload: "Dict[str, Any]",

@@ -258,9 +258,11 @@ class ResultStore:
             self._indexed_size = 0
 
     def close(self) -> None:
-        """Checkpoint the index; the store stays usable afterwards."""
+        """Checkpoint the index if anything was put since the last
+        checkpoint; the store stays usable afterwards."""
         with self._lock:
-            self._write_index()
+            if self._puts_since_checkpoint:
+                self._write_index()
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "ResultStore":

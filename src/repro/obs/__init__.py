@@ -8,12 +8,17 @@ The pieces:
   one is published on the bus as a single record.
 * :mod:`repro.obs.metrics` — counters, gauges, and histograms behind a
   create-on-first-use registry; the engine's metrics are derived from
-  its records (:data:`~repro.obs.metrics.RECORD_METRICS`).
+  its records (:data:`~repro.obs.metrics.RECORD_METRICS`).  The process
+  has one registry and each running job one of its own
+  (:mod:`repro.obs.context`): :func:`metrics` answers with the job's
+  inside a job, and the backend that ran the job folds it into the
+  process registry when the attempt finishes.
 * :mod:`repro.obs.export` — JSONL trace reader, JSON metrics
   exporter, and the Chrome/Perfetto trace-event converter.
 * :mod:`repro.obs.bus` — process-global streaming event bus that span,
-  metric, batch-lifecycle and engine-record events publish through
-  *while a run is in flight*.
+  batch-lifecycle and engine-record events publish through *while a
+  run is in flight*; each publisher asks :meth:`EventBus.wants` for its
+  event type first.
 * :mod:`repro.obs.sinks` / :mod:`repro.obs.aggregate` — pluggable bus
   subscribers: the JSONL/Chrome trace exporters and the
   :class:`LiveAggregator` behind the batch progress line and the
@@ -60,6 +65,7 @@ from typing import Any, Dict, Optional
 
 from .aggregate import LiveAggregator
 from .bus import BUS, EventBus
+from . import context as _context
 from .context import (
     TraceContext,
     current_request_id,
@@ -122,8 +128,10 @@ def get_tracer() -> Tracer:
 
 
 def metrics() -> MetricsRegistry:
-    """The process-global metrics registry."""
-    return _metrics
+    """The registry of the job running in this context
+    (:func:`repro.batch.jobs.run_job`), else the process registry."""
+    scope = _context.current_job()
+    return _metrics if scope is None else scope.registry
 
 
 def get_bus() -> EventBus:
@@ -138,10 +146,10 @@ def emit(kind: str, record: Dict[str, Any],
     *kind* is ``"iteration"``, ``"local_analysis"``, ``"guard"`` or
     ``"quarantine"``.  The record's fields become *span*'s attributes
     (without a span, a *kind* event on the current span); the registry
-    folds it through :data:`~repro.obs.metrics.RECORD_METRICS`; and
-    while any sink is subscribed it is published as one
-    ``{"type": kind, ...}`` bus event.  The engine calls it only while
-    :data:`enabled` is on.
+    (:func:`metrics`, so a running job's own) folds it through
+    :data:`~repro.obs.metrics.RECORD_METRICS`; and while some sink takes
+    *kind* events it is published as one ``{"type": kind, ...}`` bus
+    event.  The engine calls it only while :data:`enabled` is on.
     """
     if span is None:
         span = _tracer.current()
@@ -149,8 +157,8 @@ def emit(kind: str, record: Dict[str, Any],
             span.event(kind, **record)
     else:
         span.set(**record)
-    _metrics.fold(kind, record)
-    if BUS.active:
+    metrics().fold(kind, record)
+    if BUS.wants(kind):
         BUS.publish({"type": kind, **record})
 
 

@@ -1,7 +1,7 @@
 """Process-global event bus: the streaming side of ``repro.obs``.
 
-Spans, metrics, batch-job lifecycles and the analysis engine's
-records all *publish* plain-dict events through one
+Spans, batch-job lifecycles, the daemon's state changes and the
+analysis engine's records all *publish* plain-dict events through one
 :class:`EventBus`; pluggable *sinks* subscribe and fold or forward
 them (see :mod:`repro.obs.sinks`).  Where the metrics
 registry answers "what happened" after a run, the bus answers "what is
@@ -18,11 +18,6 @@ must skip unknown types so the vocabulary can grow.  The core types:
     point-in-time span events from the tracer.  The ``span`` record is
     the only way a finished span leaves the tracer; records shipped
     back from pool workers are re-published with a ``worker`` tag.
-``metric``
-    One instrument update (``kind``/``name`` plus ``inc`` or
-    ``value``).  Only published while some sink declares interest in
-    metrics — counters fire millions of times per sweep, so the
-    default cost must stay one attribute load and branch.
 ``sweep`` / ``job`` / ``job_retry``
     Batch lifecycle from :class:`repro.batch.executor.BatchRunner`:
     sweep start/end envelopes, one ``job`` event per unique point
@@ -35,17 +30,22 @@ must skip unknown types so the vocabulary can grow.  The core types:
     convergence residuals, a local analysis with the busy windows it
     computed, a :class:`repro.resilience.guards.DivergenceGuard`
     verdict, a degraded run's quarantine.
+``serve_state``
+    A lifecycle transition of the serve daemon
+    (:class:`repro.serve.state.ServiceStateMachine`).
 ``soak``
     Burn-in campaign lifecycle from :mod:`repro.soak.campaign`:
     ``phase`` is ``start``/``end`` (campaign envelopes), ``sample``
     (one judged sample with its violated contract ids), or
     ``violation`` (a triaged violation with its bundle path).
 
-Publishing is allocation-free when nothing is subscribed: call sites
-check :attr:`EventBus.active` (or :attr:`EventBus.metric_interest` /
-:attr:`EventBus.span_interest`) before building the event dict.  Sink
-exceptions are counted and swallowed — a broken monitor must never sink
-an analysis run.
+Metrics are not bus events: they live in the registries of
+:mod:`repro.obs.metrics`.
+
+Publishing is allocation-free when no sink takes an event: each
+publisher asks :meth:`EventBus.wants` for its event type before it
+builds the event dict.  Sink exceptions are counted and swallowed — a
+broken monitor must never sink an analysis run.
 """
 
 from __future__ import annotations
@@ -65,11 +65,10 @@ class EventBus:
 
     Subscribers declare optional *interests* — a collection of event
     types — and only receive matching events; ``None`` means
-    everything.  The bus keeps three cheap flags, :attr:`active` (any
-    sink at all), :attr:`metric_interest` and :attr:`span_interest`
-    (some sink wants ``"metric"`` / ``"span"`` events), so hot call
-    sites can skip event construction entirely with one attribute
-    read.
+    everything.  The bus keeps the union of its sinks' interests, so
+    :meth:`wants` tells a publisher in one lookup whether any sink
+    takes its event type; :attr:`active` says whether any sink is
+    subscribed at all.
     """
 
     def __init__(self):
@@ -78,8 +77,9 @@ class EventBus:
         self._sinks: List[
             Tuple[SinkLike, Optional[frozenset], Any, str]] = []
         self.active = False
-        self.metric_interest = False
-        self.span_interest = False
+        #: Union of the sinks' interests; ``None`` once some sink takes
+        #: every type.
+        self._wanted: Optional[frozenset] = frozenset()
         #: Exceptions swallowed while dispatching to sinks (total).
         self.sink_errors = 0
         #: Swallowed exceptions broken out by sink label — the total
@@ -106,7 +106,7 @@ class EventBus:
                  or type(sink).__name__)
         with self._lock:
             self._sinks.append((handler, wanted, sink, str(label)))
-            self._refresh_flags()
+            self._refresh()
         return sink
 
     def unsubscribe(self, sink: Any) -> bool:
@@ -115,23 +115,25 @@ class EventBus:
             before = len(self._sinks)
             self._sinks = [entry for entry in self._sinks
                            if entry[2] is not sink]
-            self._refresh_flags()
+            self._refresh()
             return len(self._sinks) < before
 
-    def _refresh_flags(self) -> None:
+    def _refresh(self) -> None:
         self.active = bool(self._sinks)
-        self.metric_interest = self._accepts("metric")
-        self.span_interest = self._accepts("span")
+        interests = [wanted for _, wanted, _, _ in self._sinks]
+        self._wanted = (None if None in interests
+                        else frozenset().union(*interests))
 
-    def _accepts(self, kind: str) -> bool:
-        return any(wanted is None or kind in wanted
-                   for _, wanted, _, _ in self._sinks)
+    def wants(self, kind: str) -> bool:
+        """Whether some subscribed sink takes *kind* events."""
+        wanted = self._wanted
+        return wanted is None or kind in wanted
 
     def clear(self) -> None:
         """Drop every sink (test isolation; sinks are not closed)."""
         with self._lock:
             self._sinks = []
-            self._refresh_flags()
+            self._refresh()
         self.sink_errors = 0
         self._sink_error_counts = {}
 

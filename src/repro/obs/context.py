@@ -1,4 +1,5 @@
-"""Request-scoped trace context: one id from HTTP edge to result store.
+"""Request and job scopes: one id from HTTP edge to result store, and
+one registry per running job.
 
 A :class:`TraceContext` is minted at the serving edge (one per HTTP
 request, honouring an ``X-Repro-Request-Id`` header when the client
@@ -19,8 +20,15 @@ the context), so the daemon carries the context on its
 the worker thread via :func:`activate`/:func:`deactivate` (or the
 :func:`request_context` manager).
 
-This module is import-leaf on purpose: :mod:`repro.obs.bus` and
-:mod:`repro.obs.trace` both import it, so it must not import either.
+A job's :class:`JobScope` is held the same way, by :func:`job_scope`
+while :func:`~repro.batch.jobs.run_job` runs the job: its registry is
+what :func:`repro.obs.metrics` answers, and the tracer counts the job's
+finished spans on it.  A context is per thread, so jobs on two
+dispatcher threads and the event loop never share a scope.
+
+Of :mod:`repro.obs` this module imports only the leaf
+:mod:`repro.obs.metrics`: :mod:`repro.obs.bus` and
+:mod:`repro.obs.trace` import it.
 """
 
 from __future__ import annotations
@@ -31,12 +39,17 @@ from contextvars import ContextVar, Token
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .metrics import MetricsRegistry
+
 __all__ = [
+    "JobScope",
     "TraceContext",
     "activate",
     "current",
+    "current_job",
     "current_request_id",
     "deactivate",
+    "job_scope",
     "new_request_id",
     "request_context",
 ]
@@ -100,3 +113,34 @@ def request_context(request_id: Optional[str] = None,
         yield ctx
     finally:
         deactivate(token)
+
+
+class JobScope:
+    """What one running job records: its own metrics registry and the
+    number of spans it finished."""
+
+    __slots__ = ("registry", "spans")
+
+    def __init__(self):
+        self.registry = MetricsRegistry()
+        self.spans = 0
+
+
+_JOB: ContextVar[Optional[JobScope]] = ContextVar(
+    "repro_job_scope", default=None)
+
+
+def current_job() -> Optional[JobScope]:
+    """The scope of the job running in this context, or ``None``."""
+    return _JOB.get()
+
+
+@contextmanager
+def job_scope() -> Iterator[JobScope]:
+    """Scope a fresh :class:`JobScope` over a ``with`` block."""
+    scope = JobScope()
+    token = _JOB.set(scope)
+    try:
+        yield scope
+    finally:
+        _JOB.reset(token)

@@ -13,6 +13,11 @@ one record (:func:`repro.obs.emit`), and :meth:`MetricsRegistry.fold`
 derives the engine's metrics from the records through one table,
 :data:`RECORD_METRICS`.
 
+A process has one registry and each running job its own
+(:mod:`repro.obs.context`): the job ships :meth:`MetricsRegistry.
+as_delta` in its result, and its backend folds that into the process
+registry with :meth:`MetricsRegistry.merge_delta` unless it timed out.
+
 Instrument objects are cheap plain-Python holders; the registry hands
 out the same object for the same name, so hot call sites may keep a
 local reference.
@@ -26,7 +31,6 @@ import time
 from typing import Any, Dict, List, Optional
 
 from .._errors import ModelError
-from .bus import BUS
 
 
 class Counter:
@@ -40,10 +44,6 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-        if BUS.metric_interest:
-            BUS.publish({"type": "metric", "kind": "counter",
-                         "name": self.name, "inc": n,
-                         "value": self.value})
 
     def reset(self) -> None:
         self.value = 0
@@ -63,9 +63,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-        if BUS.metric_interest:
-            BUS.publish({"type": "metric", "kind": "gauge",
-                         "name": self.name, "value": value})
 
     def reset(self) -> None:
         self.value = None
@@ -107,9 +104,6 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         self.values.append(value)
-        if BUS.metric_interest:
-            BUS.publish({"type": "metric", "kind": "histogram",
-                         "name": self.name, "value": value})
 
     def time_block(self) -> _TimeBlock:
         """``with hist.time_block(): ...`` observes the block's seconds."""
@@ -226,7 +220,8 @@ _UPDATE = {"counter": "inc", "gauge": "set", "histogram": "observe"}
 
 
 class MetricsRegistry:
-    """Namespace of instruments, create-on-first-use, kind-checked."""
+    """Namespace of instruments, create-on-first-use: the process's
+    (what runs outside a job, plus every folded job) or one job's."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -301,85 +296,31 @@ class MetricsRegistry:
                                for n, h in sorted(self._histograms.items())},
             }
 
-    def mark(self) -> Dict[str, Any]:
-        """Opaque baseline for :meth:`delta_since` /
-        :meth:`discard_since` (counter and gauge values plus histogram
-        lengths at this instant)."""
+    def as_delta(self) -> Dict[str, Any]:
+        """Everything recorded, as a JSON-serialisable
+        :meth:`merge_delta` payload (non-zero counters, set gauges, raw
+        histogram samples): a job's ``JobResult.obs["metrics"]``."""
         with self._lock:
             return {
-                "counters": {n: c.value
-                             for n, c in self._counters.items()},
-                "gauges": {n: g.value for n, g in self._gauges.items()},
-                "histograms": {n: len(h.values)
-                               for n, h in self._histograms.items()},
+                "counters": {n: c.value for n, c in self._counters.items()
+                             if c.value},
+                "gauges": {n: g.value for n, g in self._gauges.items()
+                           if g.value is not None},
+                "histograms": {n: list(h.values)
+                               for n, h in self._histograms.items()
+                               if h.values},
             }
 
-    def delta_since(self, mark: Dict[str, Any]) -> Dict[str, Any]:
-        """Everything recorded since *mark*, as a JSON-serialisable dict
-        suitable for shipping across a process boundary and replaying
-        with :meth:`merge_delta`.
-
-        Counters become integer increments, histograms the raw samples
-        observed since the mark, gauges their current value (last write
-        wins — a gauge has no meaningful delta).
-        """
-        base_counters = mark.get("counters", {})
-        base_hists = mark.get("histograms", {})
-        with self._lock:
-            counters = {}
-            for n, c in self._counters.items():
-                inc = c.value - base_counters.get(n, 0)
-                if inc:
-                    counters[n] = inc
-            histograms = {}
-            for n, h in self._histograms.items():
-                start = base_hists.get(n, 0)
-                if len(h.values) > start:
-                    histograms[n] = list(h.values[start:])
-            gauges = {n: g.value for n, g in self._gauges.items()
-                      if g.value is not None}
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
-
     def merge_delta(self, delta: Dict[str, Any]) -> None:
-        """Replay a :meth:`delta_since` payload into this registry
-        (used by the batch runner to fold worker-side metrics into the
-        parent process)."""
+        """Replay an :meth:`as_delta` payload into this registry (how
+        a finished job's metrics reach the process registry, whichever
+        backend ran it)."""
         for name, inc in delta.get("counters", {}).items():
             self.counter(name).inc(inc)
         for name, value in delta.get("gauges", {}).items():
             self.gauge(name).set(value)
         for name, samples in delta.get("histograms", {}).items():
-            hist = self.histogram(name)
-            for value in samples:
-                hist.observe(value)
-
-    def discard_since(self, mark: Dict[str, Any]) -> None:
-        """Roll every instrument back to its state at *mark*.
-
-        The inverse of :meth:`merge_delta` for work that must be
-        *unhappened*: a serially-executed batch job that blew its
-        post-hoc wall-time budget already wrote its metrics straight
-        into this registry — discarding the job's result without
-        discarding its metric side effects would leave the two out of
-        sync (and differ from the pre-emptive ``SIGALRM`` platforms,
-        where a killed job records nothing).
-
-        Counters return to their marked value (instruments created
-        after the mark return to zero), histograms are truncated to
-        their marked length, gauges are restored to their marked value
-        (``None`` — never written — included).
-        """
-        base_counters = mark.get("counters", {})
-        base_gauges = mark.get("gauges", {})
-        base_hists = mark.get("histograms", {})
-        with self._lock:
-            for n, c in self._counters.items():
-                c.value = base_counters.get(n, 0)
-            for n, g in self._gauges.items():
-                g.value = base_gauges.get(n, None)
-            for n, h in self._histograms.items():
-                del h.values[base_hists.get(n, 0):]
+            self.histogram(name).values.extend(samples)
 
     def is_empty(self) -> bool:
         """True when no instrument has recorded anything."""

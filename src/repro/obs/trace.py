@@ -145,15 +145,15 @@ class Tracer:
     nested spans automatically pick up their parent.  A finished span is
     published on the bus as one :func:`span_to_dict` record (built only
     while some sink takes ``"span"`` events) and then forgotten: only
-    :attr:`finished_count` remembers it.
+    :attr:`finished_count` remembers it, and the running job's
+    :class:`~repro.obs.context.JobScope` when it finished inside one.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_id = 0
-        #: Spans finished since the last reset (a run's span count,
-        #: e.g. ``JobResult.obs["spans"]``).
+        #: Spans finished since the last reset, on every thread.
         self.finished_count = 0
         #: perf_counter origin for relative timestamps in exports.
         self.t0 = time.perf_counter()
@@ -220,7 +220,7 @@ class Tracer:
         return span
 
     def _announce(self, span: Span) -> None:
-        if BUS.active:
+        if BUS.wants("span_start"):
             event: Dict[str, Any] = {
                 "type": "span_start", "name": span.name,
                 "span_id": span.span_id,
@@ -241,7 +241,7 @@ class Tracer:
         current = self.current()
         if current is not None:
             current.event(name, **attributes)
-            if BUS.active:
+            if BUS.wants("span_point"):
                 BUS.publish({"type": "span_point", "name": name,
                              "span_id": current.span_id,
                              "span_name": current.name,
@@ -263,7 +263,10 @@ class Tracer:
                     break
         with self._lock:
             self.finished_count += 1
-        if BUS.span_interest:
+        job = _context.current_job()
+        if job is not None:
+            job.spans += 1
+        if BUS.wants("span"):
             BUS.publish(span_to_dict(span))
 
     # ------------------------------------------------------------------

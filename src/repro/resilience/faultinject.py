@@ -363,7 +363,9 @@ class ChaosBackend:
     ``delay`` seconds late (tripping post-hoc timeout budgets).  Draws
     are deterministic in ``(seed, job key, occurrence)``: the first
     execution of a job may crash while its retry succeeds, and the
-    whole schedule replays identically for the same seed.
+    whole schedule replays identically for the same seed.  The delay
+    comes after the inner backend folded the attempt, so a delay that
+    trips the budget takes back nothing the attempt recorded.
     """
 
     name = "chaos"
@@ -382,10 +384,6 @@ class ChaosBackend:
     @property
     def workers(self) -> int:
         return getattr(self.inner, "workers", 1)
-
-    @property
-    def merges_worker_obs(self) -> bool:
-        return getattr(self.inner, "merges_worker_obs", False)
 
     def _draw(self, key: str) -> random.Random:
         occurrence = self._seen.get(key, 0)

@@ -46,8 +46,11 @@ from typing import Any, Dict, Optional, Tuple
 
 from .. import obs as _obs
 from .._errors import ModelError
+from ..analysis import kernels
+from ..analysis.memo import memo_pool_stats
 from ..batch.executor import BatchRunner, SerialBackend
 from ..batch.store import ResultStore
+from ..eventmodels.compile import cache as chain_cache
 from ..obs import context as _context
 from ..obs import openmetrics as _openmetrics
 from ..obs.aggregate import LiveAggregator
@@ -648,21 +651,6 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
         """The ``/healthz`` payload."""
-        compile_stats: Dict[str, Any] = {}
-        try:
-            from ..eventmodels.compile import cache
-            compile_stats = dict(cache().stats())
-        except Exception:
-            pass
-        kernel_stats: Dict[str, Any] = {}
-        incremental_stats: Dict[str, Any] = {}
-        try:
-            from ..analysis import kernels
-            from ..analysis.memo import memo_pool_stats
-            kernel_stats = kernels.stats()
-            incremental_stats = memo_pool_stats()
-        except Exception:
-            pass
         return {
             "service": "repro.serve",
             "state": self.machine.state,
@@ -683,9 +671,9 @@ class ServeDaemon:
                 if self.store is not None else 0,
                 "sweep_spaces": sorted(self._sweep_stores),
             },
-            "compile_cache": compile_stats,
-            "kernels": kernel_stats,
-            "incremental": incremental_stats,
+            "compile_cache": chain_cache().stats(),
+            "kernels": kernels.stats(),
+            "incremental": memo_pool_stats(),
             "aggregate": self.aggregator.snapshot(),
             "bus": {"sinks": len(_BUS), "sink_errors": _BUS.sink_errors,
                     "sink_error_counts": _BUS.sink_error_counts()},

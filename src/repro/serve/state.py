@@ -104,7 +104,7 @@ class ServiceStateMachine:
             self._history.append((new_state, self._clock()))
         for fn in self._listeners:
             fn(old, new_state)
-        if _BUS.active:
+        if _BUS.wants("serve_state"):
             _BUS.publish({"type": "serve_state", "from": old,
                           "to": new_state})
         return new_state

@@ -305,7 +305,7 @@ def run_campaign(profile: str, *, minutes: Optional[float] = None,
                 if minutes is not None else None)
 
     metrics = _obs.metrics() if _obs.enabled else None
-    if _BUS.active:
+    if _BUS.wants("soak"):
         _BUS.publish({"type": "soak", "phase": "start",
                       "profile": profile, "seed": seed,
                       "resumed_from": report.resumed_from,
@@ -344,7 +344,7 @@ def run_campaign(profile: str, *, minutes: Optional[float] = None,
     finally:
         report.wall = time.perf_counter() - t0
         store.close()
-        if _BUS.active:
+        if _BUS.wants("soak"):
             _BUS.publish({"type": "soak", "phase": "end",
                           "profile": profile, "seed": seed,
                           "samples": report.samples,
@@ -376,7 +376,7 @@ def _fold_result(report: CampaignReport, result: JobResult, job: Job,
                     "soak.contract_pass",
                     contract=outcome["contract"])).inc()
     violated = data.get("violations", [])
-    if _BUS.active:
+    if _BUS.wants("soak"):
         _BUS.publish({"type": "soak", "phase": "sample",
                       "index": data.get("index"),
                       "kind": data.get("kind"),
@@ -425,7 +425,7 @@ def _fold_result(report: CampaignReport, result: JobResult, job: Job,
         except Exception as exc:
             record["bundle_error"] = f"{type(exc).__name__}: {exc}"
         report.violations.append(record)
-        if _BUS.active:
+        if _BUS.wants("soak"):
             _BUS.publish({"type": "soak", "phase": "violation",
                           **{k: record.get(k) for k in
                              ("contract", "index", "kind", "seed",

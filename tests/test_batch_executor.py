@@ -83,6 +83,18 @@ class TestRunnerMemoisation:
             assert warm.result_for(job).data == \
                 cold.result_for(job).data
 
+    def test_cached_run_leaves_the_index_alone(self, tmp_path):
+        """A run that puts nothing has nothing to checkpoint."""
+        jobs = analyze_jobs(2)
+        BatchRunner(store=ResultStore(tmp_path)).run(jobs)
+        index = tmp_path / "index.json"
+        before = index.stat()
+        warm = BatchRunner(store=ResultStore(tmp_path)).run(jobs)
+        assert len(warm.cached) == 2
+        after = index.stat()
+        assert (after.st_ino, after.st_mtime_ns) == \
+            (before.st_ino, before.st_mtime_ns)
+
     def test_duplicate_jobs_collapse(self, tmp_path):
         job = analyze_jobs(1)[0]
         report = BatchRunner(store=ResultStore(tmp_path)).run(

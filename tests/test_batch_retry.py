@@ -1,18 +1,20 @@
 """Retry, poisoning, chaos injection, and post-hoc timeout hygiene."""
 
+import multiprocessing
 import threading
 
 import pytest
 
 from repro import RetryPolicy, obs
 from repro.batch import BatchRunner, Job, ResultStore
-from repro.batch.executor import SerialBackend
+from repro.batch.executor import ProcessPoolBackend, SerialBackend
 from repro.batch.jobs import (
     STATUS_POISONED,
     STATUS_TIMEOUT,
     JobResult,
     run_job,
 )
+from repro.examples_lib.rox08 import build_system
 from repro.examples_lib.stress import build_overloaded
 from repro.resilience import ChaosBackend, register_chaos_job_kinds
 from repro.resilience.retry import DETERMINISTIC, TRANSIENT
@@ -282,6 +284,37 @@ class TestPostHocTimeout:
             assert counters.get("analysis.jobs.chaos_probe", 0) == 0
         finally:
             obs.disable(reset=True)
+
+
+class TestBackendParity:
+    """Every finished attempt is folded the same way on both backends:
+    a retried failure counts, and every executed job's spans count."""
+
+    def _sweep(self, tmp_path, backend):
+        jobs = [probe(tmp_path, "parity", fail_times=1),
+                Job("analyze", {"system": system_to_dict(build_system("hem")),
+                                "on_failure": "degrade"})]
+        obs.configure(enabled=True, reset=True)
+        try:
+            report = runner(tmp_path, backend=backend).run(jobs)
+            snap = obs.metrics().snapshot()
+        finally:
+            obs.disable(reset=True)
+        assert report.ok
+        return snap
+
+    def test_serial_and_pool_fold_equal_metrics(self, tmp_path):
+        serial = self._sweep(tmp_path / "serial", SerialBackend())
+        pool = self._sweep(tmp_path / "pool", ProcessPoolBackend(
+            2, mp_context=multiprocessing.get_context("fork")))
+        assert serial["counters"]["analysis.jobs.chaos_probe"] == 2
+        assert serial["counters"]["batch.worker.spans"] == 6
+        assert serial["counters"] == pool["counters"]
+        assert ({n: h["count"] for n, h in serial["histograms"].items()}
+                == {n: h["count"] for n, h in pool["histograms"].items()})
+        assert serial["gauges"].pop("batch.workers") == 1
+        assert pool["gauges"].pop("batch.workers") == 2
+        assert serial["gauges"] == pool["gauges"]
 
 
 class TestDegradeJobKind:

@@ -1,22 +1,56 @@
-"""MetricsRegistry mark/delta/merge/discard under concurrent mutation.
+"""Metrics under concurrency: the registry, and one registry per job.
 
-The batch runner takes deltas while pool callbacks merge worker deltas
-back, and the serial backend discards marks while the engine is still
-incrementing counters on other threads (simulators, future sharded
-backends).  These tests drive the registry from several writer threads
-while the snapshot machinery runs concurrently and assert the
-*conservation* property: nothing recorded is lost or double counted
-once the dust settles.
+The serve daemon runs jobs on two dispatcher threads while its event
+loop records ``serve.*`` metrics, and ``repro top`` runs a sweep on a
+worker thread.  Each job records into a registry of its own
+(``repro.obs.context.job_scope``), which its backend folds into the
+process registry once the attempt is finished.  These tests drive
+registries and jobs from several threads at once and assert
+*conservation*: nothing recorded is lost, double counted or credited
+to the wrong job once the dust settles.
 """
 
+import sys
 import threading
 
 import pytest
 
+from repro import obs
+from repro.batch import BatchRunner, Job, SerialBackend
+from repro.batch.jobs import register_job_kind, run_job
+from repro.examples_lib.rox08 import build_system
 from repro.obs.metrics import MetricsRegistry
+from repro.system import system_to_dict
 
-WRITERS = 4
 INCS_PER_WRITER = 2_000
+
+_WAITING = threading.Event()
+_RELEASE = threading.Event()
+
+
+@register_job_kind("metrics_test_wait")
+def _run_wait(payload):
+    """Test-only job: records nothing and parks until released."""
+    _WAITING.set()
+    if not _RELEASE.wait(timeout=30):
+        raise RuntimeError("test job never released")
+    return {}
+
+
+@pytest.fixture
+def process_registry():
+    """Telemetry on over a fresh process registry, off afterwards."""
+    obs.configure(enabled=True, reset=True)
+    yield obs.metrics()
+    obs.configure(enabled=False, reset=True)
+
+
+def rox08_job(max_iterations=20):
+    """A degraded RoX08 HEM analysis (3 iterations, 6 spans); the
+    iteration cap only tells jobs apart."""
+    return Job("analyze", {"system": system_to_dict(build_system("hem")),
+                           "on_failure": "degrade",
+                           "max_iterations": max_iterations})
 
 
 def hammer(registry, writer_id, stop=None):
@@ -30,77 +64,7 @@ def hammer(registry, writer_id, stop=None):
         hist.observe(float(i % 7))
 
 
-def advance(mark, delta):
-    """The mark implied by ``mark`` plus everything in ``delta``.
-
-    Re-calling ``registry.mark()`` after taking a delta would lose any
-    increments that landed between the two calls; advancing the old
-    mark by the delta's own contents closes that window exactly."""
-    counters = dict(mark.get("counters", {}))
-    for name, inc in delta.get("counters", {}).items():
-        counters[name] = counters.get(name, 0) + inc
-    histograms = dict(mark.get("histograms", {}))
-    for name, samples in delta.get("histograms", {}).items():
-        histograms[name] = histograms.get(name, 0) + len(samples)
-    gauges = dict(mark.get("gauges", {}))
-    gauges.update(delta.get("gauges", {}))
-    return {"counters": counters, "gauges": gauges,
-            "histograms": histograms}
-
-
 class TestConcurrentDeltas:
-    def test_conservation_across_concurrent_deltas(self):
-        """Deltas taken mid-flight, merged into a second registry,
-        account for every recorded increment exactly once."""
-        registry = MetricsRegistry()
-        folded = MetricsRegistry()
-        mark = registry.mark()  # before any work exists
-        writers = [threading.Thread(target=hammer,
-                                    args=(registry, w))
-                   for w in range(WRITERS)]
-        for t in writers:
-            t.start()
-
-        while any(t.is_alive() for t in writers):
-            delta = registry.delta_since(mark)
-            folded.merge_delta(delta)
-            mark = advance(mark, delta)
-        for t in writers:
-            t.join()
-        # final catch-up delta after every writer has finished
-        folded.merge_delta(registry.delta_since(mark))
-
-        total = WRITERS * INCS_PER_WRITER
-        source = registry.snapshot()
-        merged = folded.snapshot()
-        assert source["counters"]["work.items"] == total
-        assert merged["counters"]["work.items"] == total
-        for w in range(WRITERS):
-            assert merged["counters"][f"work.writer{w}"] == \
-                INCS_PER_WRITER
-        assert merged["histograms"]["work.seconds"]["count"] == total
-        assert merged["histograms"]["work.seconds"]["total"] == \
-            pytest.approx(source["histograms"]["work.seconds"]["total"])
-
-    def test_in_flight_deltas_are_valid_payloads(self):
-        """Every delta taken mid-mutation is internally consistent:
-        non-negative counter increments, histogram samples lists."""
-        registry = MetricsRegistry()
-        writers = [threading.Thread(target=hammer, args=(registry, w))
-                   for w in range(2)]
-        for t in writers:
-            t.start()
-        try:
-            for _ in range(50):
-                delta = registry.delta_since(registry.mark())
-                for name, inc in delta["counters"].items():
-                    assert inc >= 0, name
-                for name, samples in delta["histograms"].items():
-                    assert isinstance(samples, list)
-        finally:
-            for t in writers:
-                t.join()
-
     def test_observers_see_monotone_counts(self):
         """Snapshots taken while writers run never go backwards."""
         registry = MetricsRegistry()
@@ -119,62 +83,78 @@ class TestConcurrentDeltas:
             2 * INCS_PER_WRITER
 
 
-class TestDiscardSince:
-    def test_discard_rolls_back_to_mark(self):
-        registry = MetricsRegistry()
-        registry.counter("keep").inc(5)
-        registry.gauge("level").set(1.0)
-        registry.histogram("h").observe(0.5)
-        mark = registry.mark()
-        registry.counter("keep").inc(10)
-        registry.counter("new").inc(3)
-        registry.gauge("level").set(9.0)
-        registry.gauge("fresh").set(2.0)
-        registry.histogram("h").observe(1.5)
-        registry.discard_since(mark)
-        snap = registry.snapshot()
-        assert snap["counters"]["keep"] == 5
-        assert snap["counters"]["new"] == 0  # created after the mark
-        assert snap["gauges"]["level"] == 1.0
-        assert snap["gauges"]["fresh"] is None
-        assert snap["histograms"]["h"]["count"] == 1
 
-    def test_discard_off_main_thread(self):
-        """The serial batch path discards from whatever thread runs the
-        sweep (e.g. the ``repro top`` worker thread)."""
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        mark = registry.mark()
-        registry.counter("c").inc(100)
-        errors = []
+    def test_serial_runners_on_four_threads_conserve(
+            self, process_registry):
+        """Four threads run jobs through serial runners into one
+        process registry: its totals are the sum of the jobs' deltas."""
+        reports = []
 
-        def discard():
-            try:
-                registry.discard_since(mark)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
+        def sweep(w):
+            jobs = [rox08_job(20 + 3 * w + i) for i in range(3)]
+            reports.append(BatchRunner(backend=SerialBackend()).run(jobs))
 
-        t = threading.Thread(target=discard)
-        t.start()
-        t.join()
-        assert not errors
-        assert registry.snapshot()["counters"]["c"] == 2
+        threads = [threading.Thread(target=sweep, args=(w,))
+                   for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        results = [r for report in reports
+                   for r in report.results.values()]
+        assert len(results) == 12 and all(r.ok for r in results)
+        counters, samples = {}, {}
+        for result in results:
+            delta = result.obs["metrics"]
+            for name, inc in delta["counters"].items():
+                counters[name] = counters.get(name, 0) + inc
+            for name, values in delta["histograms"].items():
+                samples[name] = samples.get(name, 0) + len(values)
+        assert counters["analysis.jobs.analyze"] == 12
+        assert counters["propagation.iterations"] == 36
+        snap = process_registry.snapshot()
+        for name, total in counters.items():
+            assert snap["counters"][name] == total, name
+        for name, count in samples.items():
+            assert snap["histograms"][name]["count"] == count, name
+        assert snap["counters"]["batch.worker.spans"] == \
+            sum(r.obs["spans"] for r in results) == 72
 
-    def test_mark_then_merge_then_discard_cycle(self):
-        """A full runner-style cycle keeps both registries coherent."""
-        parent = MetricsRegistry()
-        parent.counter("batch.jobs").inc(1)
-        mark = parent.mark()
-        # simulate a worker delta arriving while a doomed serial job
-        # also wrote into the parent
-        parent.counter("doomed.iterations").inc(40)
-        parent.discard_since(mark)  # job timed out: unhappen it
-        parent.merge_delta({"counters": {"propagation.iterations": 12},
-                            "gauges": {"depth": 2.0},
-                            "histograms": {"seconds": [0.1, 0.2]}})
-        snap = parent.snapshot()
-        assert snap["counters"]["batch.jobs"] == 1
-        assert snap["counters"]["doomed.iterations"] == 0
-        assert snap["counters"]["propagation.iterations"] == 12
-        assert snap["gauges"]["depth"] == 2.0
-        assert snap["histograms"]["seconds"]["count"] == 2
+
+class TestJobScopes:
+    def test_a_job_holds_only_its_own_work(self, process_registry):
+        """Job A parks while job B runs on another thread: each result
+        carries its own job's metrics and spans, and ``run_job`` alone
+        writes nothing into the process registry."""
+        _WAITING.clear()
+        _RELEASE.clear()
+        results = {}
+        a = threading.Thread(target=lambda: results.update(
+            a=run_job(Job("metrics_test_wait", {}))))
+        a.start()
+        try:
+            assert _WAITING.wait(timeout=30)
+            b = threading.Thread(target=lambda: results.update(
+                b=run_job(rox08_job())))
+            b.start()
+            b.join(timeout=60)
+        finally:
+            _RELEASE.set()
+            a.join(timeout=60)
+        assert not a.is_alive() and not b.is_alive()
+        job_b = results["b"].obs
+        assert job_b["metrics"]["counters"]["propagation.iterations"] == 3
+        assert job_b["metrics"]["counters"]["analysis.jobs.analyze"] == 1
+        assert job_b["spans"] == 6
+        job_a = results["a"].obs
+        assert job_a["metrics"] == {
+            "counters": {"analysis.jobs.metrics_test_wait": 1},
+            "gauges": {}, "histograms": {}}
+        assert job_a["spans"] == 0
+        assert process_registry.is_empty()

@@ -22,6 +22,7 @@ from repro.obs import (
     read_jsonl,
     span_to_dict,
 )
+from repro.obs.context import job_scope
 from repro.viz import ConvergenceReport, render_convergence_report
 
 
@@ -168,16 +169,26 @@ class TestMetrics:
         assert hist.percentile(100) == 9.5 == hist.max
 
     def test_delta_since_and_merge(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        reg.histogram("h").observe(1.0)
-        mark = reg.mark()
-        reg.counter("c").inc(2)
-        reg.counter("new").inc()
-        reg.gauge("g").set(7.5)
-        reg.histogram("h").observe(2.0)
-        reg.histogram("h2").observe(9.0)
-        delta = reg.delta_since(mark)
+        """A job's registry holds what the job recorded and nothing the
+        process registry held before; its payload replays with
+        ``merge_delta``."""
+        process = metrics()
+        process.counter("c").inc(3)
+        process.histogram("h").observe(1.0)
+        try:
+            with job_scope() as job:
+                reg = metrics()
+                assert reg is job.registry and reg is not process
+                reg.counter("c").inc(2)
+                reg.counter("new").inc()
+                reg.gauge("g").set(7.5)
+                reg.histogram("h").observe(2.0)
+                reg.histogram("h2").observe(9.0)
+            assert metrics() is process
+            assert process.counter("c").value == 3
+        finally:
+            process.reset()
+        delta = job.registry.as_delta()
         assert delta["counters"] == {"c": 2, "new": 1}
         assert delta["gauges"] == {"g": 7.5}
         assert delta["histograms"] == {"h": [2.0], "h2": [9.0]}
@@ -195,18 +206,19 @@ class TestMetrics:
     def test_delta_is_json_serialisable(self):
         import json
 
-        reg = MetricsRegistry()
-        mark = reg.mark()
-        reg.counter("c").inc()
-        reg.histogram("h").observe(0.5)
-        delta = json.loads(json.dumps(reg.delta_since(mark)))
+        with job_scope() as job:
+            metrics().counter("c").inc()
+            metrics().histogram("h").observe(0.5)
+        delta = json.loads(json.dumps(job.registry.as_delta()))
         other = MetricsRegistry()
         other.merge_delta(delta)
         assert other.counter("c").value == 1
 
     def test_empty_delta_merges_as_noop(self):
+        with job_scope() as job:
+            pass
         reg = MetricsRegistry()
-        delta = reg.delta_since(reg.mark())
+        delta = job.registry.as_delta()
         assert delta == {"counters": {}, "gauges": {}, "histograms": {}}
         reg.merge_delta(delta)
         assert reg.is_empty()

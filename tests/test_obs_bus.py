@@ -6,7 +6,9 @@ import threading
 
 import pytest
 
-from repro import obs
+from repro import analyze_system, obs
+from repro.examples_lib.rox08 import build_system
+from repro.obs.aggregate import LiveAggregator
 from repro.obs.bus import EventBus
 from repro.obs.export import records_to_chrome
 from repro.obs.sinks import ChromeTraceSink, JsonlEventSink
@@ -74,34 +76,33 @@ class TestEventBus:
         assert [e["type"] for e in everything.events] == [
             "job", "iteration"]
 
-    def test_metric_interest_flag(self):
-        bus = EventBus()
-        aggregatorish = Collector(interests={"job"})
-        bus.subscribe(aggregatorish)
-        assert bus.active
-        assert not bus.metric_interest  # no metric subscriber
-        wants_all = Collector()
-        bus.subscribe(wants_all)
-        assert bus.metric_interest  # None interests = everything
-        bus.unsubscribe(wants_all)
-        assert not bus.metric_interest
+    def test_publishers_ask_for_their_kind(self, monkeypatch):
+        """With only the daemon's aggregator subscribed, the engine
+        publishes its ``iteration`` records and nothing the aggregator
+        does not take (12 events per analysis before: span openings and
+        local-analysis records too)."""
+        bus = obs.get_bus()
+        published = []
+        real = bus.publish
+        monkeypatch.setattr(
+            bus, "publish",
+            lambda event: (published.append(event["type"]), real(event)))
+        aggregator = bus.subscribe(LiveAggregator())
+        obs.configure(enabled=True)
+        for _ in range(10):
+            analyze_system(build_system("hem"), on_failure="degrade")
+        assert published == ["iteration"] * 30
+        assert sum(map(len, aggregator.residuals.values())) == 30
 
-    def test_metric_publishing_gated_on_interest(self):
-        metric_sink = Collector(interests={"metric"})
-        obs.get_bus().subscribe(metric_sink)
-        obs.metrics().counter("test.bus.counter").inc(3)
-        obs.metrics().gauge("test.bus.gauge").set(1.5)
-        obs.metrics().histogram("test.bus.hist").observe(0.25)
-        kinds = [(e["kind"], e["name"]) for e in metric_sink.events]
-        assert ("counter", "test.bus.counter") in kinds
-        assert ("gauge", "test.bus.gauge") in kinds
-        assert ("histogram", "test.bus.hist") in kinds
-
-        obs.get_bus().clear()
-        job_sink = Collector(interests={"job"})
-        obs.get_bus().subscribe(job_sink)
-        obs.metrics().counter("test.bus.counter").inc()
-        assert job_sink.events == []  # not even constructed/dispatched
+    def test_sink_without_interests_takes_every_kind(self):
+        everything = obs.get_bus().subscribe(Collector())
+        obs.configure(enabled=True)
+        with obs.get_tracer().span("outer"):
+            obs.get_tracer().event("tick")
+            analyze_system(build_system("hem"), on_failure="degrade")
+        kinds = {e["type"] for e in everything.events}
+        assert {"span_start", "span_point", "span", "iteration",
+                "local_analysis"} <= kinds
 
     def test_sink_exception_isolated_and_counted(self):
         bus = EventBus()
@@ -171,14 +172,15 @@ class TestTracerBusEvents:
 
     def test_span_interest_flag(self):
         bus = EventBus()
+        assert not bus.wants("span")
         jobs = bus.subscribe(Collector(interests={"job"}))
-        assert bus.active and not bus.span_interest
+        assert bus.active and not bus.wants("span")
         spans = bus.subscribe(Collector(interests={"span"}))
-        assert bus.span_interest
+        assert bus.wants("span")
         bus.unsubscribe(spans)
-        assert not bus.span_interest
+        assert not bus.wants("span")
         bus.subscribe(Collector())  # None interests = everything
-        assert bus.span_interest
+        assert bus.wants("span")
         bus.unsubscribe(jobs)
 
     def test_no_record_built_without_a_span_sink(self):

@@ -12,6 +12,7 @@ here, gated on a module-level event.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 
@@ -391,3 +392,77 @@ class TestUptime:
         held = sum(stat.size for stat in snapshot.statistics("filename")
                    if stat.traceback[0].filename.startswith(obs_dir))
         assert held < 32 * 1024, f"{held / 1024:.1f} KiB held in obs/"
+
+
+# ----------------------------------------------------------------------
+# a served job's metrics are its own
+# ----------------------------------------------------------------------
+def _scraped(text, name):
+    """The value of one unlabelled sample in an OpenMetrics scrape."""
+    match = re.search(rf"^{name} (\S+)$", text, re.MULTILINE)
+    assert match is not None, f"{name} not in /metrics"
+    return float(match.group(1))
+
+
+class TestJobMetrics:
+    """A job on one dispatcher thread records into its own registry:
+    neither its timeout nor its delta reaches what the event loop and
+    the other dispatcher record meanwhile."""
+
+    def _block_beside_hits(self, tmp_path, timeout):
+        """Serve one blocking ``/v1/job`` while 10 hits are answered on
+        the other worker; returns the handle, client and job answer."""
+        handle = daemon_in_thread(cache_dir=str(tmp_path / "cache"),
+                                  workers=2)
+        client = ServeClient(port=handle.port)
+        client.wait_healthy()
+        assert not client.analyze(example="rox08").cached
+        call = _Call(lambda: client.job("serve_test_block", {"n": 1},
+                                        timeout=timeout))
+        _wait_until(lambda: handle.daemon._in_flight == 1)
+        for _ in range(10):
+            assert client.analyze(example="rox08").cached
+        if timeout is not None:
+            time.sleep(timeout)
+        _GATE.set()
+        return handle, client, call.finish().result
+
+    def test_timed_out_job_leaves_serve_counters_alone(self, tmp_path):
+        handle, client, answer = self._block_beside_hits(tmp_path, 0.05)
+        try:
+            # The first attempt overran its budget on a dispatcher
+            # thread (post-hoc); the daemon's retry ran past the open
+            # gate.
+            assert answer.ok and answer.attempts == 2
+            text = client.metrics_text()
+            requests = client.health()["requests"]
+        finally:
+            handle.stop()
+        assert requests["requests"] == 12 and requests["cache_hits"] == 10
+        for name in ("requests", "ok", "cache_hits", "cache_misses"):
+            assert _scraped(text, f"repro_serve_{name}_total") == \
+                requests[name], name
+
+    def test_stored_job_metrics_name_only_the_job(self, tmp_path):
+        handle, _client, answer = self._block_beside_hits(tmp_path, None)
+        try:
+            assert answer.ok
+            stored = handle.daemon.store.get(answer.key)
+        finally:
+            handle.stop()
+        assert stored.obs["metrics"]["counters"] == {
+            "analysis.jobs.serve_test_block": 1}
+        assert not any(name.startswith(("serve.", "batch."))
+                       for part in stored.obs["metrics"].values()
+                       for name in part)
+
+    def test_served_hit_leaves_the_index_alone(self, daemon, tmp_path):
+        _handle, client = daemon
+        assert not client.analyze(example="rox08").cached
+        index = tmp_path / "cache" / "requests" / "index.json"
+        before = index.stat()
+        for _ in range(5):
+            assert client.analyze(example="rox08").cached
+        after = index.stat()
+        assert (after.st_ino, after.st_mtime_ns) == \
+            (before.st_ino, before.st_mtime_ns)
