@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Callable, List, Tuple
 
 from .._errors import NotSchedulableError
+from ..obs.context import check_deadline
 from ..timebase import EPS, time_eq
 from ..eventmodels.base import EventModel
 
@@ -140,6 +141,7 @@ def multi_activation_loop(
     busy_times: List[float] = []
     q = 1
     while True:
+        check_deadline()
         bq = busy_time(q)
         busy_times.append(bq)
         response = bq - event_model.delta_min(q)

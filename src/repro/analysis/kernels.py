@@ -63,6 +63,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .._errors import NotSchedulableError
+from ..obs.context import check_deadline
 from ..eventmodels import base as _base
 from ..eventmodels.base import EventModel, NullEventModel, unbounded_eta
 from ..eventmodels.operations import PrefixMemoModel
@@ -514,6 +515,7 @@ def _run_numpy(lanes: Lanes):
     open_lanes = np.arange(n_lanes)
     q = 0
     while len(open_lanes):
+        check_deadline()
         q += 1
         ti = task_of[open_lanes]
         live = np.zeros(n, dtype=bool)

@@ -23,8 +23,10 @@ import time
 from typing import Optional, Sequence
 
 from .. import obs as _obs
+from .._errors import ModelError
 from ..obs.aggregate import LiveAggregator
 from .executor import BatchRunner, make_backend
+from .jobs import check_timeout
 from .spaces import NAMED_SPACES
 from .store import ResultStore
 
@@ -136,6 +138,10 @@ def batch_main(argv: Optional[Sequence[str]] = None) -> int:
         "--profile-hz", type=int, default=None, metavar="HZ",
         help="profiler sampling rate (default 100; implies --profile)")
     args = parser.parse_args(argv)
+    try:
+        check_timeout(args.timeout)
+    except ModelError as exc:
+        parser.error(str(exc))
     if args.profile_hz is not None:
         args.profile = True
 

@@ -10,12 +10,13 @@ lists:
   dicts), so nothing but JSON-compatible data crosses the process
   boundary; workers rebuild the system and run the ordinary engine.
 
-Both enforce the per-job timeout (pre-emptively via ``SIGALRM`` inside
-:func:`~repro.batch.jobs.run_job` where the platform allows, post-hoc
-otherwise) and both capture failures as ``failed`` results instead of
-raising, so a sweep always runs to completion.  Both pass every
-finished attempt through :func:`finish_attempt`, so a job's metrics
-reach the process registry one way, whichever backend ran it.
+Both run each job through :func:`~repro.batch.jobs.run_job`, whose
+one deadline the engine checks on every thread, so a job past its
+``timeout`` ends ``timeout`` the same way on both; and both capture
+failures as ``failed`` results instead of raising, so a sweep always
+runs to completion.  Both pass every finished attempt through
+:func:`finish_attempt`, so a job's metrics reach the process registry
+one way, whichever backend ran it.
 
 :class:`BatchRunner` ties a backend to a persistent
 :class:`~repro.batch.store.ResultStore`: results stored as ``ok`` are
@@ -39,7 +40,6 @@ from ..obs.aggregate import effort_summary
 from ..obs.bus import BUS as _BUS
 from .jobs import (
     STATUS_FAILED,
-    STATUS_OK,
     STATUS_POISONED,
     STATUS_TIMEOUT,
     Job,
@@ -70,31 +70,12 @@ def _publish_job(result: JobResult, cached: bool) -> None:
     _BUS.publish(event)
 
 
-def _enforce_budget(job: Job, result: JobResult) -> JobResult:
-    """Post-hoc timeout accounting for platforms without ``SIGALRM``.
-
-    A job that finished but blew its wall-time budget is never recorded
-    ``ok`` — otherwise resume semantics would differ between platforms
-    that can pre-empt and platforms that cannot.
-    """
-    if (result.status == STATUS_OK and job.timeout
-            and result.duration > job.timeout):
-        return JobResult(result.key, result.kind, result.label,
-                         STATUS_TIMEOUT,
-                         error=f"job exceeded timeout of {job.timeout}s "
-                               f"(ran {result.duration:.3f}s)",
-                         duration=result.duration,
-                         request_id=result.request_id)
-    return result
-
-
-def finish_attempt(job: Job, result: JobResult) -> JobResult:
+def finish_attempt(result: JobResult) -> JobResult:
     """The one step every finished attempt takes, on every backend:
-    apply the post-hoc budget, then fold the attempt's ``obs`` into the
-    process registry (its spans as ``batch.worker.spans``) unless it
-    timed out, and re-publish shipped span records under a ``worker``
-    tag (their own Chrome/Perfetto lane)."""
-    result = _enforce_budget(job, result)
+    fold the attempt's ``obs`` into the process registry (its spans as
+    ``batch.worker.spans``) unless it timed out, and re-publish shipped
+    span records under a ``worker`` tag (their own Chrome/Perfetto
+    lane)."""
     if not result.obs:
         return result
     span_records = result.obs.pop("span_records", ())
@@ -119,7 +100,7 @@ class SerialBackend:
 
     def run(self, jobs: Sequence[Job], on_result: OnResult) -> None:
         for job in jobs:
-            on_result(finish_attempt(job, run_job(job)))
+            on_result(finish_attempt(run_job(job)))
 
 
 class ProcessPoolBackend:
@@ -169,7 +150,7 @@ class ProcessPoolBackend:
                         job.key, job.kind, job.label, STATUS_FAILED,
                         error=f"{type(exc).__name__}: {exc}",
                         traceback=traceback.format_exc())
-                on_result(finish_attempt(job, result))
+                on_result(finish_attempt(result))
 
 
 def _drop_inherited_sinks() -> None:

@@ -26,7 +26,6 @@ point cannot sink a thousand-point sweep.
 from __future__ import annotations
 
 import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -81,8 +80,8 @@ class Job:
         Human-readable tag for progress output and tables; *not* part of
         the identity.
     timeout:
-        Per-job wall-time budget in seconds (enforced by the executor
-        backends); also excluded from the identity.
+        Per-job wall-time budget in seconds (``None`` or finite > 0),
+        the deadline :func:`run_job` sets; excluded from the identity.
     options:
         Execution hints that must **not** change what the job computes —
         e.g. ``{"incremental": "<group>"}`` to route the analysis
@@ -108,10 +107,23 @@ class Job:
     def __post_init__(self):
         if not self.kind:
             raise ModelError("job kind must be non-empty")
+        check_timeout(self.timeout)
         digest = content_hash({"kind": self.kind,
                                "payload": dict(self.payload),
                                "version": RESULT_VERSION})
         object.__setattr__(self, "key", digest)
+
+
+def check_timeout(timeout: Any) -> Optional[float]:
+    """*timeout* if it is a job budget (``None``, or a finite number of
+    seconds > 0), else a :class:`ModelError` naming ``timeout``."""
+    if timeout is None or (
+            isinstance(timeout, (int, float))
+            and not isinstance(timeout, bool)
+            and 0 < timeout < float("inf")):
+        return timeout
+    raise ModelError(f"timeout must be a finite number of seconds > 0, "
+                     f"got {timeout!r}", context={"field": "timeout"})
 
 
 @dataclass
@@ -205,56 +217,49 @@ def job_kinds() -> "Tuple[str, ...]":
     return tuple(sorted(_JOB_KINDS))
 
 
-#: Thread-local holder of the options of the job currently executing on
-#: this thread.  Serve dispatcher threads run jobs concurrently in one
-#: process, so a module-level variable would cross-talk; pool workers
-#: receive the options with the pickled Job and set their own slot.
-_JOB_OPTIONS = threading.local()
-
-
 def current_job_options() -> "Dict[str, Any]":
-    """Options of the :class:`Job` running on this thread (``{}``
-    outside :func:`run_job`)."""
-    return dict(getattr(_JOB_OPTIONS, "value", None) or {})
-
-
-class JobTimeout(Exception):
-    """Raised inside a worker when the per-job alarm fires."""
+    """The running :class:`Job`'s options (``{}`` outside :func:`run_job`)."""
+    scope = _obs_context.current_job()
+    return dict(scope.options) if scope is not None else {}
 
 
 def run_job(job: Job, ship_spans: bool = False) -> JobResult:
     """Execute *job*, capturing errors and wall time; never raises.
 
-    With observability enabled the job runs in a
-    :func:`~repro.obs.context.job_scope`, and the result's ``obs``
-    carries what it recorded there, whichever process ran it.  With
-    *ship_spans* the job's span records (collected by a bus sink
-    subscribed for this job only) travel along as
-    ``obs["span_records"]`` for the parent to re-publish.
+    The job runs in a :func:`~repro.obs.context.job_scope` holding its
+    options and deadline.  The engine checks the deadline at its loop
+    heads and this function once more when the job returns; past it,
+    the job ends ``timeout`` (no ``data``, ``obs`` kept) on every
+    backend and thread.  With observability enabled the result's
+    ``obs`` carries what the job's own registry recorded, whichever
+    process ran it.  With *ship_spans* its span records travel along
+    as ``obs["span_records"]`` for the parent to re-publish.
     """
-    if not _obs.enabled:
-        return _run(job)
+    telemetry = _obs.enabled
     span_records: "Optional[list]" = None
-    if ship_spans:
+    if telemetry and ship_spans:
         span_records = []
         collect = span_records.append
         _obs.get_bus().subscribe(collect, interests=("span",))
     try:
-        with _obs_context.job_scope() as scope:
-            scope.registry.counter(f"analysis.jobs.{job.kind}").inc()
+        with _obs_context.job_scope(job.options, job.timeout,
+                                    telemetry) as scope:
+            if telemetry:
+                scope.registry.counter(f"analysis.jobs.{job.kind}").inc()
             result = _run(job)
     finally:
         if span_records is not None:
             _obs.get_bus().unsubscribe(collect)
-    result.obs = {"metrics": scope.registry.as_delta(),
-                  "spans": scope.spans, "pid": os.getpid()}
-    if span_records:
-        result.obs["span_records"] = span_records
+    if telemetry:
+        result.obs = {"metrics": scope.registry.as_delta(),
+                      "spans": scope.spans, "pid": os.getpid()}
+        if span_records:
+            result.obs["span_records"] = span_records
     return result
 
 
 def _run(job: Job) -> JobResult:
-    """:func:`run_job` without the telemetry."""
+    """:func:`run_job` inside the job's scope."""
     result = JobResult(job.key, job.kind, job.label, STATUS_OK,
                        request_id=_obs_context.current_request_id())
     fn = _JOB_KINDS.get(job.kind)
@@ -264,51 +269,19 @@ def _run(job: Job) -> JobResult:
                         f"(known: {', '.join(job_kinds())})")
         return result
     t0 = time.perf_counter()
-    _JOB_OPTIONS.value = dict(job.options)
     try:
-        result.data = _call_with_timeout(fn, dict(job.payload),
-                                         job.timeout)
-    except JobTimeout:
+        data = fn(dict(job.payload))
+        _obs_context.check_deadline()
+        result.data = data
+    except _obs_context.JobTimeout as exc:
         result.status = STATUS_TIMEOUT
-        result.error = f"job exceeded timeout of {job.timeout}s"
+        result.error = str(exc)
     except Exception as exc:
         result.status = STATUS_FAILED
         result.error = f"{type(exc).__name__}: {exc}"
         result.traceback = traceback.format_exc()
-    finally:
-        _JOB_OPTIONS.value = None
     result.duration = time.perf_counter() - t0
     return result
-
-
-def _call_with_timeout(fn, payload: "Dict[str, Any]",
-                       timeout: Optional[float]) -> "Dict[str, Any]":
-    """Run *fn* under a SIGALRM watchdog when a timeout is requested.
-
-    The interval timer pre-empts pure-Python loops (a diverging fixed
-    point included), which per-future timeouts in the parent cannot: a
-    hung worker would keep its pool slot occupied forever.  On platforms
-    without ``SIGALRM`` (or off the main thread) the job runs
-    unguarded; the executor then falls back to post-hoc accounting.
-    """
-    if not timeout or timeout <= 0:
-        return fn(payload)
-    import signal
-    import threading
-    if (not hasattr(signal, "SIGALRM")
-            or threading.current_thread() is not threading.main_thread()):
-        return fn(payload)
-
-    def _alarm(signum, frame):
-        raise JobTimeout()
-
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return fn(payload)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # ----------------------------------------------------------------------

@@ -102,8 +102,8 @@ def configure(*, enabled: bool = True, reset: bool = False) -> None:
     enabled:
         New state of the master switch.
     reset:
-        Also restart the tracer (span ids, finished count, clock
-        origin) and zero every metric.
+        Also restart the tracer (span ids, clock origin) and zero
+        every metric.
     """
     sys.modules[__name__].enabled = enabled
     if reset:
@@ -130,8 +130,8 @@ def get_tracer() -> Tracer:
 def metrics() -> MetricsRegistry:
     """The registry of the job running in this context
     (:func:`repro.batch.jobs.run_job`), else the process registry."""
-    scope = _context.current_job()
-    return _metrics if scope is None else scope.registry
+    registry = getattr(_context.current_job(), "registry", None)
+    return _metrics if registry is None else registry
 
 
 def get_bus() -> EventBus:

@@ -21,10 +21,12 @@ the worker thread via :func:`activate`/:func:`deactivate` (or the
 :func:`request_context` manager).
 
 A job's :class:`JobScope` is held the same way, by :func:`job_scope`
-while :func:`~repro.batch.jobs.run_job` runs the job: its registry is
-what :func:`repro.obs.metrics` answers, and the tracer counts the job's
-finished spans on it.  A context is per thread, so jobs on two
-dispatcher threads and the event loop never share a scope.
+while :func:`~repro.batch.jobs.run_job` runs the job: it carries the
+job's options and deadline, and (telemetry on) the registry
+:func:`repro.obs.metrics` answers.  A context is per thread, so jobs on
+two dispatcher threads and the event loop never share a scope.  The
+engine calls :func:`check_deadline` at its loop heads; crossing the
+deadline raises :class:`JobTimeout`, which ``run_job`` reports.
 
 Of :mod:`repro.obs` this module imports only the leaf
 :mod:`repro.obs.metrics`: :mod:`repro.obs.bus` and
@@ -33,6 +35,7 @@ Of :mod:`repro.obs` this module imports only the leaf
 
 from __future__ import annotations
 
+import time
 import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
@@ -43,8 +46,10 @@ from .metrics import MetricsRegistry
 
 __all__ = [
     "JobScope",
+    "JobTimeout",
     "TraceContext",
     "activate",
+    "check_deadline",
     "current",
     "current_job",
     "current_request_id",
@@ -52,6 +57,7 @@ __all__ = [
     "job_scope",
     "new_request_id",
     "request_context",
+    "wait",
 ]
 
 
@@ -115,14 +121,24 @@ def request_context(request_id: Optional[str] = None,
         deactivate(token)
 
 
+class JobTimeout(Exception):
+    """The running job crossed its deadline.  Not a ``ReproError``, so
+    the engine's handlers of analysis failures let it through."""
+
+
 class JobScope:
-    """What one running job records: its own metrics registry and the
-    number of spans it finished."""
+    """One running job's options, deadline (``None``, or ``timeout``
+    seconds after the scope opened) and, with *telemetry*, its own
+    registry and count of finished spans (else ``registry`` is None)."""
 
-    __slots__ = ("registry", "spans")
+    __slots__ = ("options", "timeout", "deadline", "registry", "spans")
 
-    def __init__(self):
-        self.registry = MetricsRegistry()
+    def __init__(self, options=None, timeout: Optional[float] = None,
+                 telemetry: bool = True):
+        self.options = dict(options or {})
+        self.timeout = timeout
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.registry = MetricsRegistry() if telemetry else None
         self.spans = 0
 
 
@@ -136,11 +152,30 @@ def current_job() -> Optional[JobScope]:
 
 
 @contextmanager
-def job_scope() -> Iterator[JobScope]:
+def job_scope(options=None, timeout: Optional[float] = None,
+              telemetry: bool = True) -> Iterator[JobScope]:
     """Scope a fresh :class:`JobScope` over a ``with`` block."""
-    scope = JobScope()
+    scope = JobScope(options, timeout, telemetry)
     token = _JOB.set(scope)
     try:
         yield scope
     finally:
         _JOB.reset(token)
+
+
+def check_deadline() -> None:
+    """Raise :class:`JobTimeout` once the job running in this context is
+    past its deadline; otherwise (no job, no deadline) return."""
+    scope = _JOB.get()
+    if (scope is not None and scope.deadline is not None
+            and time.monotonic() >= scope.deadline):
+        raise JobTimeout(f"job exceeded timeout of {scope.timeout}s")
+
+
+def wait(seconds: float) -> None:
+    """``time.sleep(seconds)`` that checks the running job's deadline
+    every 10 ms."""
+    end = time.monotonic() + seconds
+    while time.monotonic() < end:
+        check_deadline()
+        time.sleep(min(0.01, max(0.0, end - time.monotonic())))

@@ -145,16 +145,14 @@ class Tracer:
     nested spans automatically pick up their parent.  A finished span is
     published on the bus as one :func:`span_to_dict` record (built only
     while some sink takes ``"span"`` events) and then forgotten: only
-    :attr:`finished_count` remembers it, and the running job's
-    :class:`~repro.obs.context.JobScope` when it finished inside one.
+    the running job's :class:`~repro.obs.context.JobScope` counts it,
+    when it finished inside one.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_id = 0
-        #: Spans finished since the last reset, on every thread.
-        self.finished_count = 0
         #: perf_counter origin for relative timestamps in exports.
         self.t0 = time.perf_counter()
 
@@ -261,8 +259,6 @@ class Tracer:
                 popped = stack.pop()
                 if popped is span:
                     break
-        with self._lock:
-            self.finished_count += 1
         job = _context.current_job()
         if job is not None:
             job.spans += 1
@@ -271,10 +267,8 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Restart the span ids, the finished count and the clock
-        origin."""
+        """Restart the span ids and the clock origin."""
         with self._lock:
             self._next_id = 0
-            self.finished_count = 0
         self._local = threading.local()
         self.t0 = time.perf_counter()

@@ -38,7 +38,7 @@ and plans are value objects you can log, diff, and replay.
 
 Chaos hooks for the batch pool live here too:
 :class:`ChaosBackend` wraps any executor backend and injects seeded
-worker crashes and delayed results, and the ``chaos_probe`` job kind
+worker crashes, and the ``chaos_probe`` job kind
 fails deterministically for its first N executions — together they
 drive the retry/poisoning machinery of
 :class:`~repro.batch.executor.BatchRunner` in tests and in the CI
@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._errors import ModelError
 from ..analysis.spnp import CanErrorModel, SPNPScheduler
 from ..eventmodels.standard import StandardEventModel
+from ..obs.context import wait
 from ..system.model import Junction, Resource, Source, System, Task
 
 FAULT_KINDS = ("wcet_inflation", "jitter_inflation", "frame_drop",
@@ -359,26 +359,18 @@ class ChaosBackend:
 
     With probability ``crash_rate`` a job's execution is replaced by a
     fabricated transient worker-crash failure (the job function never
-    runs); with probability ``delay_rate`` the result is delivered
-    ``delay`` seconds late (tripping post-hoc timeout budgets).  Draws
-    are deterministic in ``(seed, job key, occurrence)``: the first
-    execution of a job may crash while its retry succeeds, and the
-    whole schedule replays identically for the same seed.  The delay
-    comes after the inner backend folded the attempt, so a delay that
-    trips the budget takes back nothing the attempt recorded.
+    runs).  Draws are deterministic in ``(seed, job key, occurrence)``:
+    the first execution of a job may crash while its retry succeeds,
+    and the whole schedule replays identically for the same seed.  A
+    slow attempt is what ``chaos_probe``'s ``hang_seconds`` is for.
     """
 
     name = "chaos"
 
-    def __init__(self, inner, seed: int = 0, crash_rate: float = 0.0,
-                 delay_rate: float = 0.0, delay: float = 0.0,
-                 sleep: Callable[[float], None] = time.sleep):
+    def __init__(self, inner, seed: int = 0, crash_rate: float = 0.0):
         self.inner = inner
         self.seed = seed
         self.crash_rate = crash_rate
-        self.delay_rate = delay_rate
-        self.delay = delay
-        self._sleep = sleep
         self._seen: Dict[str, int] = {}
 
     @property
@@ -391,34 +383,18 @@ class ChaosBackend:
         return random.Random(f"{self.seed}:{key}:{occurrence}")
 
     def run(self, jobs, on_result) -> None:
-        from ..batch.executor import _enforce_budget
         from ..batch.jobs import STATUS_FAILED, JobResult
 
         survivors = []
-        delayed = {}
         for job in jobs:
-            rng = self._draw(job.key)
-            if rng.random() < self.crash_rate:
+            if self._draw(job.key).random() < self.crash_rate:
                 on_result(JobResult(
                     job.key, job.kind, job.label, STATUS_FAILED,
                     error="ChaosWorkerCrash: injected worker crash "
                           f"(seed {self.seed})"))
                 continue
-            if rng.random() < self.delay_rate:
-                delayed[job.key] = job
             survivors.append(job)
-
-        def chaotic_on_result(result) -> None:
-            job = delayed.get(result.key)
-            if job is not None and self.delay > 0:
-                self._sleep(self.delay)
-                result.duration += self.delay
-                # The delay may push the job over its wall budget; the
-                # inner backend already enforced it, so re-enforce here.
-                result = _enforce_budget(job, result)
-            on_result(result)
-
-        self.inner.run(survivors, chaotic_on_result)
+        self.inner.run(survivors, on_result)
 
 
 def register_chaos_job_kinds() -> None:
@@ -430,7 +406,8 @@ def register_chaos_job_kinds() -> None:
     workers).  ``error`` selects the failure flavour: ``"transient"``
     raises a plain ``RuntimeError`` (retryable), ``"model"`` raises
     :class:`~repro._errors.ModelError` (deterministic — poisoned on
-    first sight), ``"hang"`` sleeps ``hang_seconds`` to trip timeouts.
+    first sight).  ``hang_seconds`` waits that long, deadline-aware
+    (:func:`repro.obs.context.wait`), to make an attempt slow.
     """
     from ..batch.jobs import _JOB_KINDS, register_job_kind
 
@@ -454,7 +431,7 @@ def register_chaos_job_kinds() -> None:
             fh.write(str(attempts))
 
         if payload.get("hang_seconds"):
-            time.sleep(float(payload["hang_seconds"]))
+            wait(float(payload["hang_seconds"]))
         if attempts <= int(payload.get("fail_times", 0)):
             if payload.get("error", "transient") == "model":
                 raise ModelError(

@@ -30,8 +30,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional
 
+from .._errors import ModelError
 from ..batch.executor import BatchRunner
-from ..batch.jobs import Job, job_kinds, register_job_kind
+from ..batch.jobs import Job, check_timeout, job_kinds, register_job_kind
 from ..batch.spaces import NAMED_SPACES, pipeline_system
 from ..obs.context import TraceContext, new_request_id
 from ..system.model import System
@@ -181,8 +182,16 @@ def build_job(kind: str, payload: Dict[str, Any]) -> Job:
             raise BadRequest("'payload' must be a dict")
         return Job(raw_kind, raw_payload,
                    label=payload.get("label", ""),
-                   timeout=payload.get("timeout"))
+                   timeout=_budget(payload))
     raise BadRequest(f"unhandled request kind {kind!r}")
+
+
+def _budget(payload: Dict[str, Any]) -> Optional[float]:
+    """The request's checked ``timeout``, else :class:`BadRequest`."""
+    try:
+        return check_timeout(payload.get("timeout"))
+    except ModelError as exc:
+        raise BadRequest(str(exc)) from None
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +289,7 @@ def run_sweep(runner_factory: Callable[[str], BatchRunner],
             f"unknown space {name!r} "
             f"(known: {', '.join(sorted(NAMED_SPACES))})")
     space = NAMED_SPACES[name]()
-    if payload.get("timeout") is not None:
-        space.timeout = float(payload["timeout"])
+    space.timeout = _budget(payload)
     sample = payload.get("sample")
     points = (space.sample(int(sample), seed=int(payload.get("seed", 0)))
               if sample is not None else list(space.grid()))

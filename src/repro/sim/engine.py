@@ -15,6 +15,10 @@ from typing import Callable, List, Optional, Tuple
 
 from .. import obs as _obs
 from .._errors import ModelError
+from ..obs.context import check_deadline
+
+#: Events run, scheduled or generated per check of the job deadline.
+CHECK_EVERY = 256
 
 
 class Simulator:
@@ -49,6 +53,8 @@ class Simulator:
         executed = 0
         t_start = time.perf_counter() if _obs.enabled else 0.0
         while self._queue and self._running:
+            if not executed % CHECK_EVERY:
+                check_deadline()
             when, _, action = self._queue[0]
             if when > t_end:
                 break

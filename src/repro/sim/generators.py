@@ -22,6 +22,8 @@ from typing import List, Optional
 from .._errors import ModelError
 from ..eventmodels.base import EventModel
 from ..eventmodels.standard import StandardEventModel
+from ..obs.context import check_deadline
+from .engine import CHECK_EVERY
 
 
 def periodic_arrivals(period: float, t_end: float,
@@ -34,6 +36,8 @@ def periodic_arrivals(period: float, t_end: float,
     out = []
     t = phase
     while t <= t_end:
+        if not len(out) % CHECK_EVERY:
+            check_deadline()
         out.append(t)
         t += period
     return out
@@ -53,6 +57,8 @@ def random_jitter_arrivals(model: StandardEventModel, t_end: float,
     arrivals: List[float] = []
     k = 0
     while True:
+        if not k % CHECK_EVERY:
+            check_deadline()
         nominal = phase + k * model.period
         if nominal > t_end:
             break
@@ -75,6 +81,8 @@ def worst_case_arrivals(model: EventModel, t_end: float,
     out = []
     n = 1
     while True:
+        if not n % CHECK_EVERY:
+            check_deadline()
         t = phase + model.delta_min(n)
         if t > t_end:
             break

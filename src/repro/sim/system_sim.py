@@ -32,11 +32,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .._errors import ModelError
+from ..obs.context import check_deadline
 from ..system.model import JunctionKind, System, Task
 from .canbus import CanBusSim
 from .cpu import SppCpuSim
 from .edf import EdfCpuSim
-from .engine import Simulator
+from .engine import CHECK_EVERY, Simulator
 from .measure import EventTrace, ResponseRecorder
 from .roundrobin import RoundRobinSim
 from .tdma import TdmaSim
@@ -188,7 +189,9 @@ class SystemSimulation:
     def _schedule_sources(self,
                           arrivals: "Dict[str, List[float]]") -> None:
         for name in self.system.sources:
-            for t in arrivals.get(name, []):
+            for k, t in enumerate(arrivals.get(name, [])):
+                if not k % CHECK_EVERY:
+                    check_deadline()
                 self.sim.schedule(
                     t, lambda _n=name: self._emit(_n))
 

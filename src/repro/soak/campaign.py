@@ -13,11 +13,12 @@ list, and the runner serves every finished index from the cache while
 the campaign continues counting where the killed run stopped; no
 sample id can ever be duplicated.
 
-Per-sample stalls are bounded by the job-level ``SIGALRM`` watchdog
-plus a :class:`~repro.resilience.retry.RetryPolicy`; a diverging fixed
-point inside a sample is already bounded by the analysis' own
-iteration cap and :class:`~repro.resilience.guards.DivergenceGuard`
-machinery underneath ``analyze_system``.
+Per-sample stalls are bounded by the job's deadline, which the engine
+checks at its loop heads on whatever thread runs the sample, plus a
+:class:`~repro.resilience.retry.RetryPolicy`; a diverging fixed point
+inside a sample is already bounded by the analysis' own iteration cap
+and :class:`~repro.resilience.guards.DivergenceGuard` machinery
+underneath ``analyze_system``.
 
 Violating samples are auto-shrunk (:mod:`repro.soak.shrink`) and
 dumped as self-contained triage bundles under
@@ -65,7 +66,7 @@ DEFAULT_CACHE_ROOT = ".repro-soak"
 #: Samples submitted to the runner per chunk (budget check cadence).
 DEFAULT_CHUNK = 8
 
-#: Per-sample wall-time watchdog (seconds).
+#: Per-sample wall-time budget (seconds): the job's deadline.
 DEFAULT_SAMPLE_TIMEOUT = 60.0
 
 #: Campaign profiles: named sample mixes over verified spaces.

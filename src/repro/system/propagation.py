@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Set
 
 from .. import obs as _obs
 from .._errors import ConvergenceError, ModelError
+from ..obs.context import check_deadline
 from ..analysis.interface import TaskSpec
 from ..analysis.memo import AnalysisMemo, spec_fingerprint
 from ..analysis.results import ResourceResult, SystemResult, TaskResult
@@ -498,9 +499,10 @@ def _iterate(system: System, policy, max_iterations: int,
              initial_outputs: "Optional[Dict[str, EventModel]]",
              guard, memo: "Optional[AnalysisMemo]"):
     """Run the loop; returns ``(iterations, converged,
-    resource_results)`` for ``policy.finish``.  With telemetry on, each
-    iteration runs in a ``global_iteration`` span and emits one record,
-    plus one per guard verdict."""
+    resource_results)`` for ``policy.finish``.  Each iteration checks
+    the job deadline first; with telemetry on, it runs in a
+    ``global_iteration`` span and emits one record, plus one per guard
+    verdict."""
     responses: "Dict[str, TaskResult]" = {}
     prev_models: "Dict[str, EventModel]" = {}
     cycle_seeds: "Dict[str, EventModel]" = dict(initial_outputs or {})
@@ -514,6 +516,7 @@ def _iterate(system: System, policy, max_iterations: int,
     converged = False
 
     for iteration in range(1, max_iterations + 1):
+        check_deadline()
         iter_span = (_obs.get_tracer().start("global_iteration",
                                              system=system.name,
                                              iteration=iteration)

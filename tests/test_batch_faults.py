@@ -7,7 +7,7 @@ missing points.
 """
 
 import multiprocessing
-import signal
+import threading
 import time
 
 import pytest
@@ -25,9 +25,8 @@ from repro.batch import (
     register_job_kind,
 )
 from repro.batch.jobs import _JOB_KINDS
+from repro.obs.context import wait
 from repro.system import system_to_dict
-
-HAVE_SIGALRM = hasattr(signal, "SIGALRM")
 
 
 @pytest.fixture
@@ -104,14 +103,18 @@ class TestFailureCapture:
         assert report.results[report.failed[0]].status == STATUS_FAILED
 
 
-@pytest.mark.skipif(not HAVE_SIGALRM, reason="needs SIGALRM")
 class TestTimeouts:
-    def test_serial_timeout_preempts(self, scratch_kinds, tmp_path):
+    """A kind that waits through the deadline-aware wait stops at its
+    deadline, on the main thread, on a thread and in a pool worker."""
+
+    @pytest.fixture
+    def sleepy(self, scratch_kinds):
         @register_job_kind("sleepy")
         def _sleepy(payload):
-            time.sleep(payload["seconds"])
+            wait(payload["seconds"])
             return {"slept": payload["seconds"]}
 
+    def test_serial_timeout_preempts(self, sleepy, tmp_path):
         jobs = [Job("sleepy", {"seconds": 5.0}, timeout=0.2),
                 Job("sleepy", {"seconds": 0.0}, timeout=5.0)]
         t0 = time.perf_counter()
@@ -123,13 +126,23 @@ class TestTimeouts:
         assert "timeout" in slow.error
         assert fast.status == STATUS_OK
 
-    def test_pool_timeout_preempts_in_worker(self, scratch_kinds,
-                                             tmp_path):
-        @register_job_kind("sleepy")
-        def _sleepy(payload):
-            time.sleep(payload["seconds"])
-            return {"slept": payload["seconds"]}
+    def test_thread_timeout_preempts(self, sleepy, tmp_path):
+        jobs = [Job("sleepy", {"seconds": 5.0}, timeout=0.2),
+                Job("sleepy", {"seconds": 0.0}, timeout=5.0)]
+        reports = []
+        t0 = time.perf_counter()
+        thread = threading.Thread(target=lambda: reports.append(
+            BatchRunner(store=ResultStore(tmp_path)).run(jobs)))
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert time.perf_counter() - t0 < 4.0
+        slow = reports[0].results[jobs[0].key]
+        assert slow.status == STATUS_TIMEOUT
+        assert "timeout" in slow.error
+        assert reports[0].results[jobs[1].key].status == STATUS_OK
 
+    def test_pool_timeout_preempts_in_worker(self, sleepy, tmp_path):
         jobs = [Job("sleepy", {"seconds": 5.0}, timeout=0.2,
                     label="slow"),
                 Job("sleepy", {"seconds": 0.0}, timeout=5.0,
@@ -171,7 +184,7 @@ class TestResumeRetriesFailedOnly:
         def _flaky(payload):
             calls["n"] += 1
             if calls["n"] == 1:
-                time.sleep(0.5)  # post-hoc accounting catches this too
+                time.sleep(0.5)  # blocks outside the engine: caught on return
             return {"attempt": calls["n"]}
 
         job = Job("flaky_slow", {"x": 1}, timeout=0.2)

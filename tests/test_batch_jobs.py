@@ -83,6 +83,30 @@ class TestJobIdentity:
             Job("", {})
 
 
+class TestJobBudget:
+    @pytest.mark.parametrize("timeout", [
+        "abc", float("nan"), float("inf"), -1, -1.0, 0, 0.0, True, [1.0]])
+    def test_bad_budget_rejected_at_construction(self, timeout):
+        with pytest.raises(ModelError, match="timeout") as excinfo:
+            Job("analyze", {"system": {}}, timeout=timeout)
+        assert excinfo.value.context == {"field": "timeout"}
+
+    @pytest.mark.parametrize("timeout", [None, 1e-9, 0.5, 3, 1e6])
+    def test_valid_budget_accepted(self, timeout):
+        assert Job("analyze", {"system": {}}, timeout=timeout).timeout \
+            == timeout
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_cli_rejects_bad_budget(self, value, tmp_path, capsys):
+        from repro.batch.cli import batch_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            batch_main(["quickstart", "--timeout", value,
+                  "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "timeout" in capsys.readouterr().err
+
+
 class TestJobResultRoundTrip:
     def test_dict_round_trip(self):
         result = JobResult("k", "analyze", "lbl", "ok",

@@ -1,23 +1,39 @@
-"""Retry, poisoning, chaos injection, and post-hoc timeout hygiene."""
+"""Retry, poisoning, chaos injection, and timeout hygiene."""
 
 import multiprocessing
 import threading
 
 import pytest
 
-from repro import RetryPolicy, obs
+from repro import (
+    RetryPolicy,
+    SPPScheduler,
+    TaskSpec,
+    analyze_system,
+    obs,
+    periodic,
+)
+from repro._errors import ReproError
+from repro.analysis import max_wcet_scaling
 from repro.batch import BatchRunner, Job, ResultStore
 from repro.batch.executor import ProcessPoolBackend, SerialBackend
 from repro.batch.jobs import (
     STATUS_POISONED,
     STATUS_TIMEOUT,
     JobResult,
+    job_kinds,
     run_job,
+    taskspec_to_dict,
 )
 from repro.examples_lib.rox08 import build_system
 from repro.examples_lib.stress import build_overloaded
+from repro.examples_lib.synth import GraphSpace, synth_task_graph
+from repro.obs.context import JobTimeout, job_scope
 from repro.resilience import ChaosBackend, register_chaos_job_kinds
 from repro.resilience.retry import DETERMINISTIC, TRANSIENT
+from repro.serve import handlers  # noqa: F401 - registers "explain"
+from repro.soak.campaign import sample_job
+from repro.soak.oracle import KIND_GRAPH, SampleSpec, gather_evidence
 from repro.system import system_to_dict
 
 register_chaos_job_kinds()
@@ -205,21 +221,10 @@ class TestChaosBackend:
 
         assert crash_keys(13) == crash_keys(13)
 
-    def test_delayed_result_trips_budget(self, tmp_path):
-        job = Job("chaos_probe",
-                  {"state_dir": str(tmp_path), "probe_id": "d1",
-                   "fail_times": 0},
-                  timeout=10.0)
-        backend = ChaosBackend(SerialBackend(), seed=1, delay_rate=1.0,
-                               delay=60.0, sleep=lambda _: None)
-        results = []
-        backend.run([job], results.append)
-        assert results[0].status == STATUS_TIMEOUT
-
 
 class TestPostHocTimeout:
-    """Satellite regression: the non-SIGALRM path must discard a timed
-    out job's observability side effects."""
+    """A timed-out attempt folds none of its observability side effects
+    into the process registry, off the main thread or on it."""
 
     def _run_off_main_thread(self, job):
         captured = []
@@ -268,8 +273,8 @@ class TestPostHocTimeout:
             obs.disable(reset=True)
 
     def test_sigalrm_timeout_also_discarded(self, tmp_path):
-        # On the main thread SIGALRM pre-empts the job; partial
-        # metrics written before the alarm are discarded the same way.
+        # On the main thread the probe's wait ends at the deadline;
+        # what the attempt recorded before it is discarded the same way.
         obs.configure(enabled=True, reset=True)
         try:
             registry = obs.metrics()
@@ -315,6 +320,147 @@ class TestBackendParity:
         assert serial["gauges"].pop("batch.workers") == 1
         assert pool["gauges"].pop("batch.workers") == 2
         assert serial["gauges"] == pool["gauges"]
+
+
+def on_thread(fn):
+    """``fn()`` run on a fresh thread (where no signal can reach)."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def fork_pool(workers=1):
+    return ProcessPoolBackend(
+        workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def run_through(backend, jobs):
+    captured = []
+    backend.run(jobs, captured.append)
+    return {r.key: r for r in captured}
+
+
+LOCAL_TASKS = [TaskSpec("hi", 5.0, 5.0, periodic(50.0), priority=1),
+               TaskSpec("lo", 3.0, 3.0, periodic(20.0), priority=2)]
+LOCAL_DEADLINES = {"hi": 10.0, "lo": 20.0}
+
+
+def local_payload():
+    """A ``wcet_scaling`` payload: two SPP tasks and their deadlines."""
+    return {"scheduler": {"policy": "spp"},
+            "tasks": [taskspec_to_dict(t) for t in LOCAL_TASKS],
+            "deadlines": dict(LOCAL_DEADLINES)}
+
+
+def in_tree_jobs(tmp_path, timeout):
+    """One job of every in-tree kind, each with *timeout*."""
+    hem = system_to_dict(build_system("hem"))
+    dense = system_to_dict(synth_task_graph(3, GraphSpace(
+        max_resources=3, max_sources=8, max_chain=3, policies=("spp",),
+        util_lo=0.5, util_hi=0.8)))
+    jobs = [
+        Job("analyze", {"system": hem, "on_failure": "degrade"},
+            timeout=timeout),
+        Job("explain", {"system": hem}, timeout=timeout),
+        Job("wcet_scaling", local_payload(), timeout=timeout),
+        Job("task_slack", dict(local_payload(), task="lo"),
+            timeout=timeout),
+        Job("simulate", {"system": dense, "horizon": 1e7},
+            timeout=timeout),
+        sample_job("smoke", 7, 0, {"faults": 2}, [KIND_GRAPH], timeout),
+        Job("chaos_probe", {"state_dir": str(tmp_path),
+                            "hang_seconds": 0.3}, timeout=timeout),
+    ]
+    assert {job.kind for job in jobs} <= set(job_kinds())
+    return jobs
+
+
+class TestOneDeadline:
+    """A job's one deadline, checked by the engine, ends it the same
+    way on the main thread, on a thread and in a fork pool."""
+
+    def test_same_record_on_every_path(self, tmp_path):
+        job = Job("chaos_probe",
+                  {"state_dir": str(tmp_path), "probe_id": "slow",
+                   "hang_seconds": 0.3},
+                  timeout=0.05)
+        obs.configure(enabled=True, reset=True)
+        try:
+            results = [run_through(SerialBackend(), [job]),
+                       on_thread(lambda: run_through(SerialBackend(),
+                                                     [job])),
+                       run_through(fork_pool(), [job])]
+        finally:
+            obs.disable(reset=True)
+        results = [by_key[job.key] for by_key in results]
+        assert {(r.status, r.error, tuple(sorted(r.obs)))
+                for r in results} == {
+            (STATUS_TIMEOUT, "job exceeded timeout of 0.05s",
+             ("metrics", "pid", "spans"))}
+        assert [r.data for r in results] == [{}, {}, {}]
+        assert all(r.duration < 0.2 for r in results), \
+            [r.duration for r in results]
+
+    def test_a_retry_does_no_extra_work(self, tmp_path):
+        job = Job("analyze",
+                  {"system": system_to_dict(build_system("hem")),
+                   "on_failure": "degrade"},
+                  timeout=1e-9)
+        iterations = []
+        collect = iterations.append
+        obs.configure(enabled=True, reset=True)
+        obs.get_bus().subscribe(collect, interests={"iteration"})
+        try:
+            report = on_thread(lambda: runner(
+                tmp_path, retry=no_sleep_policy(max_attempts=2)).run([job]))
+        finally:
+            obs.get_bus().unsubscribe(collect)
+            obs.disable(reset=True)
+        result = report[job.key]
+        assert result.status == STATUS_POISONED and result.attempts == 2
+        assert [h["status"] for h in result.history] == [STATUS_TIMEOUT]
+        assert iterations == []  # no attempt completed a global iteration
+
+    def test_sensitivity_kinds_stop(self):
+        job = Job("wcet_scaling", local_payload(), timeout=1e-9)
+        result = on_thread(
+            lambda: run_through(SerialBackend(), [job]))[job.key]
+        assert result.status == STATUS_TIMEOUT
+        assert "factor" not in result.data
+
+    def test_engine_handlers_let_it_through(self):
+        """The sensitivity bisection, degraded mode's quarantine and the
+        soak oracle catch analysis failures; the timeout is none."""
+        assert not issubclass(JobTimeout, ReproError)
+        calls = [
+            lambda: max_wcet_scaling(SPPScheduler(), LOCAL_TASKS,
+                                     LOCAL_DEADLINES),
+            lambda: analyze_system(build_system("hem"),
+                                   on_failure="degrade"),
+            lambda: gather_evidence(SampleSpec(KIND_GRAPH, 1, {})),
+        ]
+        for call in calls:
+            with job_scope(timeout=1e-9):
+                with pytest.raises(JobTimeout):
+                    call()
+
+    @pytest.mark.parametrize("path", ["main", "thread", "pool"])
+    def test_every_in_tree_kind_stops(self, tmp_path, path):
+        jobs = in_tree_jobs(tmp_path, 1e-9)
+        if path == "pool":
+            results = run_through(fork_pool(2), jobs)
+        else:
+            def serial():
+                return run_through(SerialBackend(), jobs)
+            results = serial() if path == "main" else on_thread(serial)
+        for job in jobs:
+            result = results[job.key]
+            assert result.status == STATUS_TIMEOUT, (job.kind, result.error)
+            assert result.error == "job exceeded timeout of 1e-09s"
+            assert result.data == {} and result.duration < 0.2, job.kind
 
 
 class TestDegradeJobKind:

@@ -10,6 +10,7 @@ from repro import analyze_system, obs
 from repro.examples_lib.rox08 import build_system
 from repro.obs.aggregate import LiveAggregator
 from repro.obs.bus import EventBus
+from repro.obs.context import job_scope
 from repro.obs.export import records_to_chrome
 from repro.obs.sinks import ChromeTraceSink, JsonlEventSink
 from repro.obs.trace import Tracer
@@ -155,9 +156,10 @@ class TestTracerBusEvents:
         sink = Collector()
         obs.get_bus().subscribe(sink)
         tracer = Tracer()
-        with tracer.span("outer", resource="cpu") as span:
-            tracer.event("tick", n=1)
-            span.set(tasks=2)
+        with job_scope() as job:
+            with tracer.span("outer", resource="cpu") as span:
+                tracer.event("tick", n=1)
+                span.set(tasks=2)
         kinds = [e["type"] for e in sink.events]
         assert kinds == ["span_start", "span_point", "span"]
         finished = sink.events[-1]
@@ -168,7 +170,7 @@ class TestTracerBusEvents:
         # the record is span_to_dict's, span events included
         assert finished["events"][0]["name"] == "tick"
         assert finished["events"][0]["n"] == 1
-        assert tracer.finished_count == 1
+        assert job.spans == 1
 
     def test_span_interest_flag(self):
         bus = EventBus()
@@ -187,9 +189,10 @@ class TestTracerBusEvents:
         sink = Collector(interests={"span_start", "job"})
         obs.get_bus().subscribe(sink)
         tracer = Tracer()
-        tracer.start("quiet").finish()
+        with job_scope() as job:
+            tracer.start("quiet").finish()
         assert [e["type"] for e in sink.events] == ["span_start"]
-        assert tracer.finished_count == 1
+        assert job.spans == 1
 
     def test_error_span_carries_error(self):
         sink = Collector(interests={"span"})

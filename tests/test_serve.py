@@ -21,8 +21,10 @@ import pytest
 from repro import obs
 from repro.batch.jobs import register_job_kind, run_job
 from repro.batch.store import ResultStore
+from repro.examples_lib.synth import GraphSpace, synth_task_graph
 from repro.serve import RequestRejected, ServeClient, daemon_in_thread
 from repro.serve.handlers import build_job
+from repro.system import system_to_dict
 
 # ----------------------------------------------------------------------
 # helpers
@@ -431,8 +433,8 @@ class TestJobMetrics:
         handle, client, answer = self._block_beside_hits(tmp_path, 0.05)
         try:
             # The first attempt overran its budget on a dispatcher
-            # thread (post-hoc); the daemon's retry ran past the open
-            # gate.
+            # thread, blocked outside the engine, so run_job caught it
+            # on return; the daemon's retry ran past the open gate.
             assert answer.ok and answer.attempts == 2
             text = client.metrics_text()
             requests = client.health()["requests"]
@@ -466,3 +468,41 @@ class TestJobMetrics:
         after = index.stat()
         assert (after.st_ino, after.st_mtime_ns) == \
             (before.st_ino, before.st_mtime_ns)
+
+
+class TestJobBudget:
+    """A ``/v1/job`` budget is the job's deadline on the dispatcher
+    thread, and a budget that is not one is a bad request."""
+
+    def test_served_job_frees_its_dispatcher(self, daemon):
+        _handle, client = daemon
+        # About 4 s of simulation without a budget.
+        system = synth_task_graph(3, GraphSpace(
+            max_resources=3, max_sources=8, max_chain=3,
+            policies=("spp",), util_lo=0.5, util_hi=0.8))
+        t0 = time.perf_counter()
+        answer = client.job("simulate", {"system": system_to_dict(system),
+                                         "horizon": 1e7}, timeout=0.2)
+        elapsed = time.perf_counter() - t0
+        assert answer.status == "poisoned" and answer.attempts == 2
+        assert elapsed < 3.0, elapsed
+        assert client.health()["queue"]["in_flight"] == 0
+
+    @pytest.mark.parametrize("timeout", ["abc", float("nan"), -1])
+    def test_bad_budget_is_a_bad_request(self, daemon, timeout):
+        _handle, client = daemon
+        with pytest.raises(RequestRejected) as excinfo:
+            client.job("serve_test_block", {"n": 1}, timeout=timeout)
+        assert excinfo.value.status == 400
+        assert "timeout" in excinfo.value.body["detail"]
+        with pytest.raises(RequestRejected) as excinfo:
+            client.sweep("quickstart", sample=1, timeout=timeout)
+        assert excinfo.value.status == 400
+        assert "timeout" in excinfo.value.body["detail"]
+
+    def test_valid_budget_still_works(self, daemon):
+        _handle, client = daemon
+        _GATE.set()
+        assert client.job("serve_test_block", {"n": 1}, timeout=5).ok
+        final = client.sweep("quickstart", sample=1, timeout=30.0)
+        assert final["failed"] == 0 and final["points"] == 1

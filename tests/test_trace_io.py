@@ -16,6 +16,7 @@ from repro.eventmodels import (
 )
 from repro import obs
 from repro.obs import JsonlEventSink, Tracer, read_jsonl
+from repro.obs.context import job_scope
 
 
 CSV_TEXT = """time,stream,extra
@@ -89,32 +90,39 @@ class TestTracerThreadSafety:
     DEPTH = 5
     REPEATS = 20
 
-    def _worker(self, tracer, barrier, errors):
+    def _worker(self, tracer, barrier, errors, finished):
         try:
             barrier.wait()
-            for _ in range(self.REPEATS):
-                opened = []
-                for level in range(self.DEPTH):
-                    span = tracer.start(f"level{level}",
-                                        thread=threading.get_ident())
-                    # the parent must be this thread's previous span,
-                    # never another thread's
-                    expected = opened[-1].span_id if opened else None
-                    assert span.parent_id == expected
-                    opened.append(span)
-                for span in reversed(opened):
-                    assert tracer.current() is span
-                    span.finish()
-                assert tracer.current() is None
+            with job_scope() as job:
+                self._nest(tracer)
+            finished.append(job.spans)
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
+
+    def _nest(self, tracer):
+        for _ in range(self.REPEATS):
+            opened = []
+            for level in range(self.DEPTH):
+                span = tracer.start(f"level{level}",
+                                    thread=threading.get_ident())
+                # the parent must be this thread's previous span,
+                # never another thread's
+                expected = opened[-1].span_id if opened else None
+                assert span.parent_id == expected
+                opened.append(span)
+            for span in reversed(opened):
+                assert tracer.current() is span
+                span.finish()
+            assert tracer.current() is None
 
     def test_concurrent_nested_spans(self, span_records):
         tracer = Tracer()
         barrier = threading.Barrier(self.THREADS)
         errors = []
+        finished = []
         threads = [threading.Thread(target=self._worker,
-                                    args=(tracer, barrier, errors))
+                                    args=(tracer, barrier, errors,
+                                          finished))
                    for _ in range(self.THREADS)]
         for t in threads:
             t.start()
@@ -124,7 +132,8 @@ class TestTracerThreadSafety:
 
         spans = span_records
         assert len(spans) == self.THREADS * self.REPEATS * self.DEPTH
-        assert tracer.finished_count == len(spans)
+        # each thread's job scope counted its own spans, and only those
+        assert finished == [self.REPEATS * self.DEPTH] * self.THREADS
         # span ids are unique despite concurrent allocation
         ids = [s["span_id"] for s in spans]
         assert len(set(ids)) == len(ids)
@@ -151,8 +160,10 @@ class TestTracerThreadSafety:
             JsonlEventSink(str(path), span_only=True, t0=tracer.t0))
         barrier = threading.Barrier(self.THREADS)
         errors = []
+        finished = []
         threads = [threading.Thread(target=self._worker,
-                                    args=(tracer, barrier, errors))
+                                    args=(tracer, barrier, errors,
+                                          finished))
                    for _ in range(self.THREADS)]
         for t in threads:
             t.start()
