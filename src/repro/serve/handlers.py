@@ -194,6 +194,17 @@ def _budget(payload: Dict[str, Any]) -> Optional[float]:
         raise BadRequest(str(exc)) from None
 
 
+def int_field(payload: Dict[str, Any], name: str, default: int) -> int:
+    """The request's ``name`` field as an int (*default* when absent),
+    else :class:`BadRequest` naming the field."""
+    value = payload.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadRequest(f"{name} must be an integer, got {value!r}") \
+            from None
+
+
 # ----------------------------------------------------------------------
 # worker-side execution (dispatcher threads)
 # ----------------------------------------------------------------------
@@ -290,9 +301,9 @@ def run_sweep(runner_factory: Callable[[str], BatchRunner],
             f"(known: {', '.join(sorted(NAMED_SPACES))})")
     space = NAMED_SPACES[name]()
     space.timeout = _budget(payload)
-    sample = payload.get("sample")
-    points = (space.sample(int(sample), seed=int(payload.get("seed", 0)))
-              if sample is not None else list(space.grid()))
+    seed = int_field(payload, "seed", 0)
+    points = (space.sample(int_field(payload, "sample", 0), seed=seed)
+              if payload.get("sample") is not None else list(space.grid()))
 
     runner = runner_factory(name)
     if sink is not None:
@@ -324,6 +335,7 @@ __all__ = [
     "RequestSink",
     "build_job",
     "example_names",
+    "int_field",
     "mint_trace_context",
     "resolve_system_dict",
     "run_sweep",

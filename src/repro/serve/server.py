@@ -447,7 +447,16 @@ class ServeDaemon:
 
     async def _read_body(self, reader: asyncio.StreamReader,
                          headers: Dict[str, str]) -> Dict[str, Any]:
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HttpError(400, {
+                "error": "bad_request",
+                "detail": f"content-length must be a non-negative "
+                          f"integer, got {declared!r}"})
         if length == 0:
             return {}
         if length > MAX_BODY_BYTES:
@@ -531,13 +540,15 @@ class ServeDaemon:
         job_key = ""
         if kind == "sweep":
             job_key = str(payload.get("space") or "")
-        if kind in ("analyze", "explain", "job"):
-            try:
+        try:
+            if kind in ("analyze", "explain", "job"):
                 job_key = handlers.build_job(kind, payload).key
-            except BadRequest as exc:
-                self.stats.dispose("errors")
-                raise _HttpError(400, {"error": "bad_request",
-                                       "detail": str(exc)})
+            priority = handlers.int_field(payload, "priority",
+                                          DEFAULT_PRIORITY)
+        except BadRequest as exc:
+            self.stats.dispose("errors")
+            raise _HttpError(400, {"error": "bad_request",
+                                   "detail": str(exc)})
         deadline = payload.get("deadline", self.default_deadline)
         if deadline is not None:
             try:
@@ -559,10 +570,9 @@ class ServeDaemon:
                 endpoint=kind, job_key=job_key)
         try:
             item = self.queue.submit(
-                kind, payload,
-                priority=int(payload.get("priority", DEFAULT_PRIORITY)),
-                deadline=deadline, job_key=job_key, stream=stream,
-                request_id=request_id, span=span)
+                kind, payload, priority=priority, deadline=deadline,
+                job_key=job_key, stream=stream, request_id=request_id,
+                span=span)
         except QueueFull as exc:
             self.stats.dispose("rejected")
             self._finish_root_span(span, 429, "backpressure")

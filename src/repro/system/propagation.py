@@ -19,9 +19,10 @@ and propagated event models are stable.
 
 from __future__ import annotations
 
+import struct
 import time
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from .. import obs as _obs
 from .._errors import ConvergenceError, ModelError
@@ -58,13 +59,18 @@ CONVERGENCE_CHECK_N = 32
 
 
 class _StreamResolver:
-    """Resolves the event model present at any output port of the graph
-    for one global iteration, with memoisation and cycle detection.
+    """Resolves the event model present at any output port of the graph,
+    with memoisation and cycle detection.
+
+    The global loop carries one resolver through a run and calls
+    :meth:`advance` at every phase boundary, where the responses the
+    streams read may change; a cached port survives a boundary when a
+    fresh resolver would serve it unchanged.
 
     ``substitutes`` maps ports to fixed models served before anything
     is resolved (the widened outputs of quarantined resources in a
     degraded run).  The mapping is read live, so a quarantine decided
-    mid-iteration takes effect for every later lookup.
+    mid-phase takes effect for every later lookup.
 
     ``lineage``, when given, receives one
     :class:`~repro.explain.lineage.LineageNode` per resolved port: the
@@ -72,9 +78,10 @@ class _StreamResolver:
     recorded.
 
     ``read_seed`` turns True once a dependency cycle was cut with a
-    model of ``initial_outputs``.  ``junctions`` counts the junctions
-    resolved, per kind; the global loop points it at one tally per
-    iteration, which the iteration's record carries.
+    model of ``initial_outputs`` (until the next boundary).
+    ``junctions`` counts the junctions resolved, per kind; the global
+    loop points it at one tally per iteration, which the iteration's
+    record carries.
     """
 
     def __init__(self, system: System,
@@ -88,16 +95,63 @@ class _StreamResolver:
         self._substitutes = {} if substitutes is None else substitutes
         self._lineage = lineage
         self._cache: "Dict[str, EventModel]" = {}
+        # Per multi-input task: the input models it folded, and the fold.
+        self._folds: "Dict[str, Tuple[List[EventModel], EventModel]]" = {}
+        # Per task and junction: the ports of it the graph reads and the
+        # nodes reading them (built the first time a response moves).
+        self._graph = None
         self._visiting: Set[str] = set()
         self.read_seed = False
         self.junctions: Dict[str, int] = {}
+
+    def advance(self, responses: "Dict[str, TaskResult]",
+                carry: bool) -> None:
+        """Serve *responses* from the next phase on.
+
+        A port's model is a function of the responses in its upstream
+        cone, and chains are interned by fingerprint, so a port whose
+        upstream responses are bit-equal in *responses* to what it read
+        is what a fresh resolver would serve: it is kept, and every
+        other port is dropped.  Every port is dropped when *carry* is
+        False (a policy that catches errors: a quarantine can add a
+        substitute mid-phase, which ports resolved before it do not
+        see) or when this phase read a cycle seed (where a fresh
+        resolver cuts a cycle depends on the order it resolves ports
+        in)."""
+        if not carry or self.read_seed:
+            self._cache.clear()
+        elif responses is not self._responses:
+            old = self._responses
+            moved = [name for name, task in self._system.tasks.items()
+                     if old.get(name) is not responses.get(name)
+                     and _reads(task, old) != _reads(task, responses)]
+            if moved:
+                self._drop_downstream(moved)
+        self._responses = responses
+        self.read_seed = False
+
+    def _drop_downstream(self, moved: "List[str]") -> None:
+        """Drop the cached ports of the *moved* tasks and of every task
+        and junction downstream of them."""
+        if self._graph is None:
+            self._graph = _port_graph(self._system)
+        ports, readers = self._graph
+        stack, seen = list(moved), set()
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            for port in ports[node]:
+                self._cache.pop(port, None)
+            stack.extend(readers[node])
 
     def _record(self, port: str, kind: str, inputs=(), **attrs) -> None:
         self._lineage[port] = LineageNode(port, kind, tuple(inputs), attrs)
 
     # ------------------------------------------------------------------
     def port(self, port: str) -> EventModel:
-        """Event model observable at *port* this iteration."""
+        """Event model observable at *port* in this phase."""
         substitute = self._substitutes.get(port)
         if substitute is not None:
             return substitute
@@ -105,8 +159,8 @@ class _StreamResolver:
         if cached is not None:
             return cached
         # Share derived chains through the global fingerprint cache:
-        # a stream whose inputs did not move is last iteration's chain,
-        # memos filled.
+        # equal streams of other runs (or of ports this resolver
+        # dropped) are one chain, memos filled.
         model = _compile.maybe_compile(self._resolve(port))
         self._cache[port] = model
         return model
@@ -252,10 +306,15 @@ class _StreamResolver:
     # ------------------------------------------------------------------
     def activation_model(self, task: Task) -> EventModel:
         """The stream that activates *task* (combining multiple inputs
-        per the task's activation semantics)."""
+        per the task's activation semantics).  A fold is kept while its
+        inputs resolve to the same objects."""
         models = [self.port(p) for p in task.inputs]
         if len(models) == 1:
             return models[0]
+        folded = self._folds.get(task.name)
+        if folded is not None and all(
+                a is b for a, b in zip(folded[0], models)):
+            return folded[1]
         flat = [m.outer if is_hierarchical(m) else m for m in models]
         if task.activation == "and":
             joined = and_join(flat, name=f"{task.name}.act")
@@ -269,7 +328,9 @@ class _StreamResolver:
                 rule=f"{task.activation.upper()}-join "
                      f"({task.activation}_join of {len(models)} inputs)",
                 flattened_hierarchies=flattened)
-        return _compile.maybe_compile(joined)
+        joined = _compile.maybe_compile(joined)
+        self._folds[task.name] = (models, joined)
+        return joined
 
     def task_specs(self, tasks: "List[Task]") -> "List[TaskSpec]":
         """What a local analysis sees of *tasks*: each one's parameters
@@ -279,6 +340,35 @@ class _StreamResolver:
                          priority=t.priority, slot=t.slot,
                          deadline=t.deadline, blocking=t.blocking)
                 for t in tasks]
+
+
+_DOUBLES = struct.Struct("<dd").pack
+
+
+def _reads(task: Task, responses: "Dict[str, TaskResult]") -> bytes:
+    """What resolving *task*'s output port reads of its response: its
+    ``(r_min, r_max)``, or the ``(c_min, c_max)`` seed while it has
+    none; as the bytes of two doubles, equal only when bit-equal."""
+    result = responses.get(task.name)
+    if result is None:
+        return _DOUBLES(task.c_min, task.c_max)
+    return _DOUBLES(result.r_min, result.r_max)
+
+
+def _port_graph(system: System
+                ) -> "Tuple[Dict[str, Set[str]], Dict[str, List[str]]]":
+    """Per task and junction: its ports that the graph reads (its own
+    name among them) and the tasks and junctions reading them."""
+    ports: "Dict[str, Set[str]]" = {
+        name: {name} for name in (*system.tasks, *system.junctions)}
+    readers: "Dict[str, List[str]]" = {name: [] for name in ports}
+    for reader in (*system.tasks.values(), *system.junctions.values()):
+        for port in reader.inputs:
+            node = system.producer_of(port)
+            if node in ports:
+                ports[node].add(port)
+                readers[node].append(reader.name)
+    return ports, readers
 
 
 def _converged_resolver(system: System, result,
@@ -511,7 +601,11 @@ def _iterate(system: System, policy, max_iterations: int,
     # (without a memo; the memo keeps its own).
     spec_keys: "Dict[str, tuple]" = {}
     substitutes = policy.substitutes
-    handoff: "Optional[_StreamResolver]" = None
+    # One resolver for the run: each phase boundary keeps the ports a
+    # fresh resolver would serve unchanged (see advance), except under a
+    # policy that catches errors, where every phase starts empty.
+    resolver = _StreamResolver(system, responses, cycle_seeds, substitutes)
+    carry = not policy.errors
     iteration = 0
     converged = False
 
@@ -522,15 +616,10 @@ def _iterate(system: System, policy, max_iterations: int,
                                              iteration=iteration)
                      if _obs.enabled else None)
         # This iteration's junction resolutions, per kind (its record's
-        # ``junctions``): both its resolvers count into it.
+        # ``junctions``): both its phases count into it.
         junctions: Dict[str, int] = {}
         try:
-            # Last iteration's propagation resolver, when it serves
-            # exactly what a fresh one would (see below), already holds
-            # every port of these responses.
-            resolver = (handoff if handoff is not None
-                        else _StreamResolver(system, responses, cycle_seeds,
-                                             substitutes))
+            resolver.advance(responses, carry)
             resolver.junctions = junctions
 
             # Local analysis per resource (through the incremental memo
@@ -581,10 +670,9 @@ def _iterate(system: System, policy, max_iterations: int,
             resource_results = new_resource_results
 
             # Propagate: compute every task's output model with the *new*
-            # responses and compare with the previous iteration's models.
-            resolver = _StreamResolver(system, responses, cycle_seeds,
-                                       substitutes)
-            resolver.junctions = junctions
+            # responses and compare with the previous iteration's models
+            # (a port no moved response reaches is the same object).
+            resolver.advance(responses, carry)
             new_models: "Dict[str, EventModel]" = {}
             for task_name, task in system.tasks.items():
                 try:
@@ -594,14 +682,6 @@ def _iterate(system: System, policy, max_iterations: int,
                 new_models[task_name] = out
                 # Cycle seeds advance with the iteration.
                 cycle_seeds[task_name] = out
-            # Hand this resolver to the next iteration's local analysis
-            # only where a fresh one would serve the same models: it read
-            # no cycle seed (it resolved every task port, so it crossed
-            # every cycle: the graph has none), and the policy catches
-            # nothing (no substitute can appear while the next iteration
-            # analyses).
-            handoff = (resolver if not policy.errors
-                       and not resolver.read_seed else None)
 
             models_stable = _models_stable(prev_models, new_models)
             converged = stable and models_stable

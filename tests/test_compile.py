@@ -501,16 +501,19 @@ def _fill_counting_subclasses(cls):
         yield from _fill_counting_subclasses(sub)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_rox08("flat"),
-    lambda: build_rox08("hem"),
-    lambda: synth_system(16, 2, base_period=800.0),
+@pytest.mark.parametrize("build, cold", [
+    (lambda: build_rox08("flat"), 162),
+    (lambda: build_rox08("hem"), 104),
+    (lambda: synth_system(16, 2, base_period=800.0), 388),
 ], ids=["rox08-flat", "rox08-hem", "synth-16x2"])
-def test_sharing_fills_fewer_dmin_entries(monkeypatch, build):
-    """Chain sharing saves work, counted rather than timed: one analysis
-    from a cold cache fills fewer δ⁻ memo entries with sharing on than
-    with every iteration building its chains afresh (641 → 255 entries
-    for RoX08 flat, 876 → 222 for HEM, 3,724 → 578 for synth 16×2)."""
+def test_sharing_fills_fewer_dmin_entries(monkeypatch, build, cold):
+    """Sharing saves work, counted rather than timed.  Within a run the
+    carried stream resolver shares: one analysis from a cold cache
+    fills the same δ⁻ memo entries with chain sharing on or off (162
+    for RoX08 flat, 104 for HEM, 388 for synth 16×2; 641, 876 and
+    3,724 when every iteration built its chains afresh).  Across runs
+    the chain cache shares: a second analysis of a rebuilt equal system
+    fills none with sharing on, and all of them again with it off."""
     from repro.eventmodels.operations import PrefixMemoModel
     filled = [0]
 
@@ -524,15 +527,17 @@ def test_sharing_fills_fewer_dmin_entries(monkeypatch, build):
 
     for sub in set(_fill_counting_subclasses(PrefixMemoModel)):
         monkeypatch.setattr(sub, "_fill_min", counting(vars(sub)["_fill_min"]))
-    counts = {}
+    second = {}
     for enabled in (False, True):
         emc.enabled = enabled
         emc.cache().clear()
-        system = build()
         filled[0] = 0
-        analyze_system(system)
-        counts[enabled] = filled[0]
-    assert 0 < counts[True] < counts[False], counts
+        analyze_system(build())
+        assert filled[0] == cold, (enabled, filled[0])
+        filled[0] = 0
+        analyze_system(build())
+        second[enabled] = filled[0]
+    assert second == {True: 0, False: cold}
 
 
 def test_obs_counters_emitted():
@@ -541,6 +546,10 @@ def test_obs_counters_emitted():
     obs.configure(enabled=True, reset=True)
     try:
         emc.cache().clear()
+        analyze_system(build_rox08("hem"))
+        # A cold run shares within itself (no hit); a second analysis of
+        # an equal system hits every chain the first one stored.
+        assert emc.cache().stats()["hits"] == 0
         analyze_system(build_rox08("hem"))
         counters = obs.metrics().snapshot()["counters"]
         stats = emc.cache().stats()

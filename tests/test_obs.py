@@ -368,8 +368,9 @@ class TestChromeExport:
 
     def test_rox08_trace_carries_junction_counts(self, obs_on, tmp_path):
         """Each span carries its record: RoX08 HEM's 3 global iterations
-        count its 20 junction resolutions per kind, beside 3 local
-        analyses (the resources an iteration keeps have none); a
+        count its 8 junction resolutions per kind (the carried resolver
+        re-derives no junction whose upstream responses held), beside 3
+        local analyses (the resources an iteration keeps have none); a
         healthy strict run records no point event."""
         payload = chrome_trace(
             tmp_path / "t.json",
@@ -387,7 +388,7 @@ class TestChromeExport:
         for args in iterations:
             for kind, n in args["junctions"].items():
                 per_kind[kind] = per_kind.get(kind, 0) + n
-        assert per_kind == {"pack": 8, "unpack": 12}
+        assert per_kind == {"pack": 2, "unpack": 6}
         counters = metrics().snapshot()["counters"]
         assert per_kind == {
             k[len("propagation.junction."):]: v
@@ -424,6 +425,10 @@ class TestEngineIntegration:
         snap = metrics().snapshot()
         assert snap["counters"]["propagation.iterations"] >= 2
         # The chain cache counts its own hits; the engine pushes no copy.
+        # A cold run shares its chains through its own resolver; a
+        # second analysis of an equal system hits the chain cache.
+        assert obs.engine_stats()["compile.cache.hits"] == 0
+        analyze_system(build_system("hem"))
         assert obs.engine_stats()["compile.cache.hits"] > 0
         assert not [n for n in snap["counters"]
                     if n.startswith(("compile.", "eventmodels."))]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 
@@ -361,6 +362,65 @@ class TestProtocol:
         assert "requests" in health and "compile_cache" in health
         states = [h["state"] for h in health["state_history"]]
         assert states == ["starting", "serving"]
+
+
+# ----------------------------------------------------------------------
+# malformed request fields: 400 naming the field, and the daemon serves on
+# ----------------------------------------------------------------------
+def _raw_post(port, head_lines, body=b""):
+    """Send one hand-written POST /v1/analyze; returns the status code
+    and the parsed JSON body of the answer."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        head = "\r\n".join(["POST /v1/analyze HTTP/1.1",
+                             "Host: 127.0.0.1", *head_lines, "", ""])
+        sock.sendall(head.encode("latin-1") + body)
+        raw = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    status_line, _, rest = raw.partition(b"\r\n")
+    _headers, _, payload = rest.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(payload)
+
+
+class TestMalformedFields:
+    """A request field that does not parse is a 400 ``bad_request``
+    naming the field, and the next good request still gets 200."""
+
+    def test_bad_priority(self, daemon):
+        _handle, client = daemon
+        with pytest.raises(RequestRejected) as excinfo:
+            client.analyze(example="rox08", priority="abc")
+        assert excinfo.value.status == 400
+        assert excinfo.value.body["error"] == "bad_request"
+        assert "priority" in excinfo.value.body["detail"]
+        assert client.analyze(example="rox08").ok
+
+    @pytest.mark.parametrize("field", ["sample", "seed"])
+    def test_bad_sweep_field(self, daemon, field):
+        _handle, client = daemon
+        fields = {"sample": 1, "seed": 0, field: "abc"}
+        with pytest.raises(RequestRejected) as excinfo:
+            client.sweep("quickstart", **fields)
+        assert excinfo.value.status == 400
+        assert excinfo.value.body["error"] == "bad_request"
+        assert field in excinfo.value.body["detail"]
+        assert client.sweep("quickstart", sample=1)["failed"] == 0
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length(self, daemon, length):
+        handle, client = daemon
+        status, body = _raw_post(handle.port, [f"Content-Length: {length}"])
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert "content-length" in body["detail"]
+        payload = json.dumps({"example": "rox08"}).encode("utf-8")
+        status, body = _raw_post(
+            handle.port, [f"Content-Length: {len(payload)}",
+                          "Content-Type: application/json"], payload)
+        assert status == 200 and body["status"] == "ok"
 
 
 # ----------------------------------------------------------------------

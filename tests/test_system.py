@@ -253,24 +253,24 @@ def feedback_seeds():
 
 
 class TestIterationReuse:
-    """One global iteration does each piece of work once: the
-    propagation resolver serves the next iteration's local analysis
-    where a fresh resolver would serve the same models, and a resource
-    whose specs did not move keeps its result."""
+    """The global loop does each piece of work once: one resolver
+    carried through the run re-derives a port only when a response
+    upstream of it moved, and a resource whose specs did not move keeps
+    its result."""
 
     def test_cycle_gets_a_fresh_resolver(self):
         # The propagation pass cut the cycle with the previous seeds; a
-        # fresh resolver reads this iteration's.  Handing the
-        # propagation resolver over anyway names cpuB (1.2882).
+        # fresh resolver reads this iteration's.  Carrying the
+        # propagation pass's ports anyway names cpuB (1.2882).
         with pytest.raises(NotSchedulableError,
                            match=r"^cpuA: utilization 1\.2400 exceeds 1\.0"):
             analyze_system(feedback_pair((10.0, 20.0), (15.0, 30.0)),
                            initial_outputs=feedback_seeds())
 
     def test_degraded_run_gets_a_fresh_resolver(self):
-        # Degraded and cyclic, so neither handoff condition holds: a
-        # quarantine adds substitutes mid-iteration, which a handed-over
-        # cache would not see.  Handing it over anyway takes 11
+        # Degraded and cyclic, so the resolver starts every phase
+        # empty: a quarantine adds substitutes mid-iteration, which a
+        # carried cache would not see.  Carrying it anyway takes 11
         # iterations instead of 10.
         outcome = analyze_system(
             feedback_pair((2.5, 5.0), (2.5, 5.0)),
@@ -280,9 +280,10 @@ class TestIterationReuse:
         assert set(outcome.failed_resources()) == {"cpuA", "cpuB"}
 
     def test_rox08_hem_resolves_and_analyses_once(self):
-        """RoX08 HEM: 20 junction resolutions (one resolver per
-        iteration, 30 with two) and 3 local analyses of 6 (the
-        resources whose inputs did not move keep their result)."""
+        """RoX08 HEM: 8 junction resolutions, all in the first
+        iteration (a resolver per iteration made 20, two made 30), and
+        3 local analyses of 6 (the resources whose inputs did not move
+        keep their result)."""
         obs.configure(enabled=True, reset=True)
         records = []
         bus = obs.get_bus()
@@ -295,7 +296,8 @@ class TestIterationReuse:
             obs.disable(reset=True)
         assert result.iterations == 3
         assert sum(v for k, v in snap["counters"].items()
-                   if k.startswith("propagation.junction.")) == 20
+                   if k.startswith("propagation.junction.")) == 8
+        assert [sum(r["junctions"].values()) for r in records] == [8, 0, 0]
         local = snap["histograms"]["propagation.local_analysis_seconds"]
         assert local["count"] == 3
         kept = [r["kept_resources"] for r in records]
