@@ -70,6 +70,29 @@ def _publish_job(result: JobResult, cached: bool) -> None:
     _BUS.publish(event)
 
 
+def served_from_store(stored: Optional[JobResult],
+                      retry_poisoned: bool = False) -> bool:
+    """Whether a job's *stored* result answers it instead of a run: an
+    ``ok`` result always, a ``poisoned`` one (a known mine) unless
+    *retry_poisoned*.  The runner and the serve daemon's admission both
+    decide here, and count what they serve with
+    :func:`count_stored_answers`."""
+    return stored is not None and (
+        stored.ok or (stored.status == STATUS_POISONED
+                      and not retry_poisoned))
+
+
+def count_stored_answers(results: Sequence[JobResult]) -> None:
+    """Count *results*, served from the store, in ``batch.cache.hits``
+    and publish each one's cached ``job`` event."""
+    if not _obs.enabled:
+        return
+    _obs.metrics().counter("batch.cache.hits").inc(len(results))
+    if _BUS.wants("job"):
+        for result in results:
+            _publish_job(result, cached=True)
+
+
 def finish_attempt(result: JobResult) -> JobResult:
     """The one step every finished attempt takes, on every backend:
     fold the attempt's ``obs`` into the process registry (its spans as
@@ -245,23 +268,17 @@ class BatchRunner:
         to_run: "List[Job]" = []
         for key, job in unique.items():
             cached = self.store.get(key) if self.store is not None else None
-            if cached is not None and cached.ok:
+            if served_from_store(cached, self.retry_poisoned):
                 report.results[key] = cached
                 report.cached.append(key)
-            elif (cached is not None
-                    and cached.status == STATUS_POISONED
-                    and not self.retry_poisoned):
-                # A known mine: don't step on it again.
-                report.results[key] = cached
-                report.cached.append(key)
-                report.failed.append(key)
-                report.poisoned.append(key)
+                if not cached.ok:
+                    report.failed.append(key)
+                    report.poisoned.append(key)
             else:
                 to_run.append(job)
 
         if _obs.enabled:
             registry = _obs.metrics()
-            registry.counter("batch.cache.hits").inc(len(report.cached))
             registry.counter("batch.cache.misses").inc(len(to_run))
             registry.counter("batch.jobs.submitted").inc(len(to_run))
             registry.gauge("batch.workers").set(
@@ -274,13 +291,7 @@ class BatchRunner:
                     "workers": getattr(self.backend, "workers", 1),
                     "backend": getattr(self.backend, "name", "?"),
                 })
-            if _BUS.wants("job"):
-                # Cache hits never reach the backend, so their
-                # lifecycle events are published up front.
-                for key in report.order:
-                    cached_result = report.results.get(key)
-                    if cached_result is not None:
-                        _publish_job(cached_result, cached=True)
+        count_stored_answers([report.results[key] for key in report.cached])
 
         attempts: "Dict[str, int]" = {}
         histories: "Dict[str, List[dict]]" = {}

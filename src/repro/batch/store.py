@@ -199,6 +199,13 @@ class ResultStore:
             self._cache[key] = result
             return result
 
+    def held(self, key: str) -> Optional[JobResult]:
+        """The result for *key* if this store already holds it in
+        memory (put or read since it opened), else ``None``.  Neither
+        I/O nor the lock: an event loop may ask while a worker thread's
+        :meth:`put` holds the lock across its fsync."""
+        return self._cache.get(key)
+
     def completed_keys(self) -> "List[str]":
         """Keys whose stored status is ``ok`` (resume skips these)."""
         return [k for k in self.keys() if self.get(k).ok]

@@ -32,7 +32,13 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .._errors import ModelError
 from ..batch.executor import BatchRunner
-from ..batch.jobs import Job, check_timeout, job_kinds, register_job_kind
+from ..batch.jobs import (
+    Job,
+    JobResult,
+    check_timeout,
+    job_kinds,
+    register_job_kind,
+)
 from ..batch.spaces import NAMED_SPACES, pipeline_system
 from ..obs.context import TraceContext, new_request_id
 from ..system.model import System
@@ -40,6 +46,11 @@ from ..system.serialize import system_to_dict
 
 #: Built-in example systems servable by name: name -> builder.
 EXAMPLES: Dict[str, Callable[[], System]] = {}
+
+#: Each built-in example, serialised once per process.  Every request
+#: for it shares the dict: job payloads are read-only
+#: (``system_from_dict`` only reads its dict).
+_EXAMPLE_DICTS: Dict[str, Dict[str, Any]] = {}
 
 
 def _register_examples() -> None:
@@ -95,12 +106,15 @@ def resolve_system_dict(payload: Dict[str, Any]) -> Dict[str, Any]:
             raise BadRequest("'system' must be a serialised system dict")
         return system
     if example is not None:
-        builder = EXAMPLES.get(example)
-        if builder is None:
-            raise BadRequest(
-                f"unknown example {example!r} "
-                f"(known: {', '.join(sorted(EXAMPLES))})")
-        return system_to_dict(builder())
+        system = _EXAMPLE_DICTS.get(example)
+        if system is None:
+            builder = EXAMPLES.get(example)
+            if builder is None:
+                raise BadRequest(
+                    f"unknown example {example!r} "
+                    f"(known: {', '.join(sorted(EXAMPLES))})")
+            system = _EXAMPLE_DICTS[example] = system_to_dict(builder())
+        return system
     raise BadRequest("payload needs a 'system' dict or an 'example' name")
 
 
@@ -230,20 +244,25 @@ def run_unary(runner: BatchRunner, job: Job,
     finally:
         if profiler is not None:
             profiler.stop()
-    result = report.results[job.key]
+    body = result_body(report.results[job.key], job.key in report.cached)
+    if profiler is not None:
+        body["profile"] = profiler.to_dict()
+    return body
+
+
+def result_body(result: JobResult, cached: bool) -> Dict[str, Any]:
+    """The response body answering a job with *result*."""
     body: Dict[str, Any] = {
         "key": result.key,
         "kind": result.kind,
         "status": result.status,
-        "cached": job.key in report.cached,
+        "cached": cached,
         "data": result.data,
         "duration": result.duration,
         "attempts": result.attempts,
     }
     if result.error:
         body["error"] = result.error
-    if profiler is not None:
-        body["profile"] = profiler.to_dict()
     return body
 
 
@@ -338,6 +357,7 @@ __all__ = [
     "int_field",
     "mint_trace_context",
     "resolve_system_dict",
+    "result_body",
     "run_sweep",
     "run_unary",
     "space_names",

@@ -70,6 +70,9 @@ class WorkItem:
     #: explain / job requests); the resumable handle a drained 503
     #: hands back.
     job_key: str = field(compare=False, default="")
+    #: The request's job (analyze / explain / job requests), built once
+    #: at admission; None for sweeps.
+    job: Optional[Any] = field(compare=False, default=None)
     #: Absolute monotonic deadline for *starting* the work, or None.
     deadline: Optional[float] = field(compare=False, default=None)
     enqueued_at: float = field(compare=False,
@@ -152,7 +155,8 @@ class RequestQueue:
                job_key: str = "",
                stream: Optional["asyncio.Queue"] = None,
                request_id: str = "",
-               span: Optional[Any] = None) -> WorkItem:
+               span: Optional[Any] = None,
+               job: Optional[Any] = None) -> WorkItem:
         """Enqueue a request; returns the item whose ``future`` the
         caller awaits.  *deadline* is relative seconds from now."""
         if self._closed:
@@ -161,7 +165,7 @@ class RequestQueue:
             raise QueueFull(len(self._heap), self.retry_after())
         item = WorkItem(
             priority=int(priority), seq=next(self._seq), kind=kind,
-            payload=payload, job_key=job_key,
+            payload=payload, job_key=job_key, job=job,
             deadline=(time.monotonic() + deadline
                       if deadline is not None else None),
             future=asyncio.get_running_loop().create_future(),

@@ -25,6 +25,8 @@ Endpoints (see ``docs/serve.md`` for the full protocol):
                       followed by one ``result`` line
 ====================  ====================================================
 
+A request whose answer the store already holds in memory is answered
+where it is admitted, on the loop, without a queue slot or a worker.
 Backpressure: a full queue answers ``429`` with a ``Retry-After``
 estimate.  Deadlines: a request carrying ``deadline`` seconds that is
 still queued when the budget lapses is answered ``504``.  Shutdown:
@@ -48,7 +50,12 @@ from .. import obs as _obs
 from .._errors import ModelError
 from ..analysis import kernels
 from ..analysis.memo import memo_pool_stats
-from ..batch.executor import BatchRunner, SerialBackend
+from ..batch.executor import (
+    BatchRunner,
+    SerialBackend,
+    count_stored_answers,
+    served_from_store,
+)
 from ..batch.store import ResultStore
 from ..eventmodels.compile import cache as chain_cache
 from ..obs import context as _context
@@ -289,15 +296,20 @@ class ServeDaemon:
             else:
                 latency = time.perf_counter() - t0
                 self.queue.observe_service_time(latency)
-                ok = body.get("status", "ok") == "ok"
-                self.stats.dispose("ok" if ok else "failed", latency)
-                if _obs.enabled:
-                    _obs.metrics().histogram(_openmetrics.labeled(
-                        "serve.endpoint_seconds",
-                        endpoint=item.kind)).observe(latency)
+                self._answered(item.kind, body, latency)
                 self._resolve(item, 200, body)
             finally:
                 self._in_flight -= 1
+
+    def _answered(self, kind: str, body: Dict[str, Any],
+                  latency: float) -> None:
+        """Count one computed answer: ``ok`` or ``failed`` with its
+        latency, and its ``serve.endpoint_seconds`` observation."""
+        ok = body.get("status", "ok") == "ok"
+        self.stats.dispose("ok" if ok else "failed", latency)
+        if _obs.enabled:
+            _obs.metrics().histogram(_openmetrics.labeled(
+                "serve.endpoint_seconds", endpoint=kind)).observe(latency)
 
     def _observe_dequeue(self, item: WorkItem, now: float) -> None:
         """Queue-depth gauge + queue-wait histogram/span at pop time."""
@@ -332,13 +344,12 @@ class ServeDaemon:
             body["status"] = "ok"
             body["type"] = "result"
             return body
-        job = handlers.build_job(item.kind, item.payload)
         profile = bool(item.payload.get("profile"))
         body = await loop.run_in_executor(
             self._executor,
             self._in_request_context(
                 item,
-                lambda: handlers.run_unary(self._runner(), job,
+                lambda: handlers.run_unary(self._runner(), item.job,
                                            profile=profile)))
         self.stats.cache(int(bool(body.get("cached"))),
                          int(not body.get("cached")))
@@ -401,6 +412,10 @@ class ServeDaemon:
                 method, path, headers = await self._read_head(reader)
                 body = await self._read_body(reader, headers)
             except _HttpError as exc:
+                # Refused while its head or body was read: one request,
+                # one error.
+                self.stats.request()
+                self.stats.dispose("errors")
                 await self._write_json(writer, exc.status, exc.body,
                                        exc.headers)
                 return
@@ -514,9 +529,8 @@ class ServeDaemon:
             if kind == "sweep":
                 await self._handle_sweep(payload, writer, ctx.request_id)
                 return
-            item = self._enqueue(kind, payload,
-                                 request_id=ctx.request_id)
-            status, body = await item.future
+            status, body = await self._enqueue(
+                kind, payload, request_id=ctx.request_id)
             await self._write_json(writer, status, body, rid_headers)
         except _HttpError as exc:
             # Every response — including rejections — echoes the id.
@@ -525,7 +539,11 @@ class ServeDaemon:
 
     def _enqueue(self, kind: str, payload: Dict[str, Any],
                  stream: Optional[asyncio.Queue] = None,
-                 request_id: str = "") -> WorkItem:
+                 request_id: str = "") -> "asyncio.Future":
+        """Admit one request: validate it, build its job once, and
+        either answer it from the store here or queue it.  Returns the
+        future of its ``(status, body)``, already done for a stored
+        answer."""
         self.stats.request()
         if not self.machine.accepting:
             self.stats.dispose("drained"
@@ -537,12 +555,13 @@ class ServeDaemon:
                           f"not accepting work"})
         # Compute the content-addressed key up front where possible: it
         # is the resumable handle a drained/expired answer carries.
-        job_key = ""
+        job, job_key = None, ""
         if kind == "sweep":
             job_key = str(payload.get("space") or "")
         try:
             if kind in ("analyze", "explain", "job"):
-                job_key = handlers.build_job(kind, payload).key
+                job = handlers.build_job(kind, payload)
+                job_key = job.key
             priority = handlers.int_field(payload, "priority",
                                           DEFAULT_PRIORITY)
         except BadRequest as exc:
@@ -568,11 +587,15 @@ class ServeDaemon:
                 ctx=_context.TraceContext(request_id=request_id,
                                           endpoint=kind),
                 endpoint=kind, job_key=job_key)
+        if job is not None and not payload.get("profile"):
+            answer = self._stored_answer(kind, job, request_id, span)
+            if answer is not None:
+                return answer
         try:
             item = self.queue.submit(
                 kind, payload, priority=priority, deadline=deadline,
                 job_key=job_key, stream=stream, request_id=request_id,
-                span=span)
+                span=span, job=job)
         except QueueFull as exc:
             self.stats.dispose("rejected")
             self._finish_root_span(span, 429, "backpressure")
@@ -591,7 +614,37 @@ class ServeDaemon:
         if _obs.enabled:
             _obs.metrics().gauge("serve.queue_depth").set(
                 self.queue.depth)
-        return item
+        return item.future
+
+    def _stored_answer(self, kind: str, job, request_id: str,
+                       span: Optional[Any]) -> "Optional[asyncio.Future]":
+        """Answer *job* at admission when the store holds in memory a
+        result the runner would serve (see
+        :func:`~repro.batch.executor.served_from_store`): no queue slot,
+        no worker thread, and so never 429 or 504.  A result not read
+        since the daemon started is left to a worker, which reads it
+        from disk once.  Returns the done future, or None."""
+        t0 = time.perf_counter()
+        stored = self.store.held(job.key)
+        if not served_from_store(stored):
+            return None
+        # The cached job event carries the request id, as on a worker.
+        token = (_context.activate(_context.TraceContext(
+            request_id=request_id, endpoint=kind)) if request_id else None)
+        try:
+            count_stored_answers([stored])
+        finally:
+            if token is not None:
+                _context.deactivate(token)
+        body = handlers.result_body(stored, cached=True)
+        if request_id:
+            body["request_id"] = request_id
+        self.stats.cache(1, 0)
+        self._answered(kind, body, time.perf_counter() - t0)
+        self._finish_root_span(span, 200)
+        future = self._loop.create_future()
+        future.set_result((200, body))
+        return future
 
     @staticmethod
     def _finish_root_span(span: Optional[Any], status: int,

@@ -94,44 +94,52 @@ class _StreamResolver:
         self._initial = initial_outputs
         self._substitutes = {} if substitutes is None else substitutes
         self._lineage = lineage
+        # The ports read in this phase (what a fresh resolver would
+        # hold), and the ports carried from earlier phases not read yet.
         self._cache: "Dict[str, EventModel]" = {}
+        self._carried: "Dict[str, EventModel]" = {}
         # Per multi-input task: the input models it folded, and the fold.
         self._folds: "Dict[str, Tuple[List[EventModel], EventModel]]" = {}
         # Per task and junction: the ports of it the graph reads and the
         # nodes reading them (built the first time a response moves).
         self._graph = None
         self._visiting: Set[str] = set()
+        # How many substitutes there were when this phase began.
+        self._substituted = len(self._substitutes)
         self.read_seed = False
         self.junctions: Dict[str, int] = {}
 
-    def advance(self, responses: "Dict[str, TaskResult]",
-                carry: bool) -> None:
+    def advance(self, responses: "Dict[str, TaskResult]") -> None:
         """Serve *responses* from the next phase on.
 
         A port's model is a function of the responses in its upstream
         cone, and chains are interned by fingerprint, so a port whose
         upstream responses are bit-equal in *responses* to what it read
-        is what a fresh resolver would serve: it is kept, and every
-        other port is dropped.  Every port is dropped when *carry* is
-        False (a policy that catches errors: a quarantine can add a
-        substitute mid-phase, which ports resolved before it do not
-        see) or when this phase read a cycle seed (where a fresh
-        resolver cuts a cycle depends on the order it resolves ports
-        in)."""
-        if not carry or self.read_seed:
-            self._cache.clear()
-        elif responses is not self._responses:
-            old = self._responses
-            moved = [name for name, task in self._system.tasks.items()
-                     if old.get(name) is not responses.get(name)
-                     and _reads(task, old) != _reads(task, responses)]
-            if moved:
-                self._drop_downstream(moved)
+        is what a fresh resolver would serve: it is carried into the
+        next phase, and every other port is dropped.  Every port is
+        dropped after a phase that added a substitute (a quarantine or a
+        widening, which ports resolved before it do not see) or read a
+        cycle seed (where a fresh resolver cuts a cycle depends on the
+        order it resolves ports in).  Substitutes only ever gain ports,
+        so their count tells whether one was added."""
+        if self.read_seed or len(self._substitutes) != self._substituted:
+            self._carried.clear()
+            self._substituted = len(self._substitutes)
+        else:
+            self._carried.update(self._cache)
+            if responses is not self._responses:
+                old = self._responses
+                moved = [name for name, task in self._system.tasks.items()
+                         if old.get(name) is not responses.get(name)
+                         and _reads(task, old) != _reads(task, responses)]
+                if moved:
+                    self._drop_downstream(moved)
+        self._cache = {}
         self._responses = responses
         self.read_seed = False
 
     def _drop_downstream(self, moved: "List[str]") -> None:
-        """Drop the cached ports of the *moved* tasks and of every task
+        """Drop the carried ports of the *moved* tasks and of every task
         and junction downstream of them."""
         if self._graph is None:
             self._graph = _port_graph(self._system)
@@ -143,8 +151,28 @@ class _StreamResolver:
                 continue
             seen.add(node)
             for port in ports[node]:
-                self._cache.pop(port, None)
+                self._carried.pop(port, None)
             stack.extend(readers[node])
+
+    def _keep_what_was_read(self) -> None:
+        """A substitute was added in this phase and nothing has been
+        resolved since: keep what a fresh resolver would hold now.
+        That is the ports read in this phase and, where one came
+        carried, the ports its derivation read.  Every other carried
+        port is dropped, to be resolved anew with the substitute in
+        place."""
+        system = self._system
+        stack = list(self._cache)
+        while stack:
+            node = system.producer_of(stack.pop())
+            inputs = (system.tasks[node].inputs if node in system.tasks
+                      else system.junctions[node].inputs
+                      if node in system.junctions else ())
+            for port in inputs:
+                if port in self._carried:
+                    self._cache[port] = self._carried.pop(port)
+                    stack.append(port)
+        self._carried.clear()
 
     def _record(self, port: str, kind: str, inputs=(), **attrs) -> None:
         self._lineage[port] = LineageNode(port, kind, tuple(inputs), attrs)
@@ -158,6 +186,16 @@ class _StreamResolver:
         cached = self._cache.get(port)
         if cached is not None:
             return cached
+        if self._carried:
+            if len(self._substitutes) != self._substituted:
+                # The walk may keep this very port: one read earlier in
+                # the phase derived it before the substitute.
+                self._keep_what_was_read()
+            elif port in self._carried:
+                self._cache[port] = self._carried.pop(port)
+            cached = self._cache.get(port)
+            if cached is not None:
+                return cached
         # Share derived chains through the global fingerprint cache:
         # equal streams of other runs (or of ports this resolver
         # dropped) are one chain, memos filled.
@@ -602,10 +640,8 @@ def _iterate(system: System, policy, max_iterations: int,
     spec_keys: "Dict[str, tuple]" = {}
     substitutes = policy.substitutes
     # One resolver for the run: each phase boundary keeps the ports a
-    # fresh resolver would serve unchanged (see advance), except under a
-    # policy that catches errors, where every phase starts empty.
+    # fresh resolver would serve unchanged (see advance).
     resolver = _StreamResolver(system, responses, cycle_seeds, substitutes)
-    carry = not policy.errors
     iteration = 0
     converged = False
 
@@ -619,7 +655,7 @@ def _iterate(system: System, policy, max_iterations: int,
         # ``junctions``): both its phases count into it.
         junctions: Dict[str, int] = {}
         try:
-            resolver.advance(responses, carry)
+            resolver.advance(responses)
             resolver.junctions = junctions
 
             # Local analysis per resource (through the incremental memo
@@ -672,7 +708,7 @@ def _iterate(system: System, policy, max_iterations: int,
             # Propagate: compute every task's output model with the *new*
             # responses and compare with the previous iteration's models
             # (a port no moved response reaches is the same object).
-            resolver.advance(responses, carry)
+            resolver.advance(responses)
             new_models: "Dict[str, EventModel]" = {}
             for task_name, task in system.tasks.items():
                 try:

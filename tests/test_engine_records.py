@@ -33,12 +33,13 @@ RUNS = {
 
 #: Per run: iterations, local-analysis samples, junction pack/unpack,
 #: busy windows, activations, quarantines, widenings, guard verdicts
-#: and failed resources (None: the gauge is never set).  A strict run
-#: resolves each junction once while its upstream responses hold; a
-#: degraded one resolves every junction in every phase.
+#: and failed resources (None: the gauge is never set).  A run resolves
+#: each junction once while its upstream responses hold and no
+#: substitute is added, so RoX08 HEM, which quarantines nothing,
+#: resolves its 2 pack and 6 unpack junctions once, strict or degraded.
 CONTRACT = {
     "hem-strict": (3, 3, 2, 6, 8, 10, 0, 0, 0, None),
-    "hem-degraded": (3, 3, 12, 18, 8, 10, 0, 0, 0, 0),
+    "hem-degraded": (3, 3, 2, 6, 8, 10, 0, 0, 0, 0),
     "overloaded": (2, 2, 0, 0, 3, 3, 1, 1, 0, 1),
     "oscillating": (15, 25, 0, 0, 38, 162, 1, 2, 1, 1),
 }
@@ -102,12 +103,12 @@ def test_metrics_contract(telemetry, run):
     assert gauges.get("resilience.failed_resources") == failed
 
 
-@pytest.mark.parametrize("mode, hits", [("raise", 0), ("degrade", 34)])
+@pytest.mark.parametrize("mode, hits", [("raise", 0), ("degrade", 0)])
 def test_chain_cache_counts_itself(telemetry, mode, hits):
-    """RoX08 HEM's chain-cache traffic, read from the cache.  A strict
-    run re-derives a port only when its upstream responses moved, into
-    a new chain, so from a cold cache it never hits; a degraded run
-    re-derives every port in every phase."""
+    """RoX08 HEM's chain-cache traffic, read from the cache.  A run
+    re-derives a port only when its upstream responses moved (or a
+    substitute was added, which RoX08 never needs), into a new chain,
+    so from a cold cache it never hits, strict or degraded."""
     analyze_system(build_system("hem"), on_failure=mode)
     stats = emc.cache().stats()
     assert (stats["hits"], stats["misses"]) == (hits, 17)

@@ -24,8 +24,10 @@ from repro.batch.jobs import register_job_kind, run_job
 from repro.batch.store import ResultStore
 from repro.examples_lib.synth import GraphSpace, synth_task_graph
 from repro.serve import RequestRejected, ServeClient, daemon_in_thread
+from repro.serve import handlers
 from repro.serve.handlers import build_job
 from repro.system import system_to_dict
+from repro.system.serialize import content_hash
 
 # ----------------------------------------------------------------------
 # helpers
@@ -182,6 +184,139 @@ class TestCache:
             assert warm.key == cold.key
         finally:
             fresh.stop()
+
+
+# ----------------------------------------------------------------------
+# a stored answer returns at admission
+# ----------------------------------------------------------------------
+def _hold_workers(client, daemon, n):
+    """Park *n* blocking jobs on the daemon's dispatchers."""
+    calls = [_Call(lambda i=i: client.job("serve_test_block", {"n": i}))
+             for i in range(n)]
+    _wait_until(lambda: daemon._in_flight == n)
+    return calls
+
+
+class TestAdmission:
+    """A request whose answer the store holds in memory is answered
+    where it is admitted: no queue slot, no worker thread."""
+
+    def test_stored_answer_needs_no_worker(self, daemon):
+        handle, client = daemon
+        first = client.analyze(example="rox08")
+        assert first.ok and not first.cached
+        held = _hold_workers(client, handle.daemon, 2)
+        t0 = time.perf_counter()
+        again = client.analyze(example="rox08")
+        elapsed = time.perf_counter() - t0
+        assert again.ok and again.cached
+        assert again.data == first.data
+        assert elapsed < 0.5, elapsed
+        assert client.health()["queue"]["in_flight"] == 2
+        _GATE.set()
+        assert all(call.finish().result.ok for call in held)
+
+    def test_stored_answer_is_never_429(self, tight_daemon):
+        handle, client = tight_daemon
+        assert not client.analyze(example="rox08").cached
+        held = _hold_workers(client, handle.daemon, 1)
+        queued = _Call(lambda: client.job("serve_test_block", {"n": 9}))
+        _wait_until(lambda: handle.daemon.queue.depth == 1)
+        assert client.analyze(example="rox08").cached
+        with pytest.raises(RequestRejected) as excinfo:
+            client.analyze(example="rox08-flat")
+        assert excinfo.value.status == 429
+        _GATE.set()
+        assert held[0].finish().result.ok and queued.finish().result.ok
+
+    def test_stored_answer_is_never_504(self, tight_daemon):
+        handle, client = tight_daemon
+        assert not client.analyze(example="rox08").cached
+        held = _hold_workers(client, handle.daemon, 1)
+        assert client.analyze(example="rox08", deadline=0.05).cached
+        threading.Timer(0.4, _GATE.set).start()
+        with pytest.raises(RequestRejected) as excinfo:
+            client.analyze(example="rox08-flat", deadline=0.05)
+        assert excinfo.value.status == 504
+        assert held[0].finish().result.ok
+
+    def test_each_request_builds_its_job_once(self, daemon, monkeypatch):
+        _handle, client = daemon
+        built = []
+
+        def counting(kind, payload):
+            built.append(kind)
+            return build_job(kind, payload)
+
+        monkeypatch.setattr(handlers, "build_job", counting)
+        assert not client.analyze(example="rox08").cached
+        assert built == ["analyze"]
+        assert client.analyze(example="rox08").cached
+        assert client.explain(example="rox08").ok
+        assert built == ["analyze", "analyze", "explain"]
+
+    def test_example_is_serialised_once(self, daemon, monkeypatch):
+        _handle, client = daemon
+        monkeypatch.setattr(handlers, "_EXAMPLE_DICTS", {})
+        serialised = []
+
+        def counting(system):
+            serialised.append(system.name)
+            return system_to_dict(system)
+
+        monkeypatch.setattr(handlers, "system_to_dict", counting)
+        assert client.analyze(example="body_gateway").ok
+        shared = handlers._EXAMPLE_DICTS["body_gateway"]
+        digest = content_hash(shared)
+        assert client.analyze(example="body_gateway").cached
+        assert client.explain(example="body_gateway").ok
+        assert len(serialised) == 1
+        assert handlers._EXAMPLE_DICTS["body_gateway"] is shared
+        assert content_hash(shared) == digest
+
+    def test_stored_poisoned_answer(self, daemon):
+        """A strict overloaded analysis is poisoned, and the stored
+        poison is answered as the runner serves it: cached, failed."""
+        _handle, client = daemon
+        first = client.analyze(example="overloaded", on_failure="raise")
+        assert first.status == "poisoned" and not first.cached
+        again = client.analyze(example="overloaded", on_failure="raise")
+        assert again.status == "poisoned" and again.cached
+        assert (again.key, again.data, again.error) == \
+            (first.key, first.data, first.error)
+        requests = client.health()["requests"]
+        assert (requests["failed"], requests["cache_hits"]) == (2, 1)
+
+    def test_admission_answer_counts_once(self, daemon):
+        _handle, client = daemon
+        spans = []
+        sink = obs.get_bus().subscribe(spans.append, interests={"span"})
+        try:
+            assert not client.analyze(example="rox08").cached
+            hit = client.analyze(example="rox08")
+            assert hit.cached and hit.request_id
+            text = client.metrics_text()
+            requests = client.health()["requests"]
+        finally:
+            obs.get_bus().unsubscribe(sink)
+        assert (requests["requests"], requests["ok"],
+                requests["cache_hits"], requests["cache_misses"]) == \
+            (2, 2, 1, 1)
+        for name in ("requests", "ok", "cache_hits", "cache_misses"):
+            assert _scraped(text, f"repro_serve_{name}_total") == \
+                requests[name], name
+        assert _scraped(
+            text, 'repro_serve_endpoint_seconds_count{endpoint="analyze"}'
+        ) == 2
+        names = sorted(span["name"] for span in spans
+                       if span.get("request_id") == hit.request_id)
+        assert names == ["serve.request"]
+
+    def test_profile_still_runs_on_a_worker(self, daemon):
+        _handle, client = daemon
+        assert not client.analyze(example="rox08").cached
+        profiled = client.analyze(example="rox08", profile=True)
+        assert profiled.cached and profiled.profile is not None
 
 
 # ----------------------------------------------------------------------
@@ -370,10 +505,15 @@ class TestProtocol:
 def _raw_post(port, head_lines, body=b""):
     """Send one hand-written POST /v1/analyze; returns the status code
     and the parsed JSON body of the answer."""
+    head = "\r\n".join(["POST /v1/analyze HTTP/1.1",
+                         "Host: 127.0.0.1", *head_lines, "", ""])
+    return _raw_request(port, head.encode("latin-1") + body)
+
+
+def _raw_request(port, raw_request):
+    """Send *raw_request* bytes; the status code and parsed JSON body."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        head = "\r\n".join(["POST /v1/analyze HTTP/1.1",
-                             "Host: 127.0.0.1", *head_lines, "", ""])
-        sock.sendall(head.encode("latin-1") + body)
+        sock.sendall(raw_request)
         raw = b""
         while True:
             chunk = sock.recv(65536)
@@ -387,7 +527,24 @@ def _raw_post(port, head_lines, body=b""):
 
 class TestMalformedFields:
     """A request field that does not parse is a 400 ``bad_request``
-    naming the field, and the next good request still gets 200."""
+    naming the field, and the next good request still gets 200.  A
+    request refused while its head or body is read counts once in
+    ``requests`` and once in ``errors``, in ``/healthz`` and ``serve.*``
+    alike."""
+
+    def _counted_once(self, client, send):
+        """*send* one malformed request; it adds one request and one
+        error to the ledger and to the ``serve.*`` counters."""
+        before = client.health()["requests"]
+        answer = send()
+        after = client.health()["requests"]
+        assert after["requests"] - before["requests"] == 1
+        assert after["errors"] - before["errors"] == 1
+        text = client.metrics_text()
+        for name in ("requests", "errors"):
+            assert _scraped(text, f"repro_serve_{name}_total") == \
+                after[name], name
+        return answer
 
     def test_bad_priority(self, daemon):
         _handle, client = daemon
@@ -412,7 +569,8 @@ class TestMalformedFields:
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_bad_content_length(self, daemon, length):
         handle, client = daemon
-        status, body = _raw_post(handle.port, [f"Content-Length: {length}"])
+        status, body = self._counted_once(client, lambda: _raw_post(
+            handle.port, [f"Content-Length: {length}"]))
         assert status == 400
         assert body["error"] == "bad_request"
         assert "content-length" in body["detail"]
@@ -421,6 +579,28 @@ class TestMalformedFields:
             handle.port, [f"Content-Length: {len(payload)}",
                           "Content-Type: application/json"], payload)
         assert status == 200 and body["status"] == "ok"
+
+    def test_malformed_request_line(self, daemon):
+        handle, client = daemon
+        status, body = self._counted_once(client, lambda: _raw_request(
+            handle.port, b"NONSENSE\r\nHost: 127.0.0.1\r\n\r\n"))
+        assert status == 400
+        assert body["detail"] == "malformed request line"
+
+    def test_oversized_content_length(self, daemon):
+        handle, client = daemon
+        status, body = self._counted_once(client, lambda: _raw_post(
+            handle.port, ["Content-Length: 999999999999"]))
+        assert status == 413
+        assert body["error"] == "payload_too_large"
+
+    def test_body_not_a_json_object(self, daemon):
+        handle, client = daemon
+        payload = b"[1, 2]"
+        status, body = self._counted_once(client, lambda: _raw_post(
+            handle.port, [f"Content-Length: {len(payload)}"], payload))
+        assert status == 400
+        assert body["detail"] == "body must be a JSON object"
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +641,7 @@ class TestUptime:
 # ----------------------------------------------------------------------
 def _scraped(text, name):
     """The value of one unlabelled sample in an OpenMetrics scrape."""
-    match = re.search(rf"^{name} (\S+)$", text, re.MULTILINE)
+    match = re.search(rf"^{re.escape(name)} (\S+)$", text, re.MULTILINE)
     assert match is not None, f"{name} not in /metrics"
     return float(match.group(1))
 

@@ -117,6 +117,55 @@ def test_threaded_writers_share_one_store(tmp_path):
     assert len(rescan) == 300
 
 
+def test_held_reads_beside_threaded_writers(tmp_path):
+    """The daemon's loop reads ``held`` without the lock while
+    dispatcher threads put: every read is None (not put yet) or the
+    very result put, and after the writers finish every key is held."""
+    store = ResultStore(tmp_path / "cache")
+    keys = [f"{tag}-{i}" for tag in ("t1", "t2") for i in range(60)]
+    put = {}
+    errors = []
+    done = threading.Event()
+
+    def writer(tag: str) -> None:
+        try:
+            for i in range(60):
+                result = JobResult(key=f"{tag}-{i}", kind="probe",
+                                   label=tag, status="ok", data={"i": i})
+                put[result.key] = result
+                store.put(result)
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    def reader() -> None:
+        try:
+            while not done.is_set():
+                for key in keys:
+                    held = store.held(key)
+                    assert held is None or held is put[key], key
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        writers = [threading.Thread(target=writer, args=(t,))
+                   for t in ("t1", "t2")]
+        for t in readers + writers:
+            t.start()
+        for t in writers:
+            t.join(30)
+        done.set()
+        for t in readers:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers + writers)
+    assert not errors
+    assert all(store.held(key) is put[key] for key in keys)
+
+
 def test_interleaved_processes_index_correct_offsets(tmp_path):
     """A store whose log another process appended to mid-run still
     indexes its own records at the right offsets."""

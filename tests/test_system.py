@@ -268,10 +268,11 @@ class TestIterationReuse:
                            initial_outputs=feedback_seeds())
 
     def test_degraded_run_gets_a_fresh_resolver(self):
-        # Degraded and cyclic, so the resolver starts every phase
-        # empty: a quarantine adds substitutes mid-iteration, which a
-        # carried cache would not see.  Carrying it anyway takes 11
-        # iterations instead of 10.
+        # Cyclic, and its quarantines add substitutes mid-phase, which
+        # ports resolved before them do not see: every phase that
+        # reads a cycle seed or adds a substitute is followed by a
+        # resolver dropping every port.  Carrying its ports anyway
+        # takes 11 iterations instead of 10.
         outcome = analyze_system(
             feedback_pair((2.5, 5.0), (2.5, 5.0)),
             initial_outputs=feedback_seeds(), on_failure="degrade")
